@@ -235,9 +235,15 @@ def rollout_group(
         )
         parents = [parent] * n
 
+    # The archive does not change during a rollout, so a parent's context is
+    # the same for every candidate drawn from it.
+    contexts: dict[int, np.ndarray] = {}
     candidates: list[Candidate] = []
     for parent in parents:
-        ctx = build_context(state, parent).features(cfg.context_dim)
+        ctx = contexts.get(parent.id)
+        if ctx is None:
+            ctx = build_context(state, parent).features(cfg.context_dim)
+            contexts[parent.id] = ctx
         seq = policy.sample_sequence(state.params, ctx, state.rng, cfg.seq_length)
         outcome = _safe_evaluate(task, seq, state.iteration, state.rng)
         candidates.append(

@@ -7,9 +7,20 @@ conditioned on a search-state feature vector and the previous token:
     logits_t   = hidden @ w_emit[:H] + w_emit[H + prev_token]
     token_t    ~ softmax(logits_t)
 
+Under fixed parameters and context this is a bigram: the next-token
+distribution depends only on the previous token. So every distribution the
+policy can use for one context fits in one (V + 1, V) log-softmax table.
+Row 0 is position 0, which has no previous token, and row 1 + j is the
+position after token j. A masked-out token is padding and leaves the row
+unchanged. Sampling, log-probabilities, entropy and the loss each build the
+table once per context and read every position from it.
+
 Everything is float64 and hand-differentiated; ``loss_and_gradient`` is the
 only code path that produces gradients, and it is checked against central
-finite differences in the test suite.
+finite differences in the test suite. Table rows hold exactly the values a
+per-token log-softmax gives, and the batched backward pass adds its terms in
+the order of a token-by-token loop, so results match that loop bit for bit
+(``tests/reference_policy.py`` keeps it as the oracle).
 """
 
 from __future__ import annotations
@@ -236,11 +247,6 @@ class AdamState:
         )
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
 def _hidden(params: PolicyParams, ctx: np.ndarray) -> np.ndarray:
     ctx = np.asarray(ctx, dtype=np.float64)
     if ctx.shape != (params.context_dim,):
@@ -248,70 +254,84 @@ def _hidden(params: PolicyParams, ctx: np.ndarray) -> np.ndarray:
     return ctx @ params.w_ctx
 
 
-def _step_logits(params: PolicyParams, hidden: np.ndarray, prev_token: int | None) -> np.ndarray:
-    # One-hot previous token selects a single emission row; position 0 has no
-    # predecessor and uses the all-zero one-hot.
-    logits = hidden @ params.w_emit[: params.hidden_dim]
-    if prev_token is not None:
-        logits = logits + params.w_emit[params.hidden_dim + prev_token]
-    return logits
+def _log_prob_table(params: PolicyParams, hidden: np.ndarray) -> np.ndarray:
+    """(V + 1, V) next-token log-probabilities for one context.
+
+    Row 0 is position 0 (no previous token); row 1 + j follows token j.
+    """
+    base = hidden @ params.w_emit[: params.hidden_dim]
+    logits = np.empty((params.vocab_size + 1, params.vocab_size))
+    logits[0] = base
+    logits[1:] = base + params.w_emit[params.hidden_dim :]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def sample_sequence(
-    params: PolicyParams, ctx: np.ndarray, rng: np.random.Generator, length: int
-) -> TokenSequence:
-    """Autoregressively sample ``length`` tokens, recording their logprobs."""
-    if not 1 <= length <= params.max_tokens:
-        raise ValueError(f"length {length} outside [1, {params.max_tokens}]")
-    hidden = _hidden(params, ctx)
-    tokens = np.empty(length, dtype=np.int64)
-    logprobs = np.empty(length)
-    prev: int | None = None
-    for t in range(length):
-        log_p = _log_softmax(_step_logits(params, hidden, prev))
-        cdf = np.cumsum(np.exp(log_p))
-        token = int(np.searchsorted(cdf, rng.random(), side="right"))
-        token = min(token, params.vocab_size - 1)
-        tokens[t] = token
-        logprobs[t] = log_p[token]
-        prev = token
-    return TokenSequence(tokens=tokens, mask=np.ones(length, dtype=np.int64), old_logprobs=logprobs)
+def _table_rows(seq: TokenSequence) -> np.ndarray:
+    """Table row of each position: 1 + the last masked-in token before it, else 0.
+
+    Masked-out tokens are padding: they never enter the autoregressive state,
+    so perturbing them cannot leak into the loss of later positions.
+    """
+    rows = np.empty(len(seq), dtype=np.intp)
+    row = 0
+    for t, (token, valid) in enumerate(zip(seq.tokens.tolist(), seq.mask.tolist())):
+        rows[t] = row
+        if valid:
+            row = token + 1
+    return rows
 
 
-def sequence_logprobs(params: PolicyParams, ctx: np.ndarray, seq: TokenSequence) -> np.ndarray:
-    """Log-probabilities of ``seq`` under the current parameters."""
+def _check_tokens(params: PolicyParams, seq: TokenSequence) -> None:
     if np.any(seq.tokens < 0) or np.any(seq.tokens >= params.vocab_size):
         bad = int(np.argmax((seq.tokens < 0) | (seq.tokens >= params.vocab_size)))
         raise InvalidTokenError(
             f"token {seq.tokens[bad]} at position {bad} outside vocabulary of {params.vocab_size}"
         )
-    hidden = _hidden(params, ctx)
-    out = np.empty(len(seq))
-    prev: int | None = None
-    for t, token in enumerate(seq.tokens):
-        log_p = _log_softmax(_step_logits(params, hidden, prev))
-        out[t] = log_p[token]
-        if seq.mask[t]:
-            # Masked-out tokens are padding: they never enter the
-            # autoregressive state, so perturbing them cannot leak into
-            # the loss of later positions.
-            prev = int(token)
-    return out
+
+
+def sample_sequence(
+    params: PolicyParams, ctx: np.ndarray, rng: np.random.Generator, length: int
+) -> TokenSequence:
+    """Autoregressively sample ``length`` tokens, recording their logprobs.
+
+    Draws exactly ``length`` uniforms from ``rng``, one per token in order.
+    """
+    if not 1 <= length <= params.max_tokens:
+        raise ValueError(f"length {length} outside [1, {params.max_tokens}]")
+    table = _log_prob_table(params, _hidden(params, ctx))
+    cdf = np.cumsum(np.exp(table), axis=1)
+    tokens = np.empty(length, dtype=np.int64)
+    logprobs = np.empty(length)
+    row = 0
+    for t, u in enumerate(rng.random(length)):
+        token = min(int(np.searchsorted(cdf[row], u, side="right")), params.vocab_size - 1)
+        tokens[t] = token
+        logprobs[t] = table[row, token]
+        row = token + 1
+    return TokenSequence(tokens=tokens, mask=np.ones(length, dtype=np.int64), old_logprobs=logprobs)
+
+
+def sequence_logprobs(params: PolicyParams, ctx: np.ndarray, seq: TokenSequence) -> np.ndarray:
+    """Log-probabilities of ``seq`` under the current parameters."""
+    _check_tokens(params, seq)
+    table = _log_prob_table(params, _hidden(params, ctx))
+    return table[_table_rows(seq), seq.tokens]
 
 
 def token_entropy(params: PolicyParams, ctx: np.ndarray, seq: TokenSequence) -> float:
     """Mean per-step categorical entropy (nats) over masked-in positions."""
-    hidden = _hidden(params, ctx)
+    valid = seq.masked_in
+    if not valid.any():
+        return 0.0
+    table = _log_prob_table(params, _hidden(params, ctx))
+    log_p = table[_table_rows(seq)[valid]]
+    # Stacked 1xV @ Vx1 products: one BLAS dot per position, as np.dot does.
+    dots = np.matmul(np.exp(log_p)[:, None, :], log_p[:, :, None])
     total = 0.0
-    count = 0
-    prev: int | None = None
-    for t, token in enumerate(seq.tokens):
-        if seq.mask[t]:
-            log_p = _log_softmax(_step_logits(params, hidden, prev))
-            total -= float(np.dot(np.exp(log_p), log_p))
-            count += 1
-            prev = int(token)
-    return total / count if count else 0.0
+    for dot in dots.ravel().tolist():
+        total -= dot
+    return total / len(log_p)
 
 
 def broadcast_advantage(advantage: float, seq: TokenSequence) -> np.ndarray:
@@ -339,27 +359,6 @@ def _clip_terms(
     return objective, dobj
 
 
-def surrogate_loss(
-    new_logp: np.ndarray,
-    old_logp: np.ndarray,
-    adv_tok: np.ndarray,
-    mask: np.ndarray,
-    clip: ClipConfig,
-) -> float:
-    """Masked clipped surrogate: -mean over valid tokens of min(rA, clip(r)A)."""
-    new_logp = np.asarray(new_logp, dtype=np.float64)
-    old_logp = np.asarray(old_logp, dtype=np.float64)
-    adv_tok = np.asarray(adv_tok, dtype=np.float64)
-    mask = np.asarray(mask)
-    if not (new_logp.shape == old_logp.shape == adv_tok.shape == mask.shape):
-        raise ValueError("new_logp, old_logp, adv_tok and mask must share a shape")
-    valid = mask == 1
-    if not valid.any():
-        raise EmptyBatchError("no masked-in tokens in the batch")
-    objective, _ = _clip_terms(new_logp, old_logp, adv_tok, clip)
-    return float(-objective[valid].mean())
-
-
 def loss_and_gradient(
     params: PolicyParams,
     batch: list[tuple[np.ndarray, TokenSequence, np.ndarray]],
@@ -368,7 +367,9 @@ def loss_and_gradient(
     """Surrogate loss and its analytic gradient over a rollout batch.
 
     ``batch`` holds (context vector, sequence, per-token advantages) triples;
-    the mean runs over every masked-in token of the whole batch.
+    the mean runs over every masked-in token of the whole batch. The backward
+    pass covers the M tokens with a nonzero derivative at once; every sum
+    runs over those tokens in batch order, as a token-by-token loop would.
     """
     if not batch:
         raise EmptyBatchError("empty rollout batch")
@@ -377,36 +378,54 @@ def loss_and_gradient(
         raise EmptyBatchError("no masked-in tokens in the batch")
 
     h_dim = params.hidden_dim
-    grad = PolicyGradient.zeros_like(params)
+    ctxs, hiddens = [], []
+    seq_index, rows, tokens, log_p, dlogp = [], [], [], [], []
     loss_acc = 0.0
-    for ctx, seq, adv_tok in batch:
-        ctx = np.asarray(ctx, dtype=np.float64)
-        new_logp = sequence_logprobs(params, ctx, seq)
-        objective, dobj = _clip_terms(new_logp, seq.old_logprobs, adv_tok, clip)
+    for i, (ctx, seq, adv_tok) in enumerate(batch):
+        _check_tokens(params, seq)
+        hidden = _hidden(params, ctx)
+        table = _log_prob_table(params, hidden)
+        seq_rows = _table_rows(seq)
+        objective, dobj = _clip_terms(
+            table[seq_rows, seq.tokens], seq.old_logprobs, adv_tok, clip
+        )
         valid = seq.masked_in
         if not np.all(np.isfinite(objective[valid])):
             bad = int(np.flatnonzero(valid & ~np.isfinite(objective))[0])
             raise NumericFailureError(f"non-finite surrogate term at token index {bad}")
         loss_acc -= float(objective[valid].sum())
         # dL/d new_logp_t, including the -1/M of the negated mean.
-        dlogp = np.where(valid, -dobj / total_masked, 0.0)
+        seq_dlogp = np.where(valid, -dobj / total_masked, 0.0)
+        live = seq_dlogp != 0.0
+        ctxs.append(ctx)
+        hiddens.append(hidden)
+        seq_index.append(np.full(np.count_nonzero(live), i))
+        rows.append(seq_rows[live])
+        tokens.append(seq.tokens[live])
+        log_p.append(table[seq_rows[live]])
+        dlogp.append(seq_dlogp[live])
 
-        hidden = _hidden(params, ctx)
-        dhidden = np.zeros(h_dim)
-        prev: int | None = None
-        for t, token in enumerate(seq.tokens):
-            token = int(token)
-            if dlogp[t] != 0.0:
-                log_p = _log_softmax(_step_logits(params, hidden, prev))
-                dlogits = -np.exp(log_p) * dlogp[t]
-                dlogits[token] += dlogp[t]
-                grad.w_emit[:h_dim] += np.outer(hidden, dlogits)
-                if prev is not None:
-                    grad.w_emit[h_dim + prev] += dlogits
-                dhidden += params.w_emit[:h_dim] @ dlogits
-            if seq.mask[t]:
-                prev = token
-        grad.w_ctx += np.outer(ctx, dhidden)
+    seq_index = np.concatenate(seq_index)
+    rows = np.concatenate(rows)
+    dlogp = np.concatenate(dlogp)
+    # dL/dlogits, one row per live token: (M, V).
+    dlogits = -np.exp(np.concatenate(log_p)) * dlogp[:, None]
+    dlogits[np.arange(len(dlogp)), np.concatenate(tokens)] += dlogp
+
+    grad = PolicyGradient.zeros_like(params)
+    hidden = np.stack(hiddens)[seq_index]
+    grad.w_emit[:h_dim] = np.add.reduce(
+        hidden[:, :, None] * dlogits[:, None, :], axis=0, initial=0.0
+    )
+    after = rows > 0
+    np.add.at(grad.w_emit, h_dim - 1 + rows[after], dlogits[after])
+    # W @ dlogits per token (one gemv each), summed per sequence in order.
+    dhidden_tok = np.matmul(params.w_emit[:h_dim], dlogits[:, :, None])[:, :, 0]
+    dhidden = np.zeros((len(batch), h_dim))
+    np.add.at(dhidden, seq_index, dhidden_tok)
+    grad.w_ctx[...] = np.add.reduce(
+        np.stack(ctxs)[:, :, None] * dhidden[:, None, :], axis=0, initial=0.0
+    )
 
     loss = loss_acc / total_masked
     if not (np.isfinite(loss) and grad.is_finite()):

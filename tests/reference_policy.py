@@ -1,0 +1,160 @@
+"""Per-token reference implementation of the policy's forward and backward passes.
+
+This is the original position-by-position code: one log-softmax per token,
+recomputed wherever it is needed. ``phasevolve.policy`` reads the same
+distributions from one per-context table and vectorizes the backward pass;
+the oracle tests require both to agree bit for bit. ``surrogate_loss`` is the
+stand-alone form of the loss inside ``loss_and_gradient``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from phasevolve.policy import (
+    ClipConfig,
+    EmptyBatchError,
+    InvalidTokenError,
+    NumericFailureError,
+    PolicyGradient,
+    PolicyParams,
+    TokenSequence,
+    _clip_terms,
+    _hidden,
+)
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def step_logits(params: PolicyParams, hidden: np.ndarray, prev_token: int | None) -> np.ndarray:
+    # One-hot previous token selects a single emission row; position 0 has no
+    # predecessor and uses the all-zero one-hot.
+    logits = hidden @ params.w_emit[: params.hidden_dim]
+    if prev_token is not None:
+        logits = logits + params.w_emit[params.hidden_dim + prev_token]
+    return logits
+
+
+def sample_sequence(
+    params: PolicyParams, ctx: np.ndarray, rng: np.random.Generator, length: int
+) -> TokenSequence:
+    """Autoregressively sample ``length`` tokens, one uniform draw per token."""
+    if not 1 <= length <= params.max_tokens:
+        raise ValueError(f"length {length} outside [1, {params.max_tokens}]")
+    hidden = _hidden(params, ctx)
+    tokens = np.empty(length, dtype=np.int64)
+    logprobs = np.empty(length)
+    prev: int | None = None
+    for t in range(length):
+        log_p = log_softmax(step_logits(params, hidden, prev))
+        cdf = np.cumsum(np.exp(log_p))
+        token = int(np.searchsorted(cdf, rng.random(), side="right"))
+        token = min(token, params.vocab_size - 1)
+        tokens[t] = token
+        logprobs[t] = log_p[token]
+        prev = token
+    return TokenSequence(tokens=tokens, mask=np.ones(length, dtype=np.int64), old_logprobs=logprobs)
+
+
+def sequence_logprobs(params: PolicyParams, ctx: np.ndarray, seq: TokenSequence) -> np.ndarray:
+    if np.any(seq.tokens < 0) or np.any(seq.tokens >= params.vocab_size):
+        bad = int(np.argmax((seq.tokens < 0) | (seq.tokens >= params.vocab_size)))
+        raise InvalidTokenError(
+            f"token {seq.tokens[bad]} at position {bad} outside vocabulary of {params.vocab_size}"
+        )
+    hidden = _hidden(params, ctx)
+    out = np.empty(len(seq))
+    prev: int | None = None
+    for t, token in enumerate(seq.tokens):
+        log_p = log_softmax(step_logits(params, hidden, prev))
+        out[t] = log_p[token]
+        if seq.mask[t]:
+            prev = int(token)
+    return out
+
+
+def token_entropy(params: PolicyParams, ctx: np.ndarray, seq: TokenSequence) -> float:
+    hidden = _hidden(params, ctx)
+    total = 0.0
+    count = 0
+    prev: int | None = None
+    for t, token in enumerate(seq.tokens):
+        if seq.mask[t]:
+            log_p = log_softmax(step_logits(params, hidden, prev))
+            total -= float(np.dot(np.exp(log_p), log_p))
+            count += 1
+            prev = int(token)
+    return total / count if count else 0.0
+
+
+def surrogate_loss(
+    new_logp: np.ndarray,
+    old_logp: np.ndarray,
+    adv_tok: np.ndarray,
+    mask: np.ndarray,
+    clip: ClipConfig,
+) -> float:
+    """Masked clipped surrogate: -mean over valid tokens of min(rA, clip(r)A)."""
+    new_logp = np.asarray(new_logp, dtype=np.float64)
+    old_logp = np.asarray(old_logp, dtype=np.float64)
+    adv_tok = np.asarray(adv_tok, dtype=np.float64)
+    mask = np.asarray(mask)
+    if not (new_logp.shape == old_logp.shape == adv_tok.shape == mask.shape):
+        raise ValueError("new_logp, old_logp, adv_tok and mask must share a shape")
+    valid = mask == 1
+    if not valid.any():
+        raise EmptyBatchError("no masked-in tokens in the batch")
+    objective, _ = _clip_terms(new_logp, old_logp, adv_tok, clip)
+    return float(-objective[valid].mean())
+
+
+def loss_and_gradient(
+    params: PolicyParams,
+    batch: list[tuple[np.ndarray, TokenSequence, np.ndarray]],
+    clip: ClipConfig,
+) -> tuple[float, PolicyGradient]:
+    if not batch:
+        raise EmptyBatchError("empty rollout batch")
+    total_masked = sum(int(seq.mask.sum()) for _, seq, _ in batch)
+    if total_masked == 0:
+        raise EmptyBatchError("no masked-in tokens in the batch")
+
+    h_dim = params.hidden_dim
+    grad = PolicyGradient.zeros_like(params)
+    loss_acc = 0.0
+    for ctx, seq, adv_tok in batch:
+        ctx = np.asarray(ctx, dtype=np.float64)
+        new_logp = sequence_logprobs(params, ctx, seq)
+        objective, dobj = _clip_terms(new_logp, seq.old_logprobs, adv_tok, clip)
+        valid = seq.masked_in
+        if not np.all(np.isfinite(objective[valid])):
+            bad = int(np.flatnonzero(valid & ~np.isfinite(objective))[0])
+            raise NumericFailureError(f"non-finite surrogate term at token index {bad}")
+        loss_acc -= float(objective[valid].sum())
+        # dL/d new_logp_t, including the -1/M of the negated mean.
+        dlogp = np.where(valid, -dobj / total_masked, 0.0)
+
+        hidden = _hidden(params, ctx)
+        dhidden = np.zeros(h_dim)
+        prev: int | None = None
+        for t, token in enumerate(seq.tokens):
+            token = int(token)
+            if dlogp[t] != 0.0:
+                log_p = log_softmax(step_logits(params, hidden, prev))
+                dlogits = -np.exp(log_p) * dlogp[t]
+                dlogits[token] += dlogp[t]
+                grad.w_emit[:h_dim] += np.outer(hidden, dlogits)
+                if prev is not None:
+                    grad.w_emit[h_dim + prev] += dlogits
+                dhidden += params.w_emit[:h_dim] @ dlogits
+            if seq.mask[t]:
+                prev = token
+        grad.w_ctx += np.outer(ctx, dhidden)
+
+    loss = loss_acc / total_masked
+    if not (np.isfinite(loss) and grad.is_finite()):
+        raise NumericFailureError("non-finite loss or gradient")
+    return loss, grad

