@@ -4,6 +4,11 @@ Candidates are small heuristic descriptors (sort order, placement rule,
 rebalance budget) decoded from token sequences. The scorer rewards both load
 uniformity across devices and cheapness of the assignment procedure, measured
 by a deterministic operation count so that runs are exactly reproducible.
+
+The heuristic places each profile (row of the load matrix) on its own, but
+every numpy call runs across the profile axis: Python loops only over sort
+positions, rebalance passes and swap candidates. Each profile sees the same
+float operations in the same order as when placed alone.
 """
 
 from __future__ import annotations
@@ -134,85 +139,109 @@ def eplb_decode(seq: TokenSequence) -> HeuristicDescriptor:
     )
 
 
-def _assign_one(
-    h: HeuristicDescriptor, loads: np.ndarray, num_devices: int
-) -> tuple[np.ndarray, int]:
-    num_experts = loads.size
-    ops = 0
-
-    if h.sort_mode is SortMode.DESCENDING_LOAD:
-        order = np.argsort(-loads, kind="stable")
-        ops += num_experts * max(1, math.ceil(math.log2(max(num_experts, 2))))
-    elif h.sort_mode is SortMode.ASCENDING_LOAD:
-        order = np.argsort(loads, kind="stable")
-        ops += num_experts * max(1, math.ceil(math.log2(max(num_experts, 2))))
-    else:
-        order = np.arange(num_experts)
-
-    device = np.empty(num_experts, dtype=np.int64)
-    device_loads = np.zeros(num_devices)
-    if h.placement is Placement.GREEDY_LEAST_LOADED:
-        for expert in order:
-            dest = int(np.argmin(device_loads))
-            device[expert] = dest
-            device_loads[dest] += loads[expert]
-            ops += num_devices + 1
-    elif h.placement is Placement.ROUND_ROBIN:
-        for position, expert in enumerate(order):
-            dest = position % num_devices
-            device[expert] = dest
-            device_loads[dest] += loads[expert]
-            ops += 1
-    else:  # Placement.BLOCKED: contiguous chunks of the chosen order
-        block = math.ceil(num_experts / num_devices)
-        for position, expert in enumerate(order):
-            dest = min(position // block, num_devices - 1)
-            device[expert] = dest
-            device_loads[dest] += loads[expert]
-            ops += 1
-
-    for _ in range(h.rebalance_passes):
-        hot = int(np.argmax(device_loads))
-        cold = int(np.argmin(device_loads))
-        ops += 2 * num_devices
-        if hot == cold:
-            break
-        resident = np.flatnonzero(device == hot)
-        ops += resident.size
-        candidates = resident[np.argsort(-loads[resident], kind="stable")][: h.swap_window]
-        moved = False
-        for expert in candidates:
-            ops += 2
-            new_peak = max(
-                device_loads[hot] - loads[expert], device_loads[cold] + loads[expert]
-            )
-            if new_peak < device_loads[hot]:
-                device[expert] = cold
-                device_loads[hot] -= loads[expert]
-                device_loads[cold] += loads[expert]
-                ops += 1
-                moved = True
-                break
-        if not moved:
-            break
-
-    return device, ops
+def _device_loads(device: np.ndarray, loads: np.ndarray, num_devices: int) -> np.ndarray:
+    """Per-row device load sums; each bin adds its terms in column order from 0.0."""
+    rows = device.shape[0]
+    flat = (device + np.arange(rows)[:, None] * num_devices).ravel()
+    sums = np.bincount(flat, weights=loads.ravel(), minlength=rows * num_devices)
+    return sums.reshape(rows, num_devices)
 
 
 def eplb_assign(
     h: HeuristicDescriptor, w: WorkloadProfile
 ) -> tuple[np.ndarray, int]:
-    """Run the heuristic on every profile.
+    """Run the heuristic on every profile at once.
+
+    One row-wise stable sort; greedy placement steps through the sort
+    positions, giving each row's expert to that row's least loaded device;
+    round-robin and blocked destinations are scattered in one go; rebalance
+    passes run on the rows that still improve.
 
     Returns a (num_profiles x num_experts) device index matrix and the total
-    deterministic operation count (the wall-clock proxy).
+    deterministic operation count (the wall-clock proxy), the sum of the
+    per-profile counts.
     """
-    assignment = np.empty((w.num_profiles, w.num_experts), dtype=np.int64)
-    total_ops = 0
-    for p in range(w.num_profiles):
-        assignment[p], ops = _assign_one(h, w.loads[p], w.num_devices)
-        total_ops += ops
-    return assignment, total_ops
+    loads = w.loads
+    num_profiles, num_experts = loads.shape
+    num_devices = w.num_devices
+    rows = np.arange(num_profiles)
+    row_ops = 0
+
+    if h.sort_mode is SortMode.UNSORTED:
+        order = np.broadcast_to(np.arange(num_experts), loads.shape)
+    else:
+        key = -loads if h.sort_mode is SortMode.DESCENDING_LOAD else loads
+        order = np.argsort(key, axis=1, kind="stable")
+        row_ops += num_experts * max(1, math.ceil(math.log2(max(num_experts, 2))))
+    ordered_loads = np.take_along_axis(loads, order, axis=1)
+
+    # dest[r, i]: device of the expert at sort position i of row r.
+    if h.placement is Placement.GREEDY_LEAST_LOADED:
+        # Indexed flat, row r's device d is r * num_devices + d.
+        base = rows * num_devices
+        flat_dest = np.empty((num_experts, num_profiles), dtype=np.int64)
+        device_loads = np.zeros((num_profiles, num_devices))
+        flat_loads = device_loads.reshape(-1)
+        for position, step_loads in enumerate(ordered_loads.T):
+            flat = device_loads.argmin(axis=1) + base
+            flat_dest[position] = flat
+            flat_loads[flat] += step_loads
+        dest = flat_dest.T - base[:, None]
+        row_ops += num_experts * (num_devices + 1)
+    else:
+        position = np.arange(num_experts)
+        if h.placement is Placement.ROUND_ROBIN:
+            dest_of_position = position % num_devices
+        else:  # Placement.BLOCKED: contiguous chunks of the chosen order
+            block = math.ceil(num_experts / num_devices)
+            dest_of_position = np.minimum(position // block, num_devices - 1)
+        dest = np.broadcast_to(dest_of_position, loads.shape)
+        device_loads = _device_loads(dest, ordered_loads, num_devices)
+        row_ops += num_experts
+    device = np.empty(loads.shape, dtype=np.int64)
+    np.put_along_axis(device, order, dest, axis=1)
+    total_ops = row_ops * num_profiles
+
+    # Rebalance: of the hottest device's swap_window heaviest residents, move
+    # the first whose move lowers the peak to the coldest device; a row stops
+    # at its first pass that moves nothing.
+    active = rows
+    for _ in range(h.rebalance_passes):
+        if active.size == 0:
+            break
+        active_loads = device_loads[active]
+        hot = active_loads.argmax(axis=1)
+        cold = active_loads.argmin(axis=1)
+        total_ops += 2 * num_devices * active.size
+        differ = hot != cold
+        active, hot, cold = active[differ], hot[differ], cold[differ]
+        resident = device[active] == hot[:, None]
+        residents = resident.sum(axis=1)
+        total_ops += int(residents.sum())
+        # Heaviest residents first, ties by expert index; others sort last.
+        key = np.where(resident, -loads[active], np.inf)
+        candidates = np.argsort(key, axis=1, kind="stable")[:, : h.swap_window]
+        moved = np.zeros(active.size, dtype=bool)
+        for rank in range(candidates.shape[1]):
+            trying = ~moved & (rank < residents)
+            tries = int(trying.sum())
+            if tries == 0:  # stays 0 at later ranks
+                break
+            total_ops += 2 * tries
+            expert = candidates[:, rank]
+            load = loads[active, expert]
+            hot_load = device_loads[active, hot]
+            new_peak = np.maximum(hot_load - load, device_loads[active, cold] + load)
+            move = trying & (new_peak < hot_load)
+            r, e, load = active[move], expert[move], load[move]
+            device[r, e] = cold[move]
+            device_loads[r, hot[move]] -= load
+            device_loads[r, cold[move]] += load
+            total_ops += int(move.sum())
+            moved |= move
+        active = active[moved]
+
+    return device, total_ops
 
 
 def eplb_score(
@@ -232,16 +261,17 @@ def eplb_score(
         raise ValueError(
             f"assignment shape {assignment.shape} must match loads {w.loads.shape}"
         )
-    balance_terms = []
-    for p in range(w.num_profiles):
-        device_loads = np.bincount(
-            assignment[p], weights=w.loads[p], minlength=w.num_devices
-        )[: w.num_devices]
-        peak = device_loads.max()
-        if peak <= 0:
-            raise ValueError(f"profile {p} has zero max device load")
-        balance_terms.append(device_loads.mean() / peak)
-    balancedness = float(np.mean(balance_terms))
+    outside = np.flatnonzero(((assignment < 0) | (assignment >= w.num_devices)).any(axis=1))
+    if outside.size:
+        raise ValueError(
+            f"profile {outside[0]} assigns an expert to a device outside [0, {w.num_devices})"
+        )
+    device_loads = _device_loads(assignment, w.loads, w.num_devices)
+    peak = device_loads.max(axis=1)
+    idle = np.flatnonzero(peak <= 0)
+    if idle.size:
+        raise ValueError(f"profile {idle[0]} has zero max device load")
+    balancedness = float(np.mean(device_loads.mean(axis=1) / peak))
     if op_count <= 0:
         raise ValueError(f"op_count must be positive, got {op_count}")
     speed = min(c_ref / op_count, 1.0)
@@ -286,7 +316,11 @@ def brute_force_balance(w: WorkloadProfile) -> np.ndarray:
 
 
 class EplbTask:
-    """Evaluator wiring: decode tokens, assign, score, report a Parsed outcome."""
+    """Evaluator wiring: decode tokens, assign, score, report a Parsed outcome.
+
+    With ``wall_clock_speed`` the outcome's wall time is that of one
+    ``eplb_assign`` call, which places every profile at once.
+    """
 
     name = "eplb"
 

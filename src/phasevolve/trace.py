@@ -51,12 +51,25 @@ class TraceWriter:
 
 
 def read_trace(path) -> list[dict]:
+    """All records of a trace, in file order.
+
+    A last line that has no newline and does not parse is a record torn by a
+    run killed mid-write, and is skipped. Any other line that does not parse
+    raises ``json.JSONDecodeError`` with its position in the whole file.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.split("\n")  # the last item is "" unless that line is torn
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+    offset = 0
+    for number, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
                 records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                if number == len(lines):
+                    break
+                raise json.JSONDecodeError(exc.msg, text, offset + exc.pos) from None
+        offset += len(line) + 1
     return records
 
 

@@ -1,0 +1,108 @@
+"""Per-profile reference implementation of the EPLB evaluator.
+
+This is the original expert-by-expert code: each profile is sorted, placed
+and rebalanced on its own, and scored with one ``bincount`` per profile.
+``phasevolve.tasks.eplb`` runs the same steps across the whole profile
+axis; the oracle tests require both to agree exactly.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from phasevolve.tasks.eplb import HeuristicDescriptor, Placement, SortMode, WorkloadProfile
+
+
+def assign_one(
+    h: HeuristicDescriptor, loads: np.ndarray, num_devices: int
+) -> tuple[np.ndarray, int]:
+    num_experts = loads.size
+    ops = 0
+
+    if h.sort_mode is SortMode.DESCENDING_LOAD:
+        order = np.argsort(-loads, kind="stable")
+        ops += num_experts * max(1, math.ceil(math.log2(max(num_experts, 2))))
+    elif h.sort_mode is SortMode.ASCENDING_LOAD:
+        order = np.argsort(loads, kind="stable")
+        ops += num_experts * max(1, math.ceil(math.log2(max(num_experts, 2))))
+    else:
+        order = np.arange(num_experts)
+
+    device = np.empty(num_experts, dtype=np.int64)
+    device_loads = np.zeros(num_devices)
+    if h.placement is Placement.GREEDY_LEAST_LOADED:
+        for expert in order:
+            dest = int(np.argmin(device_loads))
+            device[expert] = dest
+            device_loads[dest] += loads[expert]
+            ops += num_devices + 1
+    elif h.placement is Placement.ROUND_ROBIN:
+        for position, expert in enumerate(order):
+            dest = position % num_devices
+            device[expert] = dest
+            device_loads[dest] += loads[expert]
+            ops += 1
+    else:  # Placement.BLOCKED: contiguous chunks of the chosen order
+        block = math.ceil(num_experts / num_devices)
+        for position, expert in enumerate(order):
+            dest = min(position // block, num_devices - 1)
+            device[expert] = dest
+            device_loads[dest] += loads[expert]
+            ops += 1
+
+    for _ in range(h.rebalance_passes):
+        hot = int(np.argmax(device_loads))
+        cold = int(np.argmin(device_loads))
+        ops += 2 * num_devices
+        if hot == cold:
+            break
+        resident = np.flatnonzero(device == hot)
+        ops += resident.size
+        candidates = resident[np.argsort(-loads[resident], kind="stable")][: h.swap_window]
+        moved = False
+        for expert in candidates:
+            ops += 2
+            new_peak = max(
+                device_loads[hot] - loads[expert], device_loads[cold] + loads[expert]
+            )
+            if new_peak < device_loads[hot]:
+                device[expert] = cold
+                device_loads[hot] -= loads[expert]
+                device_loads[cold] += loads[expert]
+                ops += 1
+                moved = True
+                break
+        if not moved:
+            break
+
+    return device, ops
+
+
+def eplb_assign(h: HeuristicDescriptor, w: WorkloadProfile) -> tuple[np.ndarray, int]:
+    assignment = np.empty((w.num_profiles, w.num_experts), dtype=np.int64)
+    total_ops = 0
+    for p in range(w.num_profiles):
+        assignment[p], ops = assign_one(h, w.loads[p], w.num_devices)
+        total_ops += ops
+    return assignment, total_ops
+
+
+def eplb_score(
+    assignment: np.ndarray, w: WorkloadProfile, op_count: int, c_ref: float
+) -> tuple[float, float, float]:
+    balance_terms = []
+    for p in range(w.num_profiles):
+        device_loads = np.bincount(
+            assignment[p], weights=w.loads[p], minlength=w.num_devices
+        )[: w.num_devices]
+        peak = device_loads.max()
+        if peak <= 0:
+            raise ValueError(f"profile {p} has zero max device load")
+        balance_terms.append(device_loads.mean() / peak)
+    balancedness = float(np.mean(balance_terms))
+    if op_count <= 0:
+        raise ValueError(f"op_count must be positive, got {op_count}")
+    speed = min(c_ref / op_count, 1.0)
+    return balancedness, speed, 0.5 * (balancedness + speed)

@@ -283,3 +283,28 @@ def test_export_empty_trace_header_only(tmp_path, capsys):
 
 def test_export_missing_trace_exits_2(tmp_path, capsys):
     assert cli.main(["export", "--trace", str(tmp_path / "nope.jsonl"), "--series", "alpha"]) == 2
+
+
+def test_export_skips_torn_last_line(tmp_path, capsys):
+    trace = run_once(tmp_path, iterations=6)
+    capsys.readouterr()
+    assert cli.main(["export", "--trace", str(trace), "--series", "grad_norm"]) == 0
+    whole = capsys.readouterr().out.splitlines()
+    data = trace.read_bytes()
+    trace.write_bytes(data[:-40])  # a run killed mid-write of its last step
+    assert len(read_trace(trace)) == data.count(b"\n") - 1
+    assert cli.main(["export", "--trace", str(trace), "--series", "grad_norm"]) == 0
+    assert capsys.readouterr().out.splitlines() == whole[:-1]
+
+
+def test_export_malformed_line_names_its_line(tmp_path, capsys):
+    trace = run_once(tmp_path, iterations=6)
+    lines = trace.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][:-40] + "\n"  # a broken record that is not the last
+    trace.write_text("".join(lines))
+    with pytest.raises(json.JSONDecodeError) as excinfo:
+        read_trace(trace)
+    assert excinfo.value.lineno == 3
+    capsys.readouterr()
+    assert cli.main(["export", "--trace", str(trace), "--series", "grad_norm"]) == 3
+    assert "line 3 column" in capsys.readouterr().err

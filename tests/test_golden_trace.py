@@ -32,6 +32,12 @@ CASES = {
     "eplb": ("eplb.cfg", {"iterations": 30}),
     # Compressed rewards: the skip rule starts firing near iteration 85.
     "synthetic-compressed": ("synthetic.cfg", {"synthetic.decay_horizon": 8, "iterations": 120}),
+    # The benchmark's eplb-wide shape, with fewer iterations.
+    "eplb-wide": (
+        "eplb.cfg",
+        {"eplb.num_experts": 128, "eplb.num_devices": 16, "eplb.num_profiles": 16,
+         "iterations": 20},
+    ),
 }
 
 # arithmetic_fingerprint() -> case name -> sha256 of trace.jsonl
@@ -41,24 +47,28 @@ GOLDEN = {
         "synthetic": "07172c3687d89e09a1f634cc2c4938fd218c82637dea55fab5b5fd12881eae1a",
         "eplb": "0d601f9e1d1f6e38699be4e64ae57e99b77d0cf8f75de5d9c7b4560c4c4ea04c",
         "synthetic-compressed": "a2eec117cd0a15eb4c90ce26ff14e9ebd2a18b3ab0fc8b0da53beb994399853e",
+        "eplb-wide": "04a2f3b2d35bfc138438bc102a96860b772d83664ee666ee9c442525c5e134b4",
     },
     # AVX-512 exp/log, Haswell BLAS kernels
     "ee9231e713ee634660a79c03901ec10813ae3a3f45ce2e226c7c8e85d13aa243": {
         "synthetic": "7c8f135d5302f02c78a0f6b5ae4d1cdcb99f3047b72d17542b6b6e2d11d522ac",
         "eplb": "f7587cf43905c51e59207c8b47ef772aa7d0fceca58b70b83e3870888dea1774",
         "synthetic-compressed": "78aa41a4930e265a2d4663afa25959cff332edaa3c4258289d4d36d1a487e936",
+        "eplb-wide": "56686acc495e459d3bc0d54e3126e608098e5567d0f43c0440f8ea1c9c49b592",
     },
     # AVX2 exp/log, SkylakeX BLAS kernels
     "e20f2ac3d2a72a9bc7752d0ca1bb03dbf30b9a59829771fc617f7657198a2984": {
         "synthetic": "90120d7f42f2248dabe1d7a3fd76717326e0d1ca558e7d090456ccee119f2ced",
         "eplb": "e0dda4204301117e865d0645407e81cdeb3d37f4d31c02dbdbf155410defdbec",
         "synthetic-compressed": "761ee3f8817a9f6df2162bc33110199c68ecd296b0aa20075a89d976120e84c5",
+        "eplb-wide": "b28a8d98f42ce827d327e9f21a6804a0a01ca0d11dfa8ee98a454e6eff972992",
     },
     # AVX2 exp/log, Haswell BLAS kernels (an AVX2-only CPU)
     "e07ce9d6895bd66c8b6ee4c106b6af27219c363d3ab5e2eda3340af80a21ed38": {
         "synthetic": "b621a3ca0a0768a1aa55f23c68402d5baa671dffdd73259e61bd61119e145be8",
         "eplb": "659c6401c1f949788fb27e5bf5f28a09b334cec9d18abca6e43c0bc7305229ee",
         "synthetic-compressed": "db751c881a59072162df4dc80a7ef1af82bc52ce57d9f4b0ad0f93145a1f0fb9",
+        "eplb-wide": "f3a3dab8e5dc53b279161265999647faba1cb3dcb0f23c6c1699f91c17a5ff3e",
     },
 }
 

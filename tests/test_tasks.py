@@ -165,6 +165,18 @@ def test_score_speed_clamped_to_one():
     assert speed == 1.0
 
 
+@pytest.mark.parametrize("bad_device", [5, 2, -1])
+@pytest.mark.parametrize("profile", [0, 1])
+def test_score_rejects_device_outside_range(profile, bad_device):
+    # An index past the last device must neither drop the expert's load nor
+    # spill into a neighbouring profile's bins in the batched device-load sum.
+    w = WorkloadProfile(loads=np.ones((2, 4)), num_devices=2)
+    assignment = np.array([[0, 1, 0, 1], [0, 1, 0, 1]])
+    assignment[profile, 3] = bad_device
+    with pytest.raises(ValueError, match=rf"profile {profile} .*outside \[0, 2\)"):
+        eplb_score(assignment, w, op_count=4, c_ref=4.0)
+
+
 @given(
     token_lists,
     st.integers(min_value=2, max_value=10),
