@@ -55,6 +55,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json_atomic(path: Path, obj) -> None:
+    """Write ``obj`` as JSON beside ``path``, then rename it over ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
@@ -100,7 +113,7 @@ def _cmd_run(args) -> int:
         }
         for cand in result.archive.entries
     ]
-    (out_dir / "archive.json").write_text(json.dumps(archive_dump, indent=2) + "\n")
+    _write_json_atomic(out_dir / "archive.json", archive_dump)
 
     print(f"trace: {trace_path}")
     print(f"archive: {out_dir / 'archive.json'}")

@@ -51,12 +51,14 @@ class Candidate:
 
 @dataclass
 class RewardBatch:
-    """One rollout group: ids, shaped rewards, raw scores, failure flags."""
+    """One rollout group: ids, shaped rewards, raw scores, failure flags and
+    each candidate's context table (valid until the parameters change)."""
 
     candidate_ids: list[int]
     rewards: np.ndarray
     raw_scores: list[float | None]
     failed: np.ndarray
+    tables: dict[int, policy.ContextTable]  # by parent id
 
 
 class FrontierArchive:
@@ -235,16 +237,16 @@ def rollout_group(
         )
         parents = [parent] * n
 
-    # The archive does not change during a rollout, so a parent's context is
-    # the same for every candidate drawn from it.
-    contexts: dict[int, np.ndarray] = {}
+    # The archive and the parameters do not change during a rollout, so a
+    # parent's context table is the same for every candidate drawn from it.
+    tables: dict[int, policy.ContextTable] = {}
     candidates: list[Candidate] = []
     for parent in parents:
-        ctx = contexts.get(parent.id)
-        if ctx is None:
+        table = tables.get(parent.id)
+        if table is None:
             ctx = build_context(state, parent).features(cfg.context_dim)
-            contexts[parent.id] = ctx
-        seq = policy.sample_sequence(state.params, ctx, state.rng, cfg.seq_length)
+            table = tables[parent.id] = policy.context_table(state.params, ctx)
+        seq = policy.sample_sequence(table, state.rng, cfg.seq_length)
         outcome = _safe_evaluate(task, seq, state.iteration, state.rng)
         candidates.append(
             Candidate(
@@ -255,7 +257,7 @@ def rollout_group(
                 reward=shape_reward(outcome, state.shaping),
                 iteration_born=state.iteration,
                 parent_id=parent.id,
-                context=ctx,
+                context=table.ctx,
             )
         )
         state.next_id += 1
@@ -265,6 +267,7 @@ def rollout_group(
         rewards=np.array([c.reward for c in candidates]),
         raw_scores=[c.raw_score for c in candidates],
         failed=np.array([not c.outcome.ok for c in candidates]),
+        tables=tables,
     )
     return batch, candidates
 
@@ -343,9 +346,10 @@ def training_step(
         raise ValueError("training step needs a group of at least 2 rewards")
     cfg = state.config
     alpha = state.schedule.alpha(state.iteration)
+    # Parameters have not changed since the rollout, so its tables still hold.
     entropy = float(
         np.mean(
-            [policy.token_entropy(state.params, c.context, c.tokens) for c in candidates]
+            [policy.token_entropy(batch.tables[c.parent_id], c.tokens) for c in candidates]
         )
     )
     advantages, info = _advantage_source(state, batch.rewards, alpha)

@@ -12,8 +12,12 @@ distribution depends only on the previous token. So every distribution the
 policy can use for one context fits in one (V + 1, V) log-softmax table.
 Row 0 is position 0, which has no previous token, and row 1 + j is the
 position after token j. A masked-out token is padding and leaves the row
-unchanged. Sampling, log-probabilities, entropy and the loss each build the
-table once per context and read every position from it.
+unchanged.
+
+``context_table`` builds that table once per context per iteration, with
+the cumulative probabilities and per-row p . log p that sampling and entropy
+read from it. ``loss_and_gradient`` keeps taking (params, batch), builds one
+table per distinct context and runs its forward half over the whole group.
 
 Everything is float64 and hand-differentiated; ``loss_and_gradient`` is the
 only code path that produces gradients, and it is checked against central
@@ -25,6 +29,7 @@ the order of a token-by-token loop, so results match that loop bit for bit
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -267,71 +272,58 @@ def _log_prob_table(params: PolicyParams, hidden: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _table_rows(seq: TokenSequence) -> np.ndarray:
-    """Table row of each position: 1 + the last masked-in token before it, else 0.
+@dataclass(frozen=True)
+class ContextTable:
+    """One context's (V + 1, V) table as row lists, with each row's cumulative
+    probabilities and p . log p. Valid only while the parameters are unchanged."""
 
-    Masked-out tokens are padding: they never enter the autoregressive state,
-    so perturbing them cannot leak into the loss of later positions.
-    """
-    rows = np.empty(len(seq), dtype=np.intp)
-    row = 0
-    for t, (token, valid) in enumerate(zip(seq.tokens.tolist(), seq.mask.tolist())):
-        rows[t] = row
-        if valid:
-            row = token + 1
-    return rows
+    ctx: np.ndarray
+    log_p_rows: list[list[float]]
+    cdf_rows: list[list[float]]
+    row_dots: list[float]
+    max_tokens: int
 
 
-def _check_tokens(params: PolicyParams, seq: TokenSequence) -> None:
-    if np.any(seq.tokens < 0) or np.any(seq.tokens >= params.vocab_size):
-        bad = int(np.argmax((seq.tokens < 0) | (seq.tokens >= params.vocab_size)))
-        raise InvalidTokenError(
-            f"token {seq.tokens[bad]} at position {bad} outside vocabulary of {params.vocab_size}"
-        )
+def context_table(params: PolicyParams, ctx: np.ndarray) -> ContextTable:
+    """The table of context vector ``ctx`` under ``params``."""
+    log_p = _log_prob_table(params, _hidden(params, ctx))
+    p = np.exp(log_p)
+    # Stacked 1xV @ Vx1 products: one BLAS dot per row, as np.dot does.
+    dots = np.matmul(p[:, None, :], log_p[:, :, None])
+    return ContextTable(
+        np.asarray(ctx, dtype=np.float64), log_p.tolist(), np.cumsum(p, axis=1).tolist(),
+        dots.ravel().tolist(), params.max_tokens,
+    )
 
 
-def sample_sequence(
-    params: PolicyParams, ctx: np.ndarray, rng: np.random.Generator, length: int
-) -> TokenSequence:
+def sample_sequence(table: ContextTable, rng: np.random.Generator, length: int) -> TokenSequence:
     """Autoregressively sample ``length`` tokens, recording their logprobs.
 
     Draws exactly ``length`` uniforms from ``rng``, one per token in order.
     """
-    if not 1 <= length <= params.max_tokens:
-        raise ValueError(f"length {length} outside [1, {params.max_tokens}]")
-    table = _log_prob_table(params, _hidden(params, ctx))
-    cdf = np.cumsum(np.exp(table), axis=1)
-    tokens = np.empty(length, dtype=np.int64)
-    logprobs = np.empty(length)
+    if not 1 <= length <= table.max_tokens:
+        raise ValueError(f"length {length} outside [1, {table.max_tokens}]")
+    last = len(table.log_p_rows[0]) - 1
+    tokens, logprobs = [], []
     row = 0
-    for t, u in enumerate(rng.random(length)):
-        token = min(int(np.searchsorted(cdf[row], u, side="right")), params.vocab_size - 1)
-        tokens[t] = token
-        logprobs[t] = table[row, token]
+    for u in rng.random(length).tolist():
+        # Same index as np.searchsorted(cdf_row, u, side="right").
+        token = min(bisect.bisect_right(table.cdf_rows[row], u), last)
+        tokens.append(token)
+        logprobs.append(table.log_p_rows[row][token])
         row = token + 1
     return TokenSequence(tokens=tokens, mask=np.ones(length, dtype=np.int64), old_logprobs=logprobs)
 
 
-def sequence_logprobs(params: PolicyParams, ctx: np.ndarray, seq: TokenSequence) -> np.ndarray:
-    """Log-probabilities of ``seq`` under the current parameters."""
-    _check_tokens(params, seq)
-    table = _log_prob_table(params, _hidden(params, ctx))
-    return table[_table_rows(seq), seq.tokens]
-
-
-def token_entropy(params: PolicyParams, ctx: np.ndarray, seq: TokenSequence) -> float:
+def token_entropy(table: ContextTable, seq: TokenSequence) -> float:
     """Mean per-step categorical entropy (nats) over masked-in positions."""
-    valid = seq.masked_in
-    if not valid.any():
-        return 0.0
-    table = _log_prob_table(params, _hidden(params, ctx))
-    log_p = table[_table_rows(seq)[valid]]
-    # Stacked 1xV @ Vx1 products: one BLAS dot per position, as np.dot does.
-    dots = np.matmul(np.exp(log_p)[:, None, :], log_p[:, :, None])
-    total = 0.0
-    for dot in dots.ravel().tolist():
-        total -= dot
-    return total / len(log_p)
+    total, count, row = 0.0, 0, 0
+    for token, valid in zip(seq.tokens.tolist(), seq.mask.tolist()):
+        if valid:
+            total -= table.row_dots[row]
+            count += 1
+            row = token + 1
+    return total / count if count else 0.0
 
 
 def broadcast_advantage(advantage: float, seq: TokenSequence) -> np.ndarray:
@@ -367,53 +359,72 @@ def loss_and_gradient(
     """Surrogate loss and its analytic gradient over a rollout batch.
 
     ``batch`` holds (context vector, sequence, per-token advantages) triples;
-    the mean runs over every masked-in token of the whole batch. The backward
-    pass covers the M tokens with a nonzero derivative at once; every sum
-    runs over those tokens in batch order, as a token-by-token loop would.
+    the mean runs over every masked-in token of the whole batch. Each
+    distinct context's table is built once, and the batch's tokens are
+    checked, looked up and clipped as one array. The backward pass covers
+    the M tokens with a nonzero derivative at once; every sum runs over
+    those tokens in batch order, as a token-by-token loop would.
     """
     if not batch:
         raise EmptyBatchError("empty rollout batch")
-    total_masked = sum(int(seq.mask.sum()) for _, seq, _ in batch)
+    seqs = [seq for _, seq, _ in batch]
+    total_masked = sum(int(seq.mask.sum()) for seq in seqs)
     if total_masked == 0:
         raise EmptyBatchError("no masked-in tokens in the batch")
 
     h_dim = params.hidden_dim
-    ctxs, hiddens = [], []
-    seq_index, rows, tokens, log_p, dlogp = [], [], [], [], []
-    loss_acc = 0.0
-    for i, (ctx, seq, adv_tok) in enumerate(batch):
-        _check_tokens(params, seq)
-        hidden = _hidden(params, ctx)
-        table = _log_prob_table(params, hidden)
-        seq_rows = _table_rows(seq)
-        objective, dobj = _clip_terms(
-            table[seq_rows, seq.tokens], seq.old_logprobs, adv_tok, clip
+    lengths = [len(seq) for seq in seqs]
+    ends = np.cumsum(lengths)
+    starts = np.repeat(ends - lengths, lengths)  # each token's sequence start
+    tokens = np.concatenate([seq.tokens for seq in seqs])
+    valid = np.concatenate([seq.mask for seq in seqs]) == 1
+    outside = (tokens < 0) | (tokens >= params.vocab_size)
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise InvalidTokenError(
+            f"token {tokens[bad]} at position {bad - starts[bad]} "
+            f"outside vocabulary of {params.vocab_size}"
         )
-        valid = seq.masked_in
-        if not np.all(np.isfinite(objective[valid])):
-            bad = int(np.flatnonzero(valid & ~np.isfinite(objective))[0])
-            raise NumericFailureError(f"non-finite surrogate term at token index {bad}")
-        loss_acc -= float(objective[valid].sum())
-        # dL/d new_logp_t, including the -1/M of the negated mean.
-        seq_dlogp = np.where(valid, -dobj / total_masked, 0.0)
-        live = seq_dlogp != 0.0
-        ctxs.append(ctx)
-        hiddens.append(hidden)
-        seq_index.append(np.full(np.count_nonzero(live), i))
-        rows.append(seq_rows[live])
-        tokens.append(seq.tokens[live])
-        log_p.append(table[seq_rows[live]])
-        dlogp.append(seq_dlogp[live])
 
-    seq_index = np.concatenate(seq_index)
-    rows = np.concatenate(rows)
-    dlogp = np.concatenate(dlogp)
+    ctxs = [np.asarray(ctx, dtype=np.float64) for ctx, _, _ in batch]
+    slots: dict[tuple, int] = {}
+    slot_of = [slots.setdefault((ctx.shape, ctx.tobytes()), len(slots)) for ctx in ctxs]
+    hiddens = [_hidden(params, ctxs[slot_of.index(slot)]) for slot in range(len(slots))]
+    table = np.concatenate([_log_prob_table(params, hidden) for hidden in hiddens])
+    # Table row of each position: 1 + the last masked-in token before it in
+    # its sequence, else 0. Masked-out tokens are padding: they never enter
+    # the autoregressive state, so they cannot leak into later positions.
+    last = np.maximum.accumulate(np.where(valid, np.arange(len(tokens)), -1))
+    prev = np.concatenate([[-1], last[:-1]])
+    rows = np.where(prev >= starts, tokens[prev] + 1, 0)
+    token_slot = np.repeat(slot_of, lengths)
+    flat_rows = token_slot * (params.vocab_size + 1) + rows
+
+    objective, dobj = _clip_terms(
+        table[flat_rows, tokens],
+        np.concatenate([seq.old_logprobs for seq in seqs]),
+        np.concatenate([adv_tok for _, _, adv_tok in batch]),
+        clip,
+    )
+    nonfinite = valid & ~np.isfinite(objective)
+    if nonfinite.any():
+        bad = int(np.argmax(nonfinite))
+        raise NumericFailureError(f"non-finite surrogate term at token index {bad - starts[bad]}")
+    loss_acc = 0.0
+    for start, end in zip(ends - lengths, ends):
+        loss_acc -= float(objective[start:end][valid[start:end]].sum())
+    # dL/d new_logp_t, including the -1/M of the negated mean.
+    dlogp = np.where(valid, -dobj / total_masked, 0.0)
+    live = dlogp != 0.0
+    seq_index = np.repeat(np.arange(len(batch)), lengths)[live]
+    rows = rows[live]
+    dlogp = dlogp[live]
     # dL/dlogits, one row per live token: (M, V).
-    dlogits = -np.exp(np.concatenate(log_p)) * dlogp[:, None]
-    dlogits[np.arange(len(dlogp)), np.concatenate(tokens)] += dlogp
+    dlogits = -np.exp(table[flat_rows[live]]) * dlogp[:, None]
+    dlogits[np.arange(len(dlogp)), tokens[live]] += dlogp
 
     grad = PolicyGradient.zeros_like(params)
-    hidden = np.stack(hiddens)[seq_index]
+    hidden = np.stack(hiddens)[token_slot[live]]
     grad.w_emit[:h_dim] = np.add.reduce(
         hidden[:, :, None] * dlogits[:, None, :], axis=0, initial=0.0
     )

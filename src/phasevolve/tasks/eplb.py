@@ -63,8 +63,8 @@ class WorkloadProfile:
 
     def __post_init__(self) -> None:
         loads = np.asarray(self.loads, dtype=np.float64)
-        if loads.ndim != 2:
-            raise ValueError(f"loads must be 2-d, got shape {loads.shape}")
+        if loads.ndim != 2 or loads.shape[0] < 1:
+            raise ValueError(f"need 2-d loads with at least one profile, got shape {loads.shape}")
         object.__setattr__(self, "loads", loads)
         if not 1 <= self.num_devices <= self.num_experts:
             raise ValueError(
@@ -104,6 +104,8 @@ class WorkloadProfile:
             if len(header) != 3:
                 raise ValueError(f"expected header 'E D P', got {header}")
             num_experts, num_devices, num_profiles = (int(x) for x in header)
+            if num_profiles < 1 or num_experts < 1:
+                raise ValueError(f"header needs E >= 1 and P >= 1, got {header}")
             rows = []
             for line in fh:
                 line = line.strip()

@@ -198,7 +198,7 @@ def test_criterion_5_gradient_check():
         batch = []
         for _ in range(3):
             ctx = rng.normal(size=dims.context_dim)
-            seq = P.sample_sequence(params, ctx, rng, 5)
+            seq = P.sample_sequence(P.context_table(params, ctx), rng, 5)
             offsets = rng.uniform(-0.6, 0.6, size=5)
             # keep ratios away from the clip kinks so central differences
             # stay on one branch of the min

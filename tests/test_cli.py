@@ -202,6 +202,17 @@ def test_run_unknown_key_exits_2(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_failed_archive_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "archive.json"
+    cli._write_json_atomic(path, [{"id": 1}])
+    before = path.read_bytes()
+    # json.dump streams: it writes the first entries before the third fails.
+    with pytest.raises(TypeError):
+        cli._write_json_atomic(path, [{"id": 2}, {"id": 3}, {"id": object()}])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["archive.json"]
+
+
 def test_run_seed_override_and_byte_identical_reruns(tmp_path, capsys):
     cfg = write_config(tmp_path, RUN_CFG)
     out_a = tmp_path / "a"

@@ -3,6 +3,7 @@
 
 import numpy as np
 import pytest
+import reference_policy as ref
 
 from phasevolve.config import RunConfig
 from phasevolve.estimators import standardize, group_relative_raw, sloo_weights
@@ -18,7 +19,7 @@ from phasevolve.orchestrator import (
     training_step,
     update_frontier,
 )
-from phasevolve.policy import TokenSequence
+from phasevolve.policy import PolicyDims, PolicyParams, TokenSequence
 from phasevolve.rewards import EvaluationOutcome
 from phasevolve.tasks import make_task
 from phasevolve.trace import read_trace
@@ -291,6 +292,22 @@ def test_training_step_updates_params_once():
     assert state.params.fingerprint() != before
     assert state.opt_state.step == 1
     assert diag.grad_norm > 0.0
+
+
+def test_training_step_entropy_uses_each_candidates_context():
+    # Zero parameters ignore the context, so start from random ones; a parent
+    # per candidate gives the group several distinct contexts.
+    config = small_config(per_candidate_parents=True, samples_per_group=6)
+    state = init_run_state(config, TokenSumTask())
+    dims = PolicyDims(context_dim=6, hidden_dim=8, vocab_size=12, max_tokens=6)
+    state.params = PolicyParams.random(dims, np.random.default_rng(4), scale=0.5)
+    for cand in rollout_group(state, state.task, 6)[1]:
+        update_frontier(state.archive, cand)
+    batch, candidates = rollout_group(state, state.task, 6)
+    assert len({c.context.tobytes() for c in candidates}) > 1
+    expected = [ref.token_entropy(state.params, c.context, c.tokens) for c in candidates]
+    diag = training_step(state, batch, candidates)
+    assert diag.entropy == float(np.mean(expected))
 
 
 def test_training_step_grpo_mode_never_skips_on_constant():

@@ -42,7 +42,7 @@ def random_setup(seed, n_seqs=3, length=5):
     batch = []
     for _ in range(n_seqs):
         ctx = make_ctx(rng)
-        seq = P.sample_sequence(params, ctx, rng, length)
+        seq = P.sample_sequence(P.context_table(params, ctx), rng, length)
         # Shift old logprobs so ratios leave 1 and some tokens clip; keep them
         # away from the clip boundaries so finite differences stay valid.
         offsets = rng.uniform(-0.6, 0.6, size=length)
@@ -78,7 +78,7 @@ def finite_difference_gradient(params, batch, clip, h=1e-5):
 
 def test_zero_params_sample_uniform_logprobs():
     params = PolicyParams.zeros(DIMS)
-    seq = P.sample_sequence(params, make_ctx(), np.random.default_rng(0), 6)
+    seq = P.sample_sequence(P.context_table(params, make_ctx()), np.random.default_rng(0), 6)
     assert len(seq) == 6
     assert np.all(seq.mask == 1)
     assert seq.old_logprobs == pytest.approx([-math.log(DIMS.vocab_size)] * 6)
@@ -88,8 +88,8 @@ def test_sampling_deterministic_under_seed():
     rng1 = np.random.default_rng(42)
     rng2 = np.random.default_rng(42)
     params = PolicyParams.random(DIMS, np.random.default_rng(7), scale=0.3)
-    a = P.sample_sequence(params, make_ctx(), rng1, 6)
-    b = P.sample_sequence(params, make_ctx(), rng2, 6)
+    a = P.sample_sequence(P.context_table(params, make_ctx()), rng1, 6)
+    b = P.sample_sequence(P.context_table(params, make_ctx()), rng2, 6)
     assert np.array_equal(a.tokens, b.tokens)
     assert np.array_equal(a.old_logprobs, b.old_logprobs)
 
@@ -101,14 +101,16 @@ def test_saturated_logit_always_sampled():
     # Huge bias toward token 4 regardless of context, via the hidden path.
     params.w_ctx[0, 0] = 1.0
     params.w_emit[0, 4] = 1e6
-    seq = P.sample_sequence(params, make_ctx(), np.random.default_rng(5), 6)
+    seq = P.sample_sequence(P.context_table(params, make_ctx()), np.random.default_rng(5), 6)
     assert np.all(seq.tokens == 4)
 
 
 def test_sample_length_guard():
     params = PolicyParams.zeros(DIMS)
     with pytest.raises(ValueError):
-        P.sample_sequence(params, make_ctx(), np.random.default_rng(0), DIMS.max_tokens + 1)
+        P.sample_sequence(
+            P.context_table(params, make_ctx()), np.random.default_rng(0), DIMS.max_tokens + 1
+        )
 
 
 # ------------------------------------------------------------ log-probs
@@ -118,8 +120,8 @@ def test_on_policy_logprobs_identical():
     rng = np.random.default_rng(3)
     params = PolicyParams.random(DIMS, rng, scale=0.8)
     ctx = make_ctx(rng)
-    seq = P.sample_sequence(params, ctx, rng, 5)
-    new = P.sequence_logprobs(params, ctx, seq)
+    seq = P.sample_sequence(P.context_table(params, ctx), rng, 5)
+    new = ref.sequence_logprobs(params, ctx, seq)
     assert np.max(np.abs(new - seq.old_logprobs)) <= 1e-12
     ratios = np.exp(new - seq.old_logprobs)
     assert ratios == pytest.approx(np.ones(5), abs=1e-12)
@@ -128,7 +130,7 @@ def test_on_policy_logprobs_identical():
 def test_zero_params_logprobs_uniform():
     params = PolicyParams.zeros(DIMS)
     seq = make_seq([0, 3, 6])
-    out = P.sequence_logprobs(params, make_ctx(), seq)
+    out = ref.sequence_logprobs(params, make_ctx(), seq)
     assert out == pytest.approx([-math.log(DIMS.vocab_size)] * 3)
 
 
@@ -138,14 +140,14 @@ def test_logprobs_nonpositive():
         params = PolicyParams.random(DIMS, rng, scale=2.0)
         ctx = make_ctx(rng)
         seq = make_seq(rng.integers(0, DIMS.vocab_size, size=5))
-        assert np.all(P.sequence_logprobs(params, ctx, seq) <= 0.0)
+        assert np.all(ref.sequence_logprobs(params, ctx, seq) <= 0.0)
 
 
 def test_invalid_token_rejected():
     params = PolicyParams.zeros(DIMS)
     seq = make_seq([0, DIMS.vocab_size, 1])
     with pytest.raises(InvalidTokenError):
-        P.sequence_logprobs(params, make_ctx(), seq)
+        ref.sequence_logprobs(params, make_ctx(), seq)
 
 
 # ------------------------------------------------------------ broadcast
@@ -224,7 +226,7 @@ def test_on_policy_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     params = PolicyParams.random(DIMS, rng, scale=0.5)
     ctx = make_ctx(rng)
-    seq = P.sample_sequence(params, ctx, rng, 5)
+    seq = P.sample_sequence(P.context_table(params, ctx), rng, 5)
     adv = P.broadcast_advantage(0.7, seq)
     batch = [(ctx, seq, adv)]
     _, grad = P.loss_and_gradient(params, batch, CLIP)
@@ -254,7 +256,7 @@ def test_deep_clipped_token_contributes_no_gradient():
     rng = np.random.default_rng(13)
     params = PolicyParams.random(DIMS, rng, scale=0.5)
     ctx = make_ctx(rng)
-    seq = P.sample_sequence(params, ctx, rng, 4)
+    seq = P.sample_sequence(P.context_table(params, ctx), rng, 4)
     # ratio = exp(new - old) >> 1 + eps_hi with positive advantage: clipped flat
     seq.old_logprobs = seq.old_logprobs - 2.0
     _, grad = P.loss_and_gradient(params, [(ctx, seq, P.broadcast_advantage(1.0, seq))], CLIP)
@@ -293,7 +295,8 @@ def test_empty_batch_rejected():
 def test_entropy_uniform_is_log_vocab():
     params = PolicyParams.zeros(DIMS)
     seq = make_seq([0, 1, 2])
-    assert P.token_entropy(params, make_ctx(), seq) == pytest.approx(math.log(DIMS.vocab_size))
+    out = P.token_entropy(P.context_table(params, make_ctx()), seq)
+    assert out == pytest.approx(math.log(DIMS.vocab_size))
 
 
 def test_entropy_saturated_is_zero():
@@ -301,14 +304,15 @@ def test_entropy_saturated_is_zero():
     params.w_ctx[0, 0] = 1.0
     params.w_emit[0, 2] = 1e6
     seq = make_seq([2, 2, 2])
-    assert P.token_entropy(params, make_ctx(), seq) == pytest.approx(0.0, abs=1e-9)
+    out = P.token_entropy(P.context_table(params, make_ctx()), seq)
+    assert out == pytest.approx(0.0, abs=1e-9)
 
 
 def test_entropy_two_tokens():
     dims = PolicyDims(context_dim=2, hidden_dim=3, vocab_size=2, max_tokens=4)
     params = PolicyParams.zeros(dims)
     seq = make_seq([0, 1])
-    out = P.token_entropy(params, np.array([1.0, 0.0]), seq)
+    out = P.token_entropy(P.context_table(params, np.array([1.0, 0.0])), seq)
     assert out == pytest.approx(math.log(2))
 
 
@@ -318,7 +322,7 @@ def test_entropy_bounds_random():
         params = PolicyParams.random(DIMS, rng, scale=3.0)
         ctx = make_ctx(rng)
         seq = make_seq(rng.integers(0, DIMS.vocab_size, size=5))
-        out = P.token_entropy(params, ctx, seq)
+        out = P.token_entropy(P.context_table(params, ctx), seq)
         assert 0.0 <= out <= math.log(DIMS.vocab_size) + 1e-12
 
 

@@ -2,7 +2,8 @@
 
 Every comparison is exact (``np.array_equal`` or ``==``): the table holds the
 same values a per-token log-softmax computes, and the batched backward pass
-adds its terms in the reference loop's order.
+adds its terms in the reference loop's order. Sampling and entropy read one
+shared table per context; the loss builds one per distinct context.
 """
 
 import math
@@ -17,6 +18,8 @@ from phasevolve import policy as P
 from phasevolve.policy import (
     ClipConfig,
     EmptyBatchError,
+    InvalidTokenError,
+    NumericFailureError,
     PolicyDims,
     PolicyParams,
     TokenSequence,
@@ -27,11 +30,13 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def setups(draw, max_seqs=4):
+def setups(draw, max_seqs=4, pool=False):
     """Random params, then a batch of (context, sequence, per-token advantages).
 
     Masks are drawn position by position, so masked-out tokens appear in the
-    middle of sequences as well as at their ends.
+    middle of sequences as well as at their ends. With ``pool``, contexts are
+    copies of one of 1-3 vectors, so equal contexts repeat within the batch
+    as separate arrays.
     """
     dims = PolicyDims(
         context_dim=draw(st.integers(1, 4)),
@@ -41,6 +46,7 @@ def setups(draw, max_seqs=4):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     params = PolicyParams.random(dims, rng, scale=draw(st.sampled_from([0.01, 0.5, 3.0])))
+    contexts = [rng.normal(size=dims.context_dim) for _ in range(draw(st.integers(1, 3)))]
     batch = []
     for _ in range(draw(st.integers(1, max_seqs))):
         length = draw(st.integers(1, dims.max_tokens))
@@ -50,7 +56,10 @@ def setups(draw, max_seqs=4):
             mask=mask,
             old_logprobs=-rng.uniform(0.0, 3.0, size=length),
         )
-        ctx = rng.normal(size=dims.context_dim)
+        if pool:
+            ctx = contexts[draw(st.integers(0, len(contexts) - 1))].copy()
+        else:
+            ctx = rng.normal(size=dims.context_dim)
         batch.append((ctx, seq, rng.normal(size=length) * mask))
     return params, batch
 
@@ -65,13 +74,15 @@ def assert_same_loss_and_gradient(params, batch):
 
 
 @SETTINGS
-@given(setups())
-def test_sequence_logprobs_match_reference(setup):
+@given(setups(), st.integers(0, 2**32 - 1))
+def test_sequence_logprobs_match_reference(setup, seed):
+    # The sampler records each token's log-probability from the table; the
+    # reference recomputes them with one log-softmax per position.
     params, batch = setup
+    rng = np.random.default_rng(seed)
     for ctx, seq, _ in batch:
-        assert np.array_equal(
-            P.sequence_logprobs(params, ctx, seq), ref.sequence_logprobs(params, ctx, seq)
-        )
+        sampled = P.sample_sequence(P.context_table(params, ctx), rng, len(seq))
+        assert np.array_equal(sampled.old_logprobs, ref.sequence_logprobs(params, ctx, sampled))
 
 
 @SETTINGS
@@ -79,7 +90,27 @@ def test_sequence_logprobs_match_reference(setup):
 def test_token_entropy_matches_reference(setup):
     params, batch = setup
     for ctx, seq, _ in batch:
-        assert P.token_entropy(params, ctx, seq) == ref.token_entropy(params, ctx, seq)
+        table = P.context_table(params, ctx)
+        assert P.token_entropy(table, seq) == ref.token_entropy(params, ctx, seq)
+
+
+@SETTINGS
+@given(setups(max_seqs=6))
+def test_group_entropy_from_one_shared_table(setup):
+    params, batch = setup
+    ctx = batch[0][0]
+    table = P.context_table(params, ctx)
+    for _, seq, _ in batch:
+        assert P.token_entropy(table, seq) == ref.token_entropy(params, ctx, seq)
+
+
+@SETTINGS
+@given(setups(max_seqs=6, pool=True))
+def test_loss_with_repeated_contexts_matches_reference(setup):
+    params, batch = setup
+    if not any(seq.mask.any() for _, seq, _ in batch):
+        return
+    assert_same_loss_and_gradient(params, batch)
 
 
 @SETTINGS
@@ -94,7 +125,7 @@ def test_loss_and_gradient_match_reference(setup):
     loss, _ = assert_same_loss_and_gradient(params, batch)
     # The stand-alone reference loss over the concatenated batch is the same
     # mean, summed in another order.
-    new = np.concatenate([P.sequence_logprobs(params, ctx, seq) for ctx, seq, _ in batch])
+    new = np.concatenate([ref.sequence_logprobs(params, ctx, seq) for ctx, seq, _ in batch])
     old = np.concatenate([seq.old_logprobs for _, seq, _ in batch])
     adv = np.concatenate([adv for _, _, adv in batch])
     mask = np.concatenate([seq.mask for _, seq, _ in batch])
@@ -145,10 +176,35 @@ def test_masked_out_middle_tokens_match_reference():
     _, grad = assert_same_loss_and_gradient(params, batch)
     assert grad.w_emit.any()
     for ctx, seq, _ in batch:
-        assert np.array_equal(
-            P.sequence_logprobs(params, ctx, seq), ref.sequence_logprobs(params, ctx, seq)
-        )
-        assert P.token_entropy(params, ctx, seq) == ref.token_entropy(params, ctx, seq)
+        table = P.context_table(params, ctx)
+        assert P.token_entropy(table, seq) == ref.token_entropy(params, ctx, seq)
+
+
+def two_sequence_batch():
+    dims = PolicyDims(context_dim=3, hidden_dim=4, vocab_size=5, max_tokens=6)
+    rng = np.random.default_rng(3)
+    params = PolicyParams.random(dims, rng, scale=0.5)
+    ctx = rng.normal(size=3)
+    batch = []
+    for length in (4, 5):
+        seq = P.sample_sequence(P.context_table(params, ctx), rng, length)
+        batch.append((ctx, seq, P.broadcast_advantage(1.0, seq)))
+    return params, batch
+
+
+def test_nonfinite_term_names_its_index_within_its_sequence():
+    params, batch = two_sequence_batch()
+    batch[1][1].old_logprobs[2] = np.nan
+    for impl in (P, ref):
+        with pytest.raises(NumericFailureError, match="at token index 2$"):
+            impl.loss_and_gradient(params, batch, CLIP)
+
+
+def test_invalid_token_names_its_position_within_its_sequence():
+    params, batch = two_sequence_batch()
+    batch[1][1].tokens[3] = params.vocab_size
+    with pytest.raises(InvalidTokenError, match="token 5 at position 3 outside"):
+        P.loss_and_gradient(params, batch, CLIP)
 
 
 # ------------------------------------------------------------ sampler
@@ -160,7 +216,7 @@ def test_sampler_matches_reference_and_uses_length_uniforms(setup, seed, data):
     params, [(ctx, _, _)] = setup
     length = data.draw(st.integers(1, params.max_tokens))
     rng, ref_rng, twin = (np.random.default_rng(seed) for _ in range(3))
-    seq = P.sample_sequence(params, ctx, rng, length)
+    seq = P.sample_sequence(P.context_table(params, ctx), rng, length)
     ref_seq = ref.sample_sequence(params, ctx, ref_rng, length)
     assert np.array_equal(seq.tokens, ref_seq.tokens)
     assert np.array_equal(seq.old_logprobs, ref_seq.old_logprobs)
@@ -193,9 +249,25 @@ def test_sampler_clamps_a_draw_above_the_last_cdf_value():
     assert np.cumsum(np.exp(ref.log_softmax(np.zeros(9))))[-1] < top
     ctx = np.array([1.0, 0.5])
     uniforms = [top, 0.3, top, 0.0]
-    seq = P.sample_sequence(params, ctx, FixedUniforms(uniforms), 4)
+    seq = P.sample_sequence(P.context_table(params, ctx), FixedUniforms(uniforms), 4)
     ref_seq = ref.sample_sequence(params, ctx, FixedUniforms(uniforms), 4)
     assert seq.tokens.tolist() == [8, 2, 8, 0]
     assert np.array_equal(seq.tokens, ref_seq.tokens)
     assert np.array_equal(seq.old_logprobs, ref_seq.old_logprobs)
     assert seq.old_logprobs == pytest.approx([-math.log(9)] * 4)
+
+
+@pytest.mark.parametrize("vocab, token", [(4, 2), (6, 3)])
+def test_sampler_draw_equal_to_a_cdf_value_takes_the_next_token(vocab, token):
+    # Uniform rows whose cdf holds 0.5 exactly: searchsorted(side="right"),
+    # and so the sampler, must pick the token after the one that ends at 0.5.
+    dims = PolicyDims(context_dim=2, hidden_dim=3, vocab_size=vocab, max_tokens=3)
+    params = PolicyParams.zeros(dims)
+    ctx = np.array([1.0, 0.5])
+    table = P.context_table(params, ctx)
+    assert table.cdf_rows[0][token - 1] == 0.5
+    seq = P.sample_sequence(table, FixedUniforms([0.5] * 3), 3)
+    ref_seq = ref.sample_sequence(params, ctx, FixedUniforms([0.5] * 3), 3)
+    assert seq.tokens.tolist() == [token] * 3
+    assert np.array_equal(seq.tokens, ref_seq.tokens)
+    assert np.array_equal(seq.old_logprobs, ref_seq.old_logprobs)

@@ -250,6 +250,19 @@ def test_profile_validation():
         WorkloadProfile(loads=-np.ones((1, 4)), num_devices=2)
 
 
+def test_profile_rejects_zero_profiles():
+    with pytest.raises(ValueError, match=r"with at least one profile, got shape \(0, 4\)"):
+        WorkloadProfile(loads=np.zeros((0, 4)), num_devices=2)
+
+
+@pytest.mark.parametrize("header", ["4 2 0", "0 2 3", "4 2 -1"])
+def test_profile_load_rejects_empty_header_before_reading_rows(tmp_path, header):
+    path = tmp_path / "empty.txt"
+    path.write_text(header + "\n1 2 3 4\n")
+    with pytest.raises(ValueError, match="header needs E >= 1 and P >= 1"):
+        WorkloadProfile.load(path)
+
+
 def test_profile_generate_deterministic():
     a = WorkloadProfile.generate(num_profiles=3, num_experts=8, num_devices=2, seed=5)
     b = WorkloadProfile.generate(num_profiles=3, num_experts=8, num_devices=2, seed=5)
