@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators
-from .config import ConfigError, load_config
+from .config import MODES, ConfigError, RunConfig, load_config
 from .orchestrator import run_evolution
 from .tasks import make_task
 from .trace import STEP_SERIES, read_trace, step_series
@@ -24,7 +24,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-ESTIMATE_MODES = ("grpo", "raw", "entropic", "pkpo", "sloo", "sloo-brute", "phase")
+# The configured modes, then the raw signals (``pkpo`` is the unstandardized
+# weighting that ``maxk`` standardizes).
+ESTIMATE_MODES = MODES + ("raw", "pkpo", "sloo", "sloo-brute")
+DEFAULTS = RunConfig()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,11 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
     est_p = sub.add_parser("estimate", help="compute advantage estimators on a rewards file")
     est_p.add_argument("--file", required=True, help="newline-separated rewards, one per line")
     est_p.add_argument("--mode", required=True, choices=ESTIMATE_MODES)
-    est_p.add_argument("--k", type=int, default=None, help="best-of-k subset size (default min(4, N))")
-    est_p.add_argument("--gamma", type=float, default=0.3, help="entropic KL budget")
+    est_p.add_argument(
+        "--k", type=int, default=None,
+        help=f"best-of-k subset size (default min({DEFAULTS.top_k}, N))",
+    )
+    est_p.add_argument("--gamma", type=float, default=DEFAULTS.gamma, help="entropic KL budget")
     est_p.add_argument("--alpha", type=float, default=0.5, help="phase mixture coefficient")
-    est_p.add_argument("--eps-num", type=float, default=1e-8)
-    est_p.add_argument("--eps-skip", type=float, default=1e-6)
+    est_p.add_argument("--eps-num", type=float, default=DEFAULTS.eps_num)
+    est_p.add_argument("--eps-skip", type=float, default=DEFAULTS.eps_skip)
 
     exp_p = sub.add_parser("export", help="export one step series from a trace as CSV")
     exp_p.add_argument("--trace", required=True)
@@ -71,8 +77,8 @@ def _write_json_atomic(path: Path, obj) -> None:
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
-    except FileNotFoundError:
-        print(f"config file not found: {args.config}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot read config file {args.config}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -88,7 +94,7 @@ def _cmd_run(args) -> int:
 
     try:
         task = make_task(config)
-    except (KeyError, ValueError, FileNotFoundError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -142,46 +148,43 @@ def _read_rewards(path: str) -> np.ndarray:
 def _cmd_estimate(args) -> int:
     try:
         rewards = _read_rewards(args.file)
-    except FileNotFoundError:
-        print(f"rewards file not found: {args.file}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot read rewards file {args.file}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
 
-    n = rewards.size
-    k = args.k if args.k is not None else min(4, n)
+    k = args.k if args.k is not None else min(DEFAULTS.top_k, rewards.size)
     try:
-        if args.mode == "grpo":
-            out = estimators.grpo_advantage(rewards, args.eps_num)
-        elif args.mode == "raw":
+        if args.mode == "raw":
             out = estimators.group_relative_raw(rewards)
-        elif args.mode == "entropic":
-            found = estimators.entropic_beta(rewards, args.gamma)
-            out = estimators.entropic_advantage(rewards, found.beta, args.eps_num)
         elif args.mode == "pkpo":
             out = estimators.pkpo_weights(rewards, k)
         elif args.mode == "sloo":
             out = estimators.sloo_weights(rewards, k)
         elif args.mode == "sloo-brute":
             out = estimators.sloo_weights_bruteforce(rewards, k)
-        else:  # phase
-            g_std = estimators.standardize(
-                estimators.group_relative_raw(rewards), args.eps_num, args.eps_skip
+        else:
+            out, _ = estimators.advantages(
+                args.mode,
+                rewards,
+                args.alpha,
+                k=k,
+                eps_num=args.eps_num,
+                eps_skip=args.eps_skip,
+                gamma=args.gamma,
+                beta_max=DEFAULTS.beta_max,
+                beta_tol=DEFAULTS.beta_tol,
             )
-            k_std = estimators.standardize(
-                estimators.sloo_weights(rewards, k), args.eps_num, args.eps_skip
-            )
-            mixed = estimators.mix_advantages(g_std, k_std, args.alpha)
-            if mixed is None:
-                print("SKIP")
-                return EXIT_OK
-            out = mixed
     except ValueError as exc:
         # covers EstimatorError subclasses and bad eps/alpha flags alike
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
 
+    if out is None:
+        print("SKIP")
+        return EXIT_OK
     for value in out:
         print(repr(float(value)))
     return EXIT_OK
@@ -196,8 +199,8 @@ def _cmd_export(args) -> int:
         return EXIT_CONFIG
     try:
         records = read_trace(args.trace)
-    except FileNotFoundError:
-        print(f"trace file not found: {args.trace}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot read trace file {args.trace}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except json.JSONDecodeError as exc:
         print(f"trace does not parse: {exc}", file=sys.stderr)

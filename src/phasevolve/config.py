@@ -8,13 +8,16 @@ Example::
     shaping.c = 5
     estimator.eps_skip = 1e-6
 
-Unknown keys and malformed values raise ``ConfigError`` naming the key, which
-the CLI maps to exit code 2.
+Each ``RunConfig`` field is one key: its dotted name is the field's
+``metadata["key"]``, or the field name where they are the same. Parsing,
+validation messages and the trace header's config echo all read that one
+table. Unknown keys and malformed or out-of-range values raise
+``ConfigError`` naming the key, which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 
@@ -25,6 +28,11 @@ TASKS = ("synthetic", "eplb")
 
 class ConfigError(ValueError):
     pass
+
+
+def _keyed(key: str, default):
+    """A field whose config key differs from its name."""
+    return field(default=default, metadata={"key": key})
 
 
 @dataclass
@@ -39,148 +47,85 @@ class RunConfig:
     weight_decay: float = 0.1
     adam_beta1: float = 0.9
     adam_beta2: float = 0.98
-    eps_lo: float = 0.2
-    eps_hi: float = 0.28
-    eps_num: float = 1e-8
-    eps_skip: float = 1e-6
-    gamma: float = 0.3
-    beta_max: float = 50.0
-    beta_tol: float = 1e-6
-    direction: str = "maximize"
-    y_min: float = 0.0
-    y_max: float = 1.0
-    shaping_multiplier: float = 5.0
-    shaping_exponent: float = 1.0
-    archive_capacity: int = 16
-    select_temperature: float = 0.5
-    per_candidate_parents: bool = False
-    context_dim: int = 8
-    hidden_dim: int = 32
-    vocab_size: int = 24
-    seq_length: int = 8
-    synthetic_base: float = 0.5
-    synthetic_delta0: float = 0.25
-    synthetic_decay: float = 250.0
-    synthetic_noise: float = 0.0
-    synthetic_target_token: int = 0
-    synthetic_tie_weight: float = 0.05
-    eplb_num_experts: int = 32
-    eplb_num_devices: int = 4
-    eplb_num_profiles: int = 8
-    eplb_profile_seed: int = 7
-    eplb_profiles_path: str = ""
-    eplb_wall_clock: bool = False
+    eps_lo: float = _keyed("clip.eps_lo", 0.2)
+    eps_hi: float = _keyed("clip.eps_hi", 0.28)
+    eps_num: float = _keyed("estimator.eps_num", 1e-8)
+    eps_skip: float = _keyed("estimator.eps_skip", 1e-6)
+    gamma: float = _keyed("estimator.gamma", 0.3)
+    beta_max: float = _keyed("estimator.beta_max", 50.0)
+    beta_tol: float = _keyed("estimator.beta_tol", 1e-6)
+    direction: str = _keyed("shaping.direction", "maximize")
+    y_min: float = _keyed("shaping.y_min", 0.0)
+    y_max: float = _keyed("shaping.y_max", 1.0)
+    shaping_multiplier: float = _keyed("shaping.c", 5.0)
+    shaping_exponent: float = _keyed("shaping.alpha_r", 1.0)
+    archive_capacity: int = _keyed("archive.capacity", 16)
+    select_temperature: float = _keyed("archive.select_temperature", 0.5)
+    per_candidate_parents: bool = _keyed("archive.per_candidate_parents", False)
+    context_dim: int = _keyed("policy.context_dim", 8)
+    hidden_dim: int = _keyed("policy.hidden_dim", 32)
+    vocab_size: int = _keyed("policy.vocab_size", 24)
+    seq_length: int = _keyed("policy.seq_length", 8)
+    synthetic_base: float = _keyed("synthetic.base", 0.5)
+    synthetic_delta0: float = _keyed("synthetic.delta0", 0.25)
+    synthetic_decay: float = _keyed("synthetic.decay_horizon", 250.0)
+    synthetic_noise: float = _keyed("synthetic.noise", 0.0)
+    synthetic_target_token: int = _keyed("synthetic.target_token", 0)
+    synthetic_tie_weight: float = _keyed("synthetic.tie_weight", 0.05)
+    eplb_num_experts: int = _keyed("eplb.num_experts", 32)
+    eplb_num_devices: int = _keyed("eplb.num_devices", 4)
+    eplb_num_profiles: int = _keyed("eplb.num_profiles", 8)
+    eplb_profile_seed: int = _keyed("eplb.profile_seed", 7)
+    eplb_profiles_path: str = _keyed("eplb.profiles_path", "")
+    eplb_wall_clock: bool = _keyed("eplb.wall_clock_speed", False)
 
     def validate(self) -> None:
-        if self.task not in TASKS:
-            raise ConfigError(f"task: unknown task {self.task!r} (expected one of {TASKS})")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode: unknown mode {self.mode!r} (expected one of {MODES})")
-        if self.direction not in DIRECTIONS:
-            raise ConfigError(
-                f"shaping.direction: {self.direction!r} (expected one of {DIRECTIONS})"
-            )
+        def fail(name: str, problem: str):
+            raise ConfigError(f"{_KEYS[name]}: {problem}")
+
+        for name, allowed in (("task", TASKS), ("mode", MODES), ("direction", DIRECTIONS)):
+            if getattr(self, name) not in allowed:
+                fail(name, f"unknown value {getattr(self, name)!r} (expected one of {allowed})")
         if self.iterations < 0:
-            raise ConfigError(f"iterations: must be >= 0, got {self.iterations}")
-        positive = {
-            "samples_per_group": self.samples_per_group,
-            "top_k": self.top_k,
-            "learning_rate": self.learning_rate,
-            "clip.eps_lo": self.eps_lo,
-            "clip.eps_hi": self.eps_hi,
-            "estimator.eps_num": self.eps_num,
-            "estimator.eps_skip": self.eps_skip,
-            "estimator.beta_max": self.beta_max,
-            "estimator.beta_tol": self.beta_tol,
-            "shaping.c": self.shaping_multiplier,
-            "shaping.alpha_r": self.shaping_exponent,
-            "archive.capacity": self.archive_capacity,
-            "archive.select_temperature": self.select_temperature,
-            "policy.context_dim": self.context_dim,
-            "policy.hidden_dim": self.hidden_dim,
-            "policy.vocab_size": self.vocab_size,
-            "policy.seq_length": self.seq_length,
-        }
-        for key, value in positive.items():
-            if not value > 0:
-                raise ConfigError(f"{key}: must be positive, got {value}")
+            fail("iterations", f"must be >= 0, got {self.iterations}")
+        for name in (
+            "samples_per_group", "top_k", "learning_rate", "eps_lo", "eps_hi",
+            "eps_num", "eps_skip", "beta_max", "beta_tol", "shaping_multiplier",
+            "shaping_exponent", "archive_capacity", "select_temperature",
+            "context_dim", "hidden_dim", "vocab_size", "seq_length",
+        ):
+            if not getattr(self, name) > 0:
+                fail(name, f"must be positive, got {getattr(self, name)}")
         if self.samples_per_group < 2:
-            raise ConfigError(f"samples_per_group: need >= 2, got {self.samples_per_group}")
+            fail("samples_per_group", f"need >= 2, got {self.samples_per_group}")
         if not 2 <= self.top_k <= self.samples_per_group:
-            raise ConfigError(
-                f"top_k: {self.top_k} outside [2, samples_per_group={self.samples_per_group}]"
-            )
+            fail("top_k", f"{self.top_k} outside [2, samples_per_group={self.samples_per_group}]")
+        if self.eps_lo >= 1.0:
+            fail("eps_lo", f"must be < 1 so the lower clip stays positive, got {self.eps_lo}")
         if self.eps_skip < self.eps_num:
-            raise ConfigError(
-                f"estimator.eps_skip: {self.eps_skip} must be >= estimator.eps_num ({self.eps_num})"
-            )
+            fail("eps_skip", f"{self.eps_skip} must be >= estimator.eps_num ({self.eps_num})")
         if self.gamma < 0:
-            raise ConfigError(f"estimator.gamma: must be >= 0, got {self.gamma}")
+            fail("gamma", f"must be >= 0, got {self.gamma}")
         if not self.y_min < self.y_max:
-            raise ConfigError(
-                f"shaping.y_min: {self.y_min} must be < shaping.y_max ({self.y_max})"
-            )
+            fail("y_min", f"{self.y_min} must be < shaping.y_max ({self.y_max})")
         if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay: must be >= 0, got {self.weight_decay}")
-        for key, beta in (("adam_beta1", self.adam_beta1), ("adam_beta2", self.adam_beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ConfigError(f"{key}: must be in [0, 1), got {beta}")
+            fail("weight_decay", f"must be >= 0, got {self.weight_decay}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                fail(name, f"must be in [0, 1), got {getattr(self, name)}")
+        if not 0 <= self.synthetic_target_token < self.vocab_size:
+            fail(
+                "synthetic_target_token",
+                f"{self.synthetic_target_token} outside [0, policy.vocab_size={self.vocab_size})",
+            )
 
 
-# dotted config key -> dataclass field
-KEY_MAP = {
-    "task": "task",
-    "seed": "seed",
-    "iterations": "iterations",
-    "samples_per_group": "samples_per_group",
-    "top_k": "top_k",
-    "mode": "mode",
-    "learning_rate": "learning_rate",
-    "weight_decay": "weight_decay",
-    "adam_beta1": "adam_beta1",
-    "adam_beta2": "adam_beta2",
-    "clip.eps_lo": "eps_lo",
-    "clip.eps_hi": "eps_hi",
-    "estimator.eps_num": "eps_num",
-    "estimator.eps_skip": "eps_skip",
-    "estimator.gamma": "gamma",
-    "estimator.beta_max": "beta_max",
-    "estimator.beta_tol": "beta_tol",
-    "shaping.direction": "direction",
-    "shaping.y_min": "y_min",
-    "shaping.y_max": "y_max",
-    "shaping.c": "shaping_multiplier",
-    "shaping.alpha_r": "shaping_exponent",
-    "archive.capacity": "archive_capacity",
-    "archive.select_temperature": "select_temperature",
-    "archive.per_candidate_parents": "per_candidate_parents",
-    "policy.context_dim": "context_dim",
-    "policy.hidden_dim": "hidden_dim",
-    "policy.vocab_size": "vocab_size",
-    "policy.seq_length": "seq_length",
-    "synthetic.base": "synthetic_base",
-    "synthetic.delta0": "synthetic_delta0",
-    "synthetic.decay_horizon": "synthetic_decay",
-    "synthetic.noise": "synthetic_noise",
-    "synthetic.target_token": "synthetic_target_token",
-    "synthetic.tie_weight": "synthetic_tie_weight",
-    "eplb.num_experts": "eplb_num_experts",
-    "eplb.num_devices": "eplb_num_devices",
-    "eplb.num_profiles": "eplb_num_profiles",
-    "eplb.profile_seed": "eplb_profile_seed",
-    "eplb.profiles_path": "eplb_profiles_path",
-    "eplb.wall_clock_speed": "eplb_wall_clock",
-}
-
-_FIELD_TYPES = {
-    f.name: f.type if isinstance(f.type, str) else f.type.__name__
-    for f in fields(RunConfig)
-}
-_ATTR_TO_KEY = {attr: key for key, attr in KEY_MAP.items()}
+# field name -> dotted config key, and back
+_KEYS = {f.name: f.metadata.get("key", f.name) for f in fields(RunConfig)}
+_FIELDS = {_KEYS[f.name]: f for f in fields(RunConfig)}
 
 
-def _parse_value(key: str, attr: str, raw: str):
-    kind = _FIELD_TYPES[attr]
+def _parse_value(key: str, kind: str, raw: str):
     raw = raw.strip()
     try:
         if kind == "bool":
@@ -209,10 +154,10 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in KEY_MAP:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        attr = KEY_MAP[key]
-        setattr(config, attr, _parse_value(key, attr, raw))
+        f = _FIELDS[key]
+        setattr(config, f.name, _parse_value(key, f.type, raw))
     config.validate()
     return config
 
@@ -223,4 +168,4 @@ def load_config(path) -> RunConfig:
 
 def config_to_dict(config: RunConfig) -> dict:
     """Fully resolved config as dotted keys, for the trace header echo."""
-    return {_ATTR_TO_KEY[f.name]: getattr(config, f.name) for f in fields(RunConfig)}
+    return {key: getattr(config, name) for name, key in _KEYS.items()}

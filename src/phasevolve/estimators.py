@@ -15,6 +15,11 @@ Implemented signals:
   leave-one-out credit with a KL budget.
 * ``standardize`` + ``mix_advantages`` + ``phase_alpha`` -- the per-group
   standardization, degenerate-branch skip rule, and the linear phase mixture.
+
+``advantages`` is the one place that turns a configured estimator mode
+(``config.MODES``) into a group's per-candidate advantages, or None when the
+step must be skipped. The training step and ``phasevolve estimate`` both
+call it.
 """
 
 from __future__ import annotations
@@ -47,31 +52,6 @@ class UnreachableBudgetError(EstimatorError):
 
 class EnumerationGuardError(EstimatorError):
     """Brute-force enumeration requested for a group above the size guard."""
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Numerical knobs shared by the estimator stack."""
-
-    eps_num: float = 1e-8
-    eps_skip: float = 1e-6
-    k: int = 4
-    gamma: float = 0.3
-    beta_max: float = 50.0
-
-    def __post_init__(self) -> None:
-        if not self.eps_num > 0:
-            raise ValueError(f"eps_num must be positive, got {self.eps_num}")
-        if self.eps_skip < self.eps_num:
-            raise ValueError(
-                f"eps_skip ({self.eps_skip}) must be >= eps_num ({self.eps_num})"
-            )
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not self.beta_max > 0:
-            raise ValueError(f"beta_max must be positive, got {self.beta_max}")
 
 
 @dataclass(frozen=True)
@@ -367,3 +347,57 @@ def phase_alpha(t: int, total_iterations: int) -> float:
     if not 0 <= t <= total_iterations:
         raise ValueError(f"iteration {t} outside [0, {total_iterations}]")
     return t / total_iterations
+
+
+def advantages(
+    mode: str,
+    rewards,
+    alpha: float,
+    *,
+    k: int,
+    eps_num: float,
+    eps_skip: float,
+    gamma: float,
+    beta_max: float,
+    beta_tol: float,
+) -> tuple[np.ndarray | None, dict]:
+    """Per-candidate advantages of one group under estimator ``mode``.
+
+    * ``phase`` -- the (1-alpha, alpha) mixture of the standardized
+      group-relative and SLOO best-of-k branches.
+    * ``grpo`` -- the group z-score; never skips.
+    * ``entropic`` -- tilted leave-one-out credit at the beta that meets the
+      KL budget ``gamma``.
+    * ``maxk`` -- the standardized PKPO best-of-k weights.
+
+    Returns ``(None, info)`` when the step must be skipped: collapsed
+    branches, or an entropic budget no beta can meet on a constant group.
+    ``info`` holds the mode's diagnostics for the step record.
+    """
+    info: dict = {}
+    if mode == "phase":
+        g_std = standardize(group_relative_raw(rewards), eps_num, eps_skip)
+        k_std = standardize(sloo_weights(rewards, k), eps_num, eps_skip)
+        info["g_skipped"] = g_std.skipped
+        info["k_skipped"] = k_std.skipped
+        info["g_branch"] = None if g_std.skipped else g_std.values.tolist()
+        info["k_branch"] = None if k_std.skipped else k_std.values.tolist()
+        return mix_advantages(g_std, k_std, alpha), info
+    if mode == "grpo":
+        return grpo_advantage(rewards, eps_num), info
+    if mode == "entropic":
+        try:
+            found = entropic_beta(rewards, gamma, beta_max, beta_tol)
+        except UnreachableBudgetError:
+            # Constant rewards: no tilting can meet the budget, so the group
+            # carries no signal; skip the step rather than fail the run.
+            return None, info
+        info["beta"] = found.beta
+        info["beta_saturated"] = found.saturated
+        return entropic_advantage(rewards, found.beta, eps_num), info
+    if mode == "maxk":
+        std = standardize(pkpo_weights(rewards, k), eps_num, eps_skip)
+        info["k_skipped"] = std.skipped
+        info["k_branch"] = None if std.skipped else std.values.tolist()
+        return std.values, info
+    raise ValueError(f"unknown estimator mode {mode!r}")

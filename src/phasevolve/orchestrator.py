@@ -3,11 +3,11 @@
 Each iteration: pick a parent from the frontier archive, sample a rollout
 group under frozen policy parameters, evaluate and shape every candidate,
 fold survivors into the archive, then take (at most) one clipped
-policy-gradient step whose advantage source depends on the configured
-estimator mode. Parameters only ever change inside ``training_step``, so the
-rollout boundary is a hard synchronization barrier; the parameter
-fingerprints recorded at group start and group end make that checkable from
-the trace alone.
+policy-gradient step with the advantages that ``estimators.advantages`` gives
+for the configured estimator mode. Parameters only ever change inside
+``training_step``, so the rollout boundary is a hard synchronization barrier;
+the parameter fingerprints recorded at group start and group end make that
+checkable from the trace alone.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import estimators, policy
 from .config import RunConfig, config_to_dict
-from .estimators import PhaseSchedule, UnreachableBudgetError
+from .estimators import PhaseSchedule
 from .policy import (
     AdamState,
     ClipConfig,
@@ -51,13 +51,10 @@ class Candidate:
 
 @dataclass
 class RewardBatch:
-    """One rollout group: ids, shaped rewards, raw scores, failure flags and
-    each candidate's context table (valid until the parameters change)."""
+    """One rollout group: shaped rewards and each candidate's context table
+    (valid until the parameters change)."""
 
-    candidate_ids: list[int]
     rewards: np.ndarray
-    raw_scores: list[float | None]
-    failed: np.ndarray
     tables: dict[int, policy.ContextTable]  # by parent id
 
 
@@ -262,18 +259,14 @@ def rollout_group(
         )
         state.next_id += 1
 
-    batch = RewardBatch(
-        candidate_ids=[c.id for c in candidates],
-        rewards=np.array([c.reward for c in candidates]),
-        raw_scores=[c.raw_score for c in candidates],
-        failed=np.array([not c.outcome.ok for c in candidates]),
-        tables=tables,
-    )
+    batch = RewardBatch(rewards=np.array([c.reward for c in candidates]), tables=tables)
     return batch, candidates
 
 
 @dataclass
 class StepDiagnostics:
+    """One training step's outcome; every field goes into its trace record."""
+
     iteration: int
     alpha: float
     mode: str
@@ -292,52 +285,6 @@ class StepDiagnostics:
     error: str | None = None
 
 
-def _advantage_source(
-    state: RunState, rewards: np.ndarray, alpha: float
-) -> tuple[np.ndarray | None, dict]:
-    """Per-candidate advantages for the configured estimator mode.
-
-    Returns None when the step must be skipped (collapsed branches, or an
-    unreachable entropic budget on a constant group).
-    """
-    cfg = state.config
-    info: dict = {}
-    if cfg.mode == "phase":
-        g_std = estimators.standardize(
-            estimators.group_relative_raw(rewards), cfg.eps_num, cfg.eps_skip
-        )
-        k_std = estimators.standardize(
-            estimators.sloo_weights(rewards, cfg.top_k), cfg.eps_num, cfg.eps_skip
-        )
-        info["g_skipped"] = g_std.skipped
-        info["k_skipped"] = k_std.skipped
-        info["g_branch"] = None if g_std.skipped else g_std.values.tolist()
-        info["k_branch"] = None if k_std.skipped else k_std.values.tolist()
-        return estimators.mix_advantages(g_std, k_std, alpha), info
-    if cfg.mode == "grpo":
-        return estimators.grpo_advantage(rewards, cfg.eps_num), info
-    if cfg.mode == "entropic":
-        try:
-            found = estimators.entropic_beta(
-                rewards, cfg.gamma, cfg.beta_max, cfg.beta_tol
-            )
-        except UnreachableBudgetError:
-            # Constant rewards: no tilting can meet the budget; treat the
-            # group as uninformative rather than failing the run.
-            return None, info
-        info["beta"] = found.beta
-        info["beta_saturated"] = found.saturated
-        return estimators.entropic_advantage(rewards, found.beta, cfg.eps_num), info
-    if cfg.mode == "maxk":
-        std = estimators.standardize(
-            estimators.pkpo_weights(rewards, cfg.top_k), cfg.eps_num, cfg.eps_skip
-        )
-        info["k_skipped"] = std.skipped
-        info["k_branch"] = None if std.skipped else std.values.tolist()
-        return std.values, info
-    raise ValueError(f"unknown estimator mode {cfg.mode!r}")
-
-
 def training_step(
     state: RunState, batch: RewardBatch, candidates: list[Candidate]
 ) -> StepDiagnostics:
@@ -352,7 +299,17 @@ def training_step(
             [policy.token_entropy(batch.tables[c.parent_id], c.tokens) for c in candidates]
         )
     )
-    advantages, info = _advantage_source(state, batch.rewards, alpha)
+    advantages, info = estimators.advantages(
+        cfg.mode,
+        batch.rewards,
+        alpha,
+        k=cfg.top_k,
+        eps_num=cfg.eps_num,
+        eps_skip=cfg.eps_skip,
+        gamma=cfg.gamma,
+        beta_max=cfg.beta_max,
+        beta_tol=cfg.beta_tol,
+    )
     diag = StepDiagnostics(
         iteration=state.iteration,
         alpha=alpha,
@@ -453,22 +410,7 @@ def run_evolution(config: RunConfig, task, trace_path=None) -> RunResult:
             if writer:
                 writer.write_step(
                     {
-                        "iteration": t,
-                        "alpha": diag.alpha,
-                        "mode": diag.mode,
-                        "skipped": diag.skipped,
-                        "g_skipped": diag.g_skipped,
-                        "k_skipped": diag.k_skipped,
-                        "g_branch": diag.g_branch,
-                        "k_branch": diag.k_branch,
-                        "advantages": diag.advantages,
-                        "loss": diag.loss,
-                        "entropy": diag.entropy,
-                        "grad_norm": diag.grad_norm,
-                        "optimizer_steps": diag.optimizer_steps,
-                        "beta": diag.beta,
-                        "beta_saturated": diag.beta_saturated,
-                        "error": diag.error,
+                        **vars(diag),
                         "cumulative_max": state.archive.cumulative_max,
                         "params_hash_start": hash_start,
                         "params_hash_end": hash_end,

@@ -28,10 +28,6 @@ class OutcomeStatus(enum.Enum):
 FAILURE_REWARD = -1.0
 
 
-class DegenerateBoundsError(ValueError):
-    """Normalization bounds collapse to a single point."""
-
-
 @dataclass(frozen=True)
 class ShapingConfig:
     direction: Direction = Direction.MAXIMIZE
@@ -82,15 +78,6 @@ class EvaluationOutcome:
     @property
     def ok(self) -> bool:
         return self.status is OutcomeStatus.PARSED
-
-
-def default_bounds(y_init: float, y_target: float) -> tuple[float, float]:
-    """Normalization bounds from a task's initial and target scores."""
-    if y_init == y_target:
-        raise DegenerateBoundsError(
-            f"initial and target scores coincide ({y_init}); bounds are degenerate"
-        )
-    return min(y_init, y_target), max(y_init, y_target)
 
 
 def shape_reward(outcome: EvaluationOutcome, config: ShapingConfig) -> float:

@@ -23,8 +23,6 @@ import numpy as np
 from ..policy import TokenSequence
 from ..rewards import EvaluationOutcome
 
-BRUTE_FORCE_MAX_EXPERTS = 12
-
 
 class SortMode(enum.Enum):
     DESCENDING_LOAD = 0
@@ -278,43 +276,6 @@ def eplb_score(
         raise ValueError(f"op_count must be positive, got {op_count}")
     speed = min(c_ref / op_count, 1.0)
     return balancedness, speed, 0.5 * (balancedness + speed)
-
-
-def brute_force_balance(w: WorkloadProfile) -> np.ndarray:
-    """Exact minimum max-device-load per profile, by exhaustive assignment.
-
-    Branch-and-bound over all device choices with symmetry breaking; still
-    exponential, so guarded to small expert counts. Test oracle only.
-    """
-    if w.num_experts > BRUTE_FORCE_MAX_EXPERTS:
-        raise ValueError(
-            f"{w.num_experts} experts exceeds brute-force guard {BRUTE_FORCE_MAX_EXPERTS}"
-        )
-    out = np.empty(w.num_profiles)
-    for p in range(w.num_profiles):
-        loads = np.sort(w.loads[p])[::-1]
-        best = float(loads.sum())
-        device_loads = [0.0] * w.num_devices
-
-        def search(i: int, used: int) -> None:
-            nonlocal best
-            if i == loads.size:
-                best = min(best, max(device_loads))
-                return
-            tried: set[float] = set()
-            for d in range(min(used + 1, w.num_devices)):
-                if device_loads[d] in tried:
-                    continue
-                tried.add(device_loads[d])
-                if device_loads[d] + loads[i] >= best:
-                    continue
-                device_loads[d] += loads[i]
-                search(i + 1, max(used, d + 1))
-                device_loads[d] -= loads[i]
-
-        search(0, 0)
-        out[p] = best
-    return out
 
 
 class EplbTask:

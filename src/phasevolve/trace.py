@@ -43,12 +43,6 @@ class TraceWriter:
     def close(self) -> None:
         self._fh.close()
 
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 def read_trace(path) -> list[dict]:
     """All records of a trace, in file order.

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from reference_eplb import brute_force_balance
 
 from phasevolve import estimators as est
 from phasevolve import policy as P
@@ -24,7 +25,6 @@ from phasevolve.tasks import make_task
 from phasevolve.tasks.eplb import (
     HeuristicDescriptor,
     WorkloadProfile,
-    brute_force_balance,
     eplb_assign,
     eplb_decode,
     eplb_score,

@@ -66,6 +66,30 @@ def test_validation_errors():
         parse_config_text("estimator.eps_skip = 1e-12")
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("shaping.direction = up", "shaping.direction"),
+        ("estimator.eps_num = 0", "estimator.eps_num"),
+        ("estimator.gamma = -0.1", "estimator.gamma"),
+        ("estimator.beta_max = 0", "estimator.beta_max"),
+        ("clip.eps_lo = 1.5", "clip.eps_lo"),
+        ("clip.eps_lo = 1", "clip.eps_lo"),
+        ("synthetic.target_token = 99", "synthetic.target_token"),
+        ("synthetic.target_token = 24", "synthetic.target_token"),
+        ("synthetic.target_token = -1", "synthetic.target_token"),
+    ],
+)
+def test_validation_names_the_key(line, key):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        parse_config_text(line)
+
+
+def test_target_token_bound_follows_vocab_size():
+    config = parse_config_text("policy.vocab_size = 100\nsynthetic.target_token = 99")
+    assert config.synthetic_target_token == 99
+
+
 def test_config_to_dict_uses_dotted_keys():
     d = config_to_dict(RunConfig())
     assert d["shaping.c"] == 5.0
@@ -200,6 +224,33 @@ def test_run_unknown_key_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "budget = 4\n")
     assert cli.main(["run", "--config", cfg]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_run_lower_clip_at_one_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, RUN_CFG + "clip.eps_lo = 1.5\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "clip.eps_lo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "{dir}"],
+        ["run", "--config", "{cfg}"],
+        ["estimate", "--file", "{dir}", "--mode", "grpo"],
+        ["export", "--trace", "{dir}", "--series", "alpha"],
+    ],
+    ids=["run-config", "run-profiles-path", "estimate-file", "export-trace"],
+)
+def test_directory_in_place_of_a_file_exits_2(tmp_path, capsys, argv):
+    directory = tmp_path / "somedir"
+    directory.mkdir()
+    cfg = write_config(tmp_path, f"task = eplb\neplb.profiles_path = {directory}\n")
+    argv = [arg.format(dir=directory, cfg=cfg) for arg in argv]
+    if argv[0] == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert str(directory) in capsys.readouterr().err
 
 
 def test_failed_archive_write_keeps_the_old_file(tmp_path):

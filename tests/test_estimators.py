@@ -9,7 +9,6 @@ from phasevolve import estimators as est
 from phasevolve.estimators import (
     BranchOutcome,
     EnumerationGuardError,
-    EstimatorConfig,
     InvalidGroupError,
     InvalidSubsetSizeError,
     PhaseSchedule,
@@ -399,13 +398,3 @@ def test_phase_schedule_monotone(total, data):
     assert 0.0 <= a1 <= a2 <= 1.0
     assert schedule.alpha(0) == 0.0
     assert schedule.alpha(total) == 1.0
-
-
-def test_estimator_config_validation():
-    EstimatorConfig()
-    with pytest.raises(ValueError):
-        EstimatorConfig(eps_num=0.0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(eps_num=1e-3, eps_skip=1e-6)
-    with pytest.raises(ValueError):
-        EstimatorConfig(gamma=-0.1)

@@ -44,6 +44,10 @@ CASES = {
         "synthetic.cfg",
         {"archive.per_candidate_parents": "true", "synthetic.noise": 0.01, "iterations": 60},
     ),
+    # The single-source estimator modes, each through the same loop.
+    "eplb-grpo": ("eplb.cfg", {"mode": "grpo", "iterations": 30}),
+    "eplb-entropic": ("eplb.cfg", {"mode": "entropic", "iterations": 30}),
+    "eplb-maxk": ("eplb.cfg", {"mode": "maxk", "iterations": 30}),
 }
 
 # arithmetic_fingerprint() -> case name -> sha256 of trace.jsonl
@@ -55,6 +59,9 @@ GOLDEN = {
         "synthetic-compressed": "a2eec117cd0a15eb4c90ce26ff14e9ebd2a18b3ab0fc8b0da53beb994399853e",
         "eplb-wide": "04a2f3b2d35bfc138438bc102a96860b772d83664ee666ee9c442525c5e134b4",
         "synthetic-multiparent": "64982ca88c044919a53de9796f952ba0f6021f28e7abdda71c5868e46c29199e",
+        "eplb-grpo": "c4319ab46552f9bf422c227949787848fbbd80086dfd0a0d0dfa7cf26a3c1c5a",
+        "eplb-entropic": "fae59c43f6f5153ac412f0fec4e78ee5775f6977bc31499b971d679cb8743897",
+        "eplb-maxk": "6478ab8f19e9dae1abd72e1d7432d8fb3f3bc06ddc5e0b53d5c19f48049381bc",
     },
     # AVX-512 exp/log, Haswell BLAS kernels
     "ee9231e713ee634660a79c03901ec10813ae3a3f45ce2e226c7c8e85d13aa243": {
@@ -63,6 +70,9 @@ GOLDEN = {
         "synthetic-compressed": "78aa41a4930e265a2d4663afa25959cff332edaa3c4258289d4d36d1a487e936",
         "eplb-wide": "56686acc495e459d3bc0d54e3126e608098e5567d0f43c0440f8ea1c9c49b592",
         "synthetic-multiparent": "b4b97bd81047944d536f21246abd82d03bb63abe6efe305347f543991c19987a",
+        "eplb-grpo": "c8b4f585b251387230f577602a4ed0da9dba1759b4e3e6fab6c9f88d4b4e0978",
+        "eplb-entropic": "631b9cdf29fa004505c660885e26b21fec8ced1aafd74f79070591b6feca4111",
+        "eplb-maxk": "c3951ded9cd7a1ceee65fa5955a72507b4a562ab61c2fa9848ce309ef34212f9",
     },
     # AVX2 exp/log, SkylakeX BLAS kernels
     "e20f2ac3d2a72a9bc7752d0ca1bb03dbf30b9a59829771fc617f7657198a2984": {
@@ -71,6 +81,9 @@ GOLDEN = {
         "synthetic-compressed": "761ee3f8817a9f6df2162bc33110199c68ecd296b0aa20075a89d976120e84c5",
         "eplb-wide": "b28a8d98f42ce827d327e9f21a6804a0a01ca0d11dfa8ee98a454e6eff972992",
         "synthetic-multiparent": "33476ed12c74a4795809cbdcdf07d2a6d867bbca79b272d4ba7d258c016f6ec3",
+        "eplb-grpo": "a7032a35859e39a0edf51499cad6fab66e5131171f3926420a5be104b49645c1",
+        "eplb-entropic": "bdd4fca6fbfd512da71887013cc0ffc22208934b3d7970dc2e3a08ca8c110ec1",
+        "eplb-maxk": "434046008b19eb34c571c96d65b294ad32a8b002ca3281e8c181391623c3474c",
     },
     # AVX2 exp/log, Haswell BLAS kernels (an AVX2-only CPU)
     "e07ce9d6895bd66c8b6ee4c106b6af27219c363d3ab5e2eda3340af80a21ed38": {
@@ -79,6 +92,9 @@ GOLDEN = {
         "synthetic-compressed": "db751c881a59072162df4dc80a7ef1af82bc52ce57d9f4b0ad0f93145a1f0fb9",
         "eplb-wide": "f3a3dab8e5dc53b279161265999647faba1cb3dcb0f23c6c1699f91c17a5ff3e",
         "synthetic-multiparent": "5015dc00c9fc2725cbf8730aea05cfc064fae5300d3ef15787853bf5049c42c0",
+        "eplb-grpo": "d0f8a0ce87154ca4b44bd4eebbd0ff1a79cf05d15916dd60f01c1f05f36337be",
+        "eplb-entropic": "fe8255084eae47b180c32a3f8d1593b39bc359643f90ccc35cb2c6987404c1f6",
+        "eplb-maxk": "7c8b9bb322c0b8e90349836096f87789e56c6150979b6ce688d9ae8453187960",
     },
 }
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import reference_policy as ref
 
-from phasevolve.config import RunConfig
+from phasevolve import cli
+from phasevolve.config import MODES, RunConfig
 from phasevolve.estimators import standardize, group_relative_raw, sloo_weights
 from phasevolve.orchestrator import (
     Candidate,
@@ -210,7 +211,7 @@ def test_rollout_group_all_timeouts():
     state = init_run_state(config, TimeoutTask())
     batch, candidates = rollout_group(state, state.task, 4)
     assert batch.rewards == pytest.approx([-1.0] * 4)
-    assert all(batch.failed)
+    assert all(not c.outcome.ok for c in candidates)
     assert all(c.raw_score is None for c in candidates)
 
 
@@ -337,6 +338,23 @@ def test_training_step_maxk_mode():
     assert not diag.skipped
     assert diag.k_skipped is False
     assert diag.optimizer_steps == 1
+
+
+@pytest.mark.parametrize("task", [TokenSumTask, ConstantTask])
+@pytest.mark.parametrize("mode", MODES)
+def test_estimate_prints_training_step_advantages(mode, task, tmp_path, capsys):
+    state, batch, candidates = _state_with_batch(task(), mode=mode)
+    state.iteration = 2  # alpha 0.4: both phase branches count
+    diag = training_step(state, batch, candidates)
+    path = tmp_path / "rewards.txt"
+    path.write_text("".join(f"{r!r}\n" for r in batch.rewards.tolist()))
+    # Only k and alpha are passed: the other estimator flags default to RunConfig's.
+    argv = ["estimate", "--file", str(path), "--mode", mode,
+            "--k", str(state.config.top_k), "--alpha", repr(diag.alpha)]
+    assert cli.main(argv) == 0
+    expected = ["SKIP"] if diag.skipped else [repr(a) for a in diag.advantages]
+    assert capsys.readouterr().out.splitlines() == expected
+    assert diag.skipped == (task is ConstantTask and mode != "grpo")
 
 
 # ------------------------------------------------------------ run_evolution

@@ -6,31 +6,12 @@ from hypothesis import assume, given
 
 from phasevolve.rewards import (
     FAILURE_REWARD,
-    DegenerateBoundsError,
     Direction,
     EvaluationOutcome,
     OutcomeStatus,
     ShapingConfig,
-    default_bounds,
     shape_reward,
 )
-
-
-def test_default_bounds_ordered():
-    assert default_bounds(0.3, 0.9) == (0.3, 0.9)
-
-
-def test_default_bounds_swaps():
-    assert default_bounds(0.9, 0.3) == (0.3, 0.9)
-
-
-def test_default_bounds_signed():
-    assert default_bounds(-2, 5) == (-2, 5)
-
-
-def test_default_bounds_degenerate():
-    with pytest.raises(DegenerateBoundsError):
-        default_bounds(1.0, 1.0)
 
 
 def test_linear_maximize_midpoint():

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from reference_eplb import brute_force_balance
 
 from phasevolve.policy import TokenSequence
 from phasevolve.tasks.eplb import (
@@ -12,7 +13,6 @@ from phasevolve.tasks.eplb import (
     Placement,
     SortMode,
     WorkloadProfile,
-    brute_force_balance,
     eplb_assign,
     eplb_decode,
     eplb_score,
