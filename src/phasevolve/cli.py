@@ -26,7 +26,7 @@ EXIT_RUNTIME = 3
 
 # The configured modes, then the raw signals (``pkpo`` is the unstandardized
 # weighting that ``maxk`` standardizes).
-ESTIMATE_MODES = MODES + ("raw", "pkpo", "sloo", "sloo-brute")
+ESTIMATE_MODES = MODES + ("raw", "pkpo", "sloo")
 DEFAULTS = RunConfig()
 
 
@@ -90,7 +90,11 @@ def _cmd_run(args) -> int:
     out_dir = Path(out_root)
     if args.out is None:
         out_dir = out_dir / f"{config.task}-seed{config.seed}"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {out_dir}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         task = make_task(config)
@@ -163,8 +167,6 @@ def _cmd_estimate(args) -> int:
             out = estimators.pkpo_weights(rewards, k)
         elif args.mode == "sloo":
             out = estimators.sloo_weights(rewards, k)
-        elif args.mode == "sloo-brute":
-            out = estimators.sloo_weights_bruteforce(rewards, k)
         else:
             out, _ = estimators.advantages(
                 args.mode,

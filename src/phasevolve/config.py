@@ -93,6 +93,7 @@ class RunConfig:
             "eps_num", "eps_skip", "beta_max", "beta_tol", "shaping_multiplier",
             "shaping_exponent", "archive_capacity", "select_temperature",
             "context_dim", "hidden_dim", "vocab_size", "seq_length",
+            "synthetic_delta0", "synthetic_decay",
         ):
             if not getattr(self, name) > 0:
                 fail(name, f"must be positive, got {getattr(self, name)}")
@@ -104,12 +105,11 @@ class RunConfig:
             fail("eps_lo", f"must be < 1 so the lower clip stays positive, got {self.eps_lo}")
         if self.eps_skip < self.eps_num:
             fail("eps_skip", f"{self.eps_skip} must be >= estimator.eps_num ({self.eps_num})")
-        if self.gamma < 0:
-            fail("gamma", f"must be >= 0, got {self.gamma}")
         if not self.y_min < self.y_max:
             fail("y_min", f"{self.y_min} must be < shaping.y_max ({self.y_max})")
-        if self.weight_decay < 0:
-            fail("weight_decay", f"must be >= 0, got {self.weight_decay}")
+        for name in ("gamma", "weight_decay", "synthetic_noise"):
+            if not getattr(self, name) >= 0:
+                fail(name, f"must be >= 0, got {getattr(self, name)}")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 fail(name, f"must be in [0, 1), got {getattr(self, name)}")
@@ -118,6 +118,16 @@ class RunConfig:
                 "synthetic_target_token",
                 f"{self.synthetic_target_token} outside [0, policy.vocab_size={self.vocab_size})",
             )
+        if not 0.0 <= self.synthetic_tie_weight <= 1.0:
+            fail("synthetic_tie_weight", f"must be in [0, 1], got {self.synthetic_tie_weight}")
+        if not self.eplb_profiles_path:
+            if not 1 <= self.eplb_num_devices <= self.eplb_num_experts:
+                fail(
+                    "eplb_num_devices",
+                    f"{self.eplb_num_devices} outside [1, eplb.num_experts={self.eplb_num_experts}]",
+                )
+            if self.eplb_num_profiles < 1:
+                fail("eplb_num_profiles", f"must be >= 1, got {self.eplb_num_profiles}")
 
 
 # field name -> dotted config key, and back

@@ -9,8 +9,12 @@ Implemented signals:
 * ``group_relative_raw`` / ``grpo_advantage`` -- dense centered credit.
 * ``pkpo_weights`` -- best-of-k subset-max weighting.
 * ``sloo_weights`` -- leave-one-out marginal contribution to the best-of-k
-  frontier (closed form), with a subset-enumeration twin used as a test
-  oracle.
+  frontier.
+
+  Both best-of-k weights sort the group once and take one pass of running
+  sums, O(N log N). Their subset counts enter only as float ratios to
+  C(N, k), so they stay finite at any group size. The subset-enumeration
+  oracles they are tested against live in ``tests/reference_estimators.py``.
 * ``entropic_beta`` / ``entropic_advantage`` -- exponentially tilted
   leave-one-out credit with a KL budget.
 * ``standardize`` + ``mix_advantages`` + ``phase_alpha`` -- the per-group
@@ -26,12 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
-
-MAX_ENUMERATION_GROUP = 20
 
 
 class EstimatorError(ValueError):
@@ -48,10 +49,6 @@ class InvalidSubsetSizeError(EstimatorError):
 
 class UnreachableBudgetError(EstimatorError):
     """KL budget cannot be met (constant rewards have zero KL for any beta)."""
-
-
-class EnumerationGuardError(EstimatorError):
-    """Brute-force enumeration requested for a group above the size guard."""
 
 
 @dataclass(frozen=True)
@@ -92,15 +89,13 @@ class BetaSearchResult(NamedTuple):
     saturated: bool
 
 
-def _as_group(rewards, min_size: int = 2) -> np.ndarray:
+def _as_group(rewards) -> np.ndarray:
     """Validate one rollout group's reward vector."""
     values = np.asarray(rewards, dtype=np.float64)
     if values.ndim != 1:
         raise InvalidGroupError(f"reward vector must be 1-d, got shape {values.shape}")
-    if values.size < min_size:
-        raise InvalidGroupError(
-            f"group size {values.size} below minimum {min_size}"
-        )
+    if values.size < 2:
+        raise InvalidGroupError(f"group size {values.size} below minimum 2")
     if not np.all(np.isfinite(values)):
         raise InvalidGroupError(
             "non-finite rewards must be mapped to the failure reward upstream"
@@ -197,12 +192,27 @@ def entropic_advantage(rewards, beta: float, eps_num: float) -> np.ndarray:
     return tilted / (z_loo + eps_num) - 1.0
 
 
+def _scaled_binomials(first: float, top: int, r: int, length: int) -> list[float]:
+    """``first * C(top - j, r) / C(top, r)`` for j = 0 .. length-1, as floats.
+
+    Each term steps down from the one before with C(m-1, r) / C(m, r) =
+    (m - r) / m, so no big integer is formed: terms past m = r are exactly 0
+    and tiny ones underflow to 0.
+    """
+    out = [first]
+    for m in range(top, top - length + 1, -1):
+        out.append(out[-1] * (m - r) / m if m > r else 0.0)
+    return out
+
+
 def pkpo_weights(rewards, k: int) -> np.ndarray:
     """Unbiased best-of-k weights: mean subset max over size-k subsets with i.
 
-    Computed in closed form by counting, for each element, how often each
-    better-ranked element supplies the subset max. Equivalent to (k/N) times
-    the average subset max conditioned on membership.
+    With the group sorted best first, a subset holding the element at
+    position m takes its max from m itself, C(n-1-m, k-1) times, or from a
+    better position p, C(n-p-2, k-2) times. Both counts are taken as ratios
+    to C(n, k), so each weight is the element's own term plus a prefix sum
+    over the better ones.
     """
     values = _as_group(rewards)
     n = values.size
@@ -210,20 +220,19 @@ def pkpo_weights(rewards, k: int) -> np.ndarray:
         raise InvalidSubsetSizeError(f"k={k} outside [1, {n}]")
 
     order = np.argsort(-values, kind="stable")
-    sorted_vals = values[order]
-    total = math.comb(n, k)
-    weights_sorted = np.empty(n)
-    for m in range(n):
-        # Subsets whose best element sits at sorted position p < m contribute
-        # that value; the remaining k-2 members come from positions after p,
-        # excluding m itself.
-        acc = sorted_vals[m] * math.comb(n - 1 - m, k - 1)
-        for p in range(m):
-            count = math.comb(n - p - 2, k - 2) if k >= 2 else 0
-            if count == 0:
-                break
-            acc += sorted_vals[p] * count
-        weights_sorted[m] = acc / total
+    own = _scaled_binomials(k / n, n - 1, k - 1, n)
+    better = _scaled_binomials(k * (k - 1) / (n * (n - 1)), n - 2, k - 2, n - 1)
+    weights_sorted = []
+    prefix = 0.0
+    previous = None
+    for m, value in enumerate(values[order].tolist()):
+        # Tied elements have equal weights; they get the same float too.
+        if value != previous:
+            weight = value * own[m] + prefix
+            previous = value
+        weights_sorted.append(weight)
+        if m < n - 1:
+            prefix += better[m] * value
 
     weights = np.empty(n)
     weights[order] = weights_sorted
@@ -231,12 +240,15 @@ def pkpo_weights(rewards, k: int) -> np.ndarray:
 
 
 def sloo_weights(rewards, k: int) -> np.ndarray:
-    """Best-of-k marginal-contribution weights, O(N^2) order-statistics form.
+    """Best-of-k marginal-contribution weights, one sort and one suffix pass.
 
     Element i earns, for every size-k subset it strictly wins, the margin to
-    the runner-up. Counting subsets by the position of the runner-up among
-    the strictly worse elements keeps the formula exact under tied rewards
-    (tied maxima carry zero margin).
+    the runner-up. With the group sorted best first, the runner-up at
+    position j is shared by C(n-1-j, k-2) such subsets, a count that does not
+    depend on the winner; so each weight is a suffix sum over the strictly
+    worse positions, which keeps it exact under tied rewards (tied maxima
+    carry zero margin). Rewards are centered at the group max first, so
+    compressed gaps keep their precision.
     """
     values = _as_group(rewards)
     n = values.size
@@ -244,54 +256,27 @@ def sloo_weights(rewards, k: int) -> np.ndarray:
         raise InvalidSubsetSizeError(f"k={k} outside [2, {n}]")
 
     order = np.argsort(-values, kind="stable")
-    sorted_vals = values[order]
-    total = math.comb(n, k)
-    weights_sorted = np.zeros(n)
-    for m in range(n):
-        first_worse = m + 1
-        while first_worse < n and sorted_vals[first_worse] == sorted_vals[m]:
-            first_worse += 1
-        worse = n - first_worse
-        acc = 0.0
-        for q in range(worse):
-            count = math.comb(worse - 1 - q, k - 2)
-            if count == 0:
-                break
-            acc += count * (sorted_vals[m] - sorted_vals[first_worse + q])
-        weights_sorted[m] = acc / total
+    centered = (values[order] - values[order[0]]).tolist()
+    coef = _scaled_binomials(k * (k - 1) / (n * (n - k + 1)), n - 1, k - 2, n)
+    weights_sorted = [0.0] * n
+    suffix_c = suffix_cv = 0.0
+    following = None
+    for m in range(n - 1, -1, -1):
+        value = centered[m]
+        # A tie block takes the weight of its last member, whose suffix holds
+        # only strictly worse positions.
+        if value != following:
+            margin = value * suffix_c - suffix_cv
+            # Never negative in exact arithmetic; rounding must not make it so.
+            weight = margin if margin > 0.0 else 0.0
+            following = value
+        weights_sorted[m] = weight
+        suffix_c += coef[m]
+        suffix_cv += coef[m] * value
 
     weights = np.empty(n)
     weights[order] = weights_sorted
     return weights
-
-
-def sloo_weights_bruteforce(rewards, k: int) -> np.ndarray:
-    """Enumeration oracle for ``sloo_weights``: sums margins over all subsets.
-
-    Only the strict winner of a subset has a nonzero margin (max minus
-    runner-up), so each subset contributes its top-two gap at its argmax.
-    Guarded to N <= 20; intended for tests.
-    """
-    values = _as_group(rewards)
-    n = values.size
-    if n > MAX_ENUMERATION_GROUP:
-        raise EnumerationGuardError(
-            f"group size {n} exceeds enumeration guard {MAX_ENUMERATION_GROUP}"
-        )
-    if not 2 <= k <= n:
-        raise InvalidSubsetSizeError(f"k={k} outside [2, {n}]")
-
-    subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
-    vals = values[subsets]
-    order = np.argsort(vals, axis=1, kind="stable")
-    rows = np.arange(subsets.shape[0])
-    top = vals[rows, order[:, -1]]
-    second = vals[rows, order[:, -2]]
-    winner = subsets[rows, order[:, -1]]
-
-    weights = np.zeros(n)
-    np.add.at(weights, winner, top - second)
-    return weights / math.comb(n, k)
 
 
 def standardize(branch, eps_num: float, eps_skip: float) -> BranchOutcome:

@@ -78,6 +78,13 @@ def test_validation_errors():
         ("synthetic.target_token = 99", "synthetic.target_token"),
         ("synthetic.target_token = 24", "synthetic.target_token"),
         ("synthetic.target_token = -1", "synthetic.target_token"),
+        ("synthetic.delta0 = 0", "synthetic.delta0"),
+        ("synthetic.decay_horizon = -1", "synthetic.decay_horizon"),
+        ("synthetic.noise = -0.1", "synthetic.noise"),
+        ("synthetic.tie_weight = 1.5", "synthetic.tie_weight"),
+        ("eplb.num_devices = 0", "eplb.num_devices"),
+        ("eplb.num_experts = 2", "eplb.num_devices"),
+        ("eplb.num_profiles = 0", "eplb.num_profiles"),
     ],
 )
 def test_validation_names_the_key(line, key):
@@ -157,10 +164,6 @@ def test_estimate_modes_agree_with_library(tmp_path, capsys):
     assert run("--mode", "grpo") == estimators.grpo_advantage(rewards, 1e-8).tolist()
     assert run("--mode", "pkpo", "--k", "3") == estimators.pkpo_weights(rewards, 3).tolist()
     assert run("--mode", "sloo", "--k", "3") == estimators.sloo_weights(rewards, 3).tolist()
-    assert (
-        run("--mode", "sloo-brute", "--k", "3")
-        == estimators.sloo_weights_bruteforce(rewards, 3).tolist()
-    )
     found = estimators.entropic_beta(rewards, 0.3)
     assert (
         run("--mode", "entropic", "--gamma", "0.3")
@@ -230,6 +233,23 @@ def test_run_lower_clip_at_one_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, RUN_CFG + "clip.eps_lo = 1.5\n")
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "clip.eps_lo" in capsys.readouterr().err
+
+
+def test_run_out_naming_a_file_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, RUN_CFG)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(taken)]) == 2
+    assert str(taken) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["phase", "maxk"])
+def test_run_large_group_with_half_subsets(tmp_path, capsys, mode):
+    # Exact binomial counts of this size overflow a float.
+    text = RUN_CFG + f"samples_per_group = 1100\ntop_k = 550\niterations = 1\nmode = {mode}\n"
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "skip_steps: 0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -4,11 +4,15 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import assume, given
+from reference_estimators import (
+    EnumerationGuardError,
+    pkpo_weights_bruteforce,
+    sloo_weights_bruteforce,
+)
 
 from phasevolve import estimators as est
 from phasevolve.estimators import (
     BranchOutcome,
-    EnumerationGuardError,
     InvalidGroupError,
     InvalidSubsetSizeError,
     PhaseSchedule,
@@ -17,6 +21,10 @@ from phasevolve.estimators import (
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 reward_lists = st.lists(finite_floats, min_size=2, max_size=10)
+# Drawn from a pool of at most three values, so most lists hold ties.
+tied_lists = st.lists(finite_floats, min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=9)
+)
 
 
 def kl_to_uniform(beta, rewards):
@@ -173,6 +181,18 @@ def test_pkpo_consistency_with_subset_max_expectation(rewards, data):
     assert w.mean() * n / k == pytest.approx(exact, rel=1e-9, abs=1e-9)
 
 
+@given(reward_lists | tied_lists, st.data())
+def test_pkpo_matches_bruteforce_per_element(rewards, data):
+    # Every weight is compared, not only the mean; tied rewards get one weight.
+    k = data.draw(st.integers(min_value=1, max_value=len(rewards)))
+    fast = est.pkpo_weights(rewards, k)
+    brute = pkpo_weights_bruteforce(rewards, k)
+    scale = max(1.0, float(np.max(np.abs(rewards))))
+    assert np.allclose(fast, brute, rtol=0, atol=1e-12 * scale)
+    for value in set(rewards):
+        assert len(set(fast[np.asarray(rewards) == value].tolist())) == 1
+
+
 def test_pkpo_invalid_k():
     with pytest.raises(InvalidSubsetSizeError):
         est.pkpo_weights([1, 2, 3], 0)
@@ -188,11 +208,11 @@ def test_sloo_three_two():
 
 
 def test_sloo_bruteforce_three_two():
-    assert est.sloo_weights_bruteforce([3, 2, 1], 2) == pytest.approx([1.0, 1 / 3, 0.0])
+    assert sloo_weights_bruteforce([3, 2, 1], 2) == pytest.approx([1.0, 1 / 3, 0.0])
 
 
 def test_sloo_bruteforce_full_subset():
-    assert est.sloo_weights_bruteforce([3, 2, 1], 3) == pytest.approx([1.0, 0.0, 0.0])
+    assert sloo_weights_bruteforce([3, 2, 1], 3) == pytest.approx([1.0, 0.0, 0.0])
 
 
 def test_sloo_invalid_k():
@@ -200,20 +220,34 @@ def test_sloo_invalid_k():
         with pytest.raises(InvalidSubsetSizeError):
             est.sloo_weights([3, 2, 1], k)
         with pytest.raises(InvalidSubsetSizeError):
-            est.sloo_weights_bruteforce([3, 2, 1], k)
+            sloo_weights_bruteforce([3, 2, 1], k)
 
 
 def test_sloo_bruteforce_enumeration_guard():
     with pytest.raises(EnumerationGuardError):
-        est.sloo_weights_bruteforce(list(range(21)), 2)
+        sloo_weights_bruteforce(list(range(21)), 2)
 
 
-@given(st.lists(finite_floats, min_size=2, max_size=10), st.data())
+@given(reward_lists | tied_lists, st.data())
 def test_sloo_matches_bruteforce(rewards, data):
     k = data.draw(st.integers(min_value=2, max_value=len(rewards)))
     fast = est.sloo_weights(rewards, k)
-    brute = est.sloo_weights_bruteforce(rewards, k)
+    brute = sloo_weights_bruteforce(rewards, k)
     assert np.allclose(fast, brute, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(rewards))))
+    for value in set(rewards):
+        assert len(set(fast[np.asarray(rewards) == value].tolist())) == 1
+
+
+def test_sloo_compressed_gaps_keep_relative_precision():
+    # Gaps of 2**-20 on rewards near 1e3 are exact in float64, and so are the
+    # oracle's margins; the closed form must not lose them to the offset.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 11))
+        k = int(rng.integers(2, n + 1))
+        rewards = 1e3 + rng.integers(0, 8, size=n) * 2.0**-20
+        brute = sloo_weights_bruteforce(rewards, k)
+        assert np.allclose(est.sloo_weights(rewards, k), brute, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -229,7 +263,7 @@ def test_sloo_matches_bruteforce(rewards, data):
 )
 def test_sloo_ties_match_bruteforce_exactly(rewards, k):
     assert est.sloo_weights(rewards, k) == pytest.approx(
-        est.sloo_weights_bruteforce(rewards, k), abs=1e-15
+        sloo_weights_bruteforce(rewards, k), abs=1e-15
     )
 
 
@@ -261,6 +295,26 @@ def test_sloo_zero_tail_and_order():
         # bottom k-1 never win a subset
         assert np.all(ranked[n - (k - 1) :] == 0.0)
         assert np.all(np.diff(ranked) <= 1e-12)
+
+
+@given(st.integers(min_value=2, max_value=4096), st.data())
+def test_best_of_k_weights_finite_at_any_group_size(n, data):
+    k = data.draw(st.integers(min_value=2, max_value=n))
+    rewards = np.random.default_rng(n).normal(size=n)
+    assert np.all(np.isfinite(est.sloo_weights(rewards, k)))
+    assert np.all(np.isfinite(est.pkpo_weights(rewards, k)))
+
+
+@pytest.mark.parametrize("k", [2, 2048, 4096])
+def test_best_of_k_weights_finite_at_4096(k):
+    rewards = np.random.default_rng(k).normal(size=4096)
+    sloo = est.sloo_weights(rewards, k)
+    pkpo = est.pkpo_weights(rewards, k)
+    assert np.all(np.isfinite(sloo)) and np.all(sloo >= 0.0)
+    assert np.all(np.isfinite(pkpo))
+    if k == 4096:
+        # Every subset is the whole group, so every weight is its max.
+        assert np.allclose(pkpo, rewards.max(), rtol=0, atol=1e-9)
 
 
 # --------------------------------------------------------------- standardize

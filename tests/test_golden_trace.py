@@ -54,47 +54,47 @@ CASES = {
 GOLDEN = {
     # AVX-512 exp/log, SkylakeX BLAS kernels
     "24937bbe441f55b4b9b07786f6aa6b4f491b32bd7a3b52582f644770ce9e0e8a": {
-        "synthetic": "07172c3687d89e09a1f634cc2c4938fd218c82637dea55fab5b5fd12881eae1a",
-        "eplb": "0d601f9e1d1f6e38699be4e64ae57e99b77d0cf8f75de5d9c7b4560c4c4ea04c",
-        "synthetic-compressed": "a2eec117cd0a15eb4c90ce26ff14e9ebd2a18b3ab0fc8b0da53beb994399853e",
-        "eplb-wide": "04a2f3b2d35bfc138438bc102a96860b772d83664ee666ee9c442525c5e134b4",
-        "synthetic-multiparent": "64982ca88c044919a53de9796f952ba0f6021f28e7abdda71c5868e46c29199e",
+        "synthetic": "7e42715caacadd909f3a26b7e0b7de4bb13910a9a53c49585321e7988c8aaf29",
+        "eplb": "9d4fb23ff78ca1f22e10ac125a00641a59db97165d5b6b0850048e915a563bc7",
+        "synthetic-compressed": "7be468a3ed33cb9c3fe458b9d591f439029a4e3fcaed7f5730bae1144380e02b",
+        "eplb-wide": "4dff519dfe4261138116013149ba4bc4ad47c970f9a511128b812c65ef3491d6",
+        "synthetic-multiparent": "56ce9a5ed7fb151d1e27c23710ae5b4798e80e1f7980974f8b45dbe8167c98d7",
         "eplb-grpo": "c4319ab46552f9bf422c227949787848fbbd80086dfd0a0d0dfa7cf26a3c1c5a",
         "eplb-entropic": "fae59c43f6f5153ac412f0fec4e78ee5775f6977bc31499b971d679cb8743897",
-        "eplb-maxk": "6478ab8f19e9dae1abd72e1d7432d8fb3f3bc06ddc5e0b53d5c19f48049381bc",
+        "eplb-maxk": "8937b2c6107a4cad91c0143eb44d228b4602cdd3a043857704b255d6e88c0bf5",
     },
     # AVX-512 exp/log, Haswell BLAS kernels
     "ee9231e713ee634660a79c03901ec10813ae3a3f45ce2e226c7c8e85d13aa243": {
-        "synthetic": "7c8f135d5302f02c78a0f6b5ae4d1cdcb99f3047b72d17542b6b6e2d11d522ac",
-        "eplb": "f7587cf43905c51e59207c8b47ef772aa7d0fceca58b70b83e3870888dea1774",
-        "synthetic-compressed": "78aa41a4930e265a2d4663afa25959cff332edaa3c4258289d4d36d1a487e936",
-        "eplb-wide": "56686acc495e459d3bc0d54e3126e608098e5567d0f43c0440f8ea1c9c49b592",
-        "synthetic-multiparent": "b4b97bd81047944d536f21246abd82d03bb63abe6efe305347f543991c19987a",
+        "synthetic": "13ba75632db562e569f2aaabcfb5317a440397a45ac0ad512b46f2a9331b7691",
+        "eplb": "a4ccf530ab682bfac2fc938193485354c1483993cd64b00f234bb55bbaa852fa",
+        "synthetic-compressed": "f343adb21af5985ed212afc720b5ce263e2bb93e533c0066ce1b147fdbb926a4",
+        "eplb-wide": "f81eea36dd6bffb08c47fe53743a7898ac2a415224760b8fc4c9583a56eb3774",
+        "synthetic-multiparent": "23f77f4aca963123420ee46cff362fe8d5630ff3ada669de3c1cdebda1cec990",
         "eplb-grpo": "c8b4f585b251387230f577602a4ed0da9dba1759b4e3e6fab6c9f88d4b4e0978",
         "eplb-entropic": "631b9cdf29fa004505c660885e26b21fec8ced1aafd74f79070591b6feca4111",
-        "eplb-maxk": "c3951ded9cd7a1ceee65fa5955a72507b4a562ab61c2fa9848ce309ef34212f9",
+        "eplb-maxk": "0937afe10c60253cb52609a895732677a852d0c7f783caf88eb1fdf032f250f3",
     },
     # AVX2 exp/log, SkylakeX BLAS kernels
     "e20f2ac3d2a72a9bc7752d0ca1bb03dbf30b9a59829771fc617f7657198a2984": {
-        "synthetic": "90120d7f42f2248dabe1d7a3fd76717326e0d1ca558e7d090456ccee119f2ced",
-        "eplb": "e0dda4204301117e865d0645407e81cdeb3d37f4d31c02dbdbf155410defdbec",
-        "synthetic-compressed": "761ee3f8817a9f6df2162bc33110199c68ecd296b0aa20075a89d976120e84c5",
-        "eplb-wide": "b28a8d98f42ce827d327e9f21a6804a0a01ca0d11dfa8ee98a454e6eff972992",
-        "synthetic-multiparent": "33476ed12c74a4795809cbdcdf07d2a6d867bbca79b272d4ba7d258c016f6ec3",
+        "synthetic": "b2338ad5062ab06c07b92d4def6b5b8fa2a2123d40aa5b06c1a3148e1ac9ab7f",
+        "eplb": "7223b384c3792283906836c00e321c999cdcf9936427f6ff1317a057366d5b09",
+        "synthetic-compressed": "6a478424e85b38deb50a6e85d3b8218f801d2056e647563808c4467d255c2aa3",
+        "eplb-wide": "46897d81f6c2ce3d22df26eecf34bfa2285cf1bfe2ab94736f68b3a096a172b3",
+        "synthetic-multiparent": "cc55c6a380d9607341d2b3d04a117ee97f397be1281e40c150f6ab78a75217b8",
         "eplb-grpo": "a7032a35859e39a0edf51499cad6fab66e5131171f3926420a5be104b49645c1",
         "eplb-entropic": "bdd4fca6fbfd512da71887013cc0ffc22208934b3d7970dc2e3a08ca8c110ec1",
-        "eplb-maxk": "434046008b19eb34c571c96d65b294ad32a8b002ca3281e8c181391623c3474c",
+        "eplb-maxk": "a7fd429c6562fc9a09a631ff6cc9e6351528966452201266073f059ae9d1835c",
     },
     # AVX2 exp/log, Haswell BLAS kernels (an AVX2-only CPU)
     "e07ce9d6895bd66c8b6ee4c106b6af27219c363d3ab5e2eda3340af80a21ed38": {
-        "synthetic": "b621a3ca0a0768a1aa55f23c68402d5baa671dffdd73259e61bd61119e145be8",
-        "eplb": "659c6401c1f949788fb27e5bf5f28a09b334cec9d18abca6e43c0bc7305229ee",
-        "synthetic-compressed": "db751c881a59072162df4dc80a7ef1af82bc52ce57d9f4b0ad0f93145a1f0fb9",
-        "eplb-wide": "f3a3dab8e5dc53b279161265999647faba1cb3dcb0f23c6c1699f91c17a5ff3e",
-        "synthetic-multiparent": "5015dc00c9fc2725cbf8730aea05cfc064fae5300d3ef15787853bf5049c42c0",
+        "synthetic": "ae06cc514bafcde6bcf6f9447c3df7b9aea11f452d28482df1b44fa0abe4fa19",
+        "eplb": "d1c697a8ebc54269144ecc87c703936a739f412309adf040df71e91a0092e41e",
+        "synthetic-compressed": "baa24a560ec601a0adc9d28377731b9c8f3b7032ec2690ed1f9b41106196d39c",
+        "eplb-wide": "3b4c49e1524870ba41ab24cbf57325b8af8771761a8bbb3ef2d32ac74c084142",
+        "synthetic-multiparent": "b8a07abe7b4bbf3e4da6c3e0d4a18f16ca4d6347789433ef16f4dfb467328f98",
         "eplb-grpo": "d0f8a0ce87154ca4b44bd4eebbd0ff1a79cf05d15916dd60f01c1f05f36337be",
         "eplb-entropic": "fe8255084eae47b180c32a3f8d1593b39bc359643f90ccc35cb2c6987404c1f6",
-        "eplb-maxk": "7c8b9bb322c0b8e90349836096f87789e56c6150979b6ce688d9ae8453187960",
+        "eplb-maxk": "06702ba2ae7cddabafc93b155e81998d2144a23dbcc1274441d381d8320d3e28",
     },
 }
 
