@@ -18,7 +18,7 @@ from . import estimators
 from .config import MODES, ConfigError, RunConfig, load_config
 from .orchestrator import run_evolution
 from .tasks import make_task
-from .trace import STEP_SERIES, read_trace, step_series
+from .trace import read_trace, step_series
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp_p = sub.add_parser("export", help="export one step series from a trace as CSV")
     exp_p.add_argument("--trace", required=True)
-    exp_p.add_argument("--series", required=True)
+    exp_p.add_argument("--series", required=True, help="a numeric or boolean step field")
 
     return parser
 
@@ -193,12 +193,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.series not in STEP_SERIES:
-        print(
-            f"unknown series {args.series!r}; valid: {', '.join(STEP_SERIES)}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     try:
         records = read_trace(args.trace)
     except OSError as exc:
@@ -207,9 +201,14 @@ def _cmd_export(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"trace does not parse: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    try:
+        series = step_series(records, args.series)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_CONFIG
     print("iteration,value")
-    for iteration, value in step_series(records, args.series):
-        print(f"{iteration},{repr(float(value))}")
+    for iteration, value in series:
+        print(f"{iteration},{value!r}")
     return EXIT_OK
 
 

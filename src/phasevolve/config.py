@@ -77,7 +77,6 @@ class RunConfig:
     eplb_num_profiles: int = _keyed("eplb.num_profiles", 8)
     eplb_profile_seed: int = _keyed("eplb.profile_seed", 7)
     eplb_profiles_path: str = _keyed("eplb.profiles_path", "")
-    eplb_wall_clock: bool = _keyed("eplb.wall_clock_speed", False)
 
     def validate(self) -> None:
         def fail(name: str, problem: str):

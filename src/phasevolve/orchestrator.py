@@ -198,8 +198,8 @@ def init_run_state(config: RunConfig, task) -> RunState:
 def _safe_evaluate(task, seq, iteration, rng) -> EvaluationOutcome:
     try:
         return task.evaluate(seq, iteration, rng)
-    except Exception:
-        return EvaluationOutcome.evaluator_error()
+    except Exception as exc:
+        return EvaluationOutcome.evaluator_error(exc)
 
 
 def build_context(state: RunState, parent: Candidate) -> RolloutContext:
@@ -398,7 +398,7 @@ def run_evolution(config: RunConfig, task, trace_path=None) -> RunResult:
                             "status": cand.outcome.status.value,
                             "raw_score": cand.raw_score,
                             "reward": cand.reward,
-                            "wall_time": cand.outcome.wall_time,
+                            "error": cand.outcome.error,
                         }
                     )
             hash_end = state.params.fingerprint()

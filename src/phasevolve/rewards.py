@@ -2,8 +2,8 @@
 
 Maps heterogeneous task metrics (maximized or minimized, any scale) onto a
 shared reward scale: a clamped progress fraction in [0, 1] raised to a
-shaping exponent and scaled by a multiplier, with every evaluation failure
-collapsed to -1.0.
+shaping exponent and scaled by a multiplier. Every evaluation failure, a
+score that does not parse or an evaluator that raised, collapses to -1.0.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class OutcomeStatus(enum.Enum):
     PARSED = "parsed"
     PARSE_FAILURE = "parse_failure"
     EVALUATOR_ERROR = "evaluator_error"
-    TIMEOUT = "timeout"
 
 
 FAILURE_REWARD = -1.0
@@ -47,33 +46,32 @@ class ShapingConfig:
 
 @dataclass(frozen=True)
 class EvaluationOutcome:
-    """One candidate's evaluation result, before shaping."""
+    """One candidate's evaluation result, before shaping.
+
+    ``error`` is ``"<ExceptionClass>: <message>"`` when the evaluator raised,
+    else None.
+    """
 
     status: OutcomeStatus
     value: float | None = None
-    wall_time: float = 0.0
     metrics: dict[str, float] = field(default_factory=dict)
+    error: str | None = None
 
     @classmethod
-    def parsed(
-        cls, value: float, wall_time: float = 0.0, metrics: dict[str, float] | None = None
-    ) -> "EvaluationOutcome":
+    def parsed(cls, value: float, metrics: dict[str, float] | None = None) -> "EvaluationOutcome":
         # A parsed but non-finite score is a parse failure, not a number.
         if not math.isfinite(value):
-            return cls(OutcomeStatus.PARSE_FAILURE, None, wall_time, metrics or {})
-        return cls(OutcomeStatus.PARSED, float(value), wall_time, metrics or {})
+            return cls(OutcomeStatus.PARSE_FAILURE, None, metrics or {})
+        return cls(OutcomeStatus.PARSED, float(value), metrics or {})
 
     @classmethod
-    def parse_failure(cls, wall_time: float = 0.0) -> "EvaluationOutcome":
-        return cls(OutcomeStatus.PARSE_FAILURE, None, wall_time)
+    def parse_failure(cls) -> "EvaluationOutcome":
+        return cls(OutcomeStatus.PARSE_FAILURE)
 
     @classmethod
-    def evaluator_error(cls, wall_time: float = 0.0) -> "EvaluationOutcome":
-        return cls(OutcomeStatus.EVALUATOR_ERROR, None, wall_time)
-
-    @classmethod
-    def timeout(cls, wall_time: float = 0.0) -> "EvaluationOutcome":
-        return cls(OutcomeStatus.TIMEOUT, None, wall_time)
+    def evaluator_error(cls, error: Exception | None = None) -> "EvaluationOutcome":
+        text = None if error is None else f"{type(error).__name__}: {error}"
+        return cls(OutcomeStatus.EVALUATOR_ERROR, error=text)
 
     @property
     def ok(self) -> bool:

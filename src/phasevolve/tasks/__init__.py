@@ -41,7 +41,10 @@ def make_task(config) -> Task:
         return SyntheticTask(landscape)
     if config.task == "eplb":
         if config.eplb_profiles_path:
-            profile = WorkloadProfile.load(config.eplb_profiles_path)
+            try:
+                profile = WorkloadProfile.load(config.eplb_profiles_path)
+            except ValueError as exc:
+                raise ValueError(f"eplb.profiles_path {config.eplb_profiles_path}: {exc}") from exc
         else:
             profile = WorkloadProfile.generate(
                 num_profiles=config.eplb_num_profiles,
@@ -49,7 +52,7 @@ def make_task(config) -> Task:
                 num_devices=config.eplb_num_devices,
                 seed=config.eplb_profile_seed,
             )
-        return EplbTask(profile, wall_clock_speed=config.eplb_wall_clock)
+        return EplbTask(profile)
     raise KeyError(f"unknown task: {config.task!r}")
 
 

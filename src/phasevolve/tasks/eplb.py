@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,15 +280,14 @@ def eplb_score(
 class EplbTask:
     """Evaluator wiring: decode tokens, assign, score, report a Parsed outcome.
 
-    With ``wall_clock_speed`` the outcome's wall time is that of one
-    ``eplb_assign`` call, which places every profile at once.
+    The speed term counts operations rather than timing them, so an outcome
+    depends only on the decoded descriptor and the profiles.
     """
 
     name = "eplb"
 
-    def __init__(self, profile: WorkloadProfile, wall_clock_speed: bool = False):
+    def __init__(self, profile: WorkloadProfile):
         self.profile = profile
-        self.wall_clock_speed = wall_clock_speed
         # Reference cost: the base heuristic (all-zero decoding) on these
         # profiles, so the base candidate scores speed exactly 1.
         _, self.c_ref = eplb_assign(HeuristicDescriptor(), profile)
@@ -300,13 +298,9 @@ class EplbTask:
     def evaluate(
         self, seq: TokenSequence, iteration: int, rng: np.random.Generator
     ) -> EvaluationOutcome:
-        descriptor = eplb_decode(seq)
-        started = time.perf_counter() if self.wall_clock_speed else 0.0
-        assignment, ops = eplb_assign(descriptor, self.profile)
-        elapsed = time.perf_counter() - started if self.wall_clock_speed else 0.0
+        assignment, ops = eplb_assign(eplb_decode(seq), self.profile)
         balancedness, speed, score = eplb_score(assignment, self.profile, ops, self.c_ref)
         return EvaluationOutcome.parsed(
             score,
-            wall_time=elapsed,
             metrics={"balancedness": balancedness, "speed": speed, "op_count": float(ops)},
         )

@@ -12,9 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-TRACE_VERSION = 1
-
-STEP_SERIES = ("cumulative_max", "entropy", "grad_norm", "alpha")
+TRACE_VERSION = 2
 
 
 def _dumps(record: dict) -> str:
@@ -70,13 +68,17 @@ def read_trace(path) -> list[dict]:
 def step_series(records: list[dict], name: str) -> list[tuple[int, float]]:
     """(iteration, value) pairs of one step-record field, sorted by iteration.
 
-    Records whose field is null (e.g. loss on a skipped step) are omitted.
+    Any field whose values are all numbers, booleans or null can be read.
+    Booleans read as 0.0 and 1.0; null values (e.g. loss on a skipped step)
+    are omitted. Any other name raises ``ValueError`` listing the fields that
+    can be read. Records without steps give no pairs, whatever the name.
     """
-    if name not in STEP_SERIES:
-        raise KeyError(f"unknown series {name!r}; valid: {', '.join(STEP_SERIES)}")
-    pairs = [
-        (rec["iteration"], rec[name])
-        for rec in records
-        if rec.get("kind") == "step" and rec.get(name) is not None
+    steps = [rec for rec in records if rec.get("kind") == "step"]
+    numeric = [
+        key for key in (steps[0] if steps else ())
+        if all(isinstance(rec.get(key), (int, float, type(None))) for rec in steps)
     ]
+    if steps and name not in numeric:
+        raise ValueError(f"{name!r} is not a numeric step field; valid: {', '.join(numeric)}")
+    pairs = [(rec["iteration"], float(rec[name])) for rec in steps if rec.get(name) is not None]
     return sorted(pairs, key=lambda item: item[0])

@@ -146,7 +146,6 @@ def test_criterion_4_reward_shaping_table():
     for outcome in (
         EvaluationOutcome.parse_failure(),
         EvaluationOutcome.evaluator_error(),
-        EvaluationOutcome.timeout(),
         EvaluationOutcome.parsed(float("nan")),
         EvaluationOutcome.parsed(float("inf")),
     ):

@@ -1,5 +1,5 @@
 import json
-
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from phasevolve.config import (
     parse_config_text,
 )
 from phasevolve.trace import read_trace
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # --------------------------------------------------------------------- config
@@ -235,6 +237,22 @@ def test_run_lower_clip_at_one_exits_2(tmp_path, capsys):
     assert "clip.eps_lo" in capsys.readouterr().err
 
 
+def test_run_removed_wall_clock_key_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "task = eplb\neplb.wall_clock_speed = true\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown config key 'eplb.wall_clock_speed'" in capsys.readouterr().err
+
+
+def test_run_bad_profiles_file_names_key_and_path(tmp_path, capsys):
+    profiles = tmp_path / "profiles.txt"
+    profiles.write_text("2 4 1\n1.0 2.0\n")
+    cfg = write_config(tmp_path, f"task = eplb\neplb.profiles_path = {profiles}\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"eplb.profiles_path {profiles}: " in err
+    assert "num_devices (4)" in err
+
+
 def test_run_out_naming_a_file_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, RUN_CFG)
     taken = tmp_path / "taken"
@@ -285,13 +303,15 @@ def test_failed_archive_write_keeps_the_old_file(tmp_path):
 
 
 def test_run_seed_override_and_byte_identical_reruns(tmp_path, capsys):
-    cfg = write_config(tmp_path, RUN_CFG)
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert cli.main(["run", "--config", cfg, "--seed", "9", "--out", str(out_a)]) == 0
-    assert cli.main(["run", "--config", cfg, "--seed", "9", "--out", str(out_b)]) == 0
-    assert (out_a / "trace.jsonl").read_bytes() == (out_b / "trace.jsonl").read_bytes()
-    assert (out_a / "archive.json").read_bytes() == (out_b / "archive.json").read_bytes()
+    eplb_cfg = (CONFIGS / "eplb.cfg").read_text() + "iterations = 5\n"
+    for name, text in (("synthetic", RUN_CFG), ("eplb", eplb_cfg)):
+        cfg = write_config(tmp_path, text)
+        out_a = tmp_path / name / "a"
+        out_b = tmp_path / name / "b"
+        assert cli.main(["run", "--config", cfg, "--seed", "9", "--out", str(out_a)]) == 0
+        assert cli.main(["run", "--config", cfg, "--seed", "9", "--out", str(out_b)]) == 0
+        assert (out_a / "trace.jsonl").read_bytes() == (out_b / "trace.jsonl").read_bytes()
+        assert (out_a / "archive.json").read_bytes() == (out_b / "archive.json").read_bytes()
 
 
 def test_run_default_out_via_env(tmp_path, capsys, monkeypatch):
@@ -354,6 +374,38 @@ def test_export_unknown_series_lists_valid(tmp_path, capsys):
     err = capsys.readouterr().err
     for name in ("cumulative_max", "entropy", "grad_norm", "alpha"):
         assert name in err
+
+
+def test_export_boolean_series_reads_as_zero_or_one(tmp_path, capsys):
+    trace = run_once(tmp_path, extra="synthetic.decay_horizon = 0.5\n", iterations=12)
+    logged = {r["iteration"]: r["skipped"] for r in read_trace(trace) if r["kind"] == "step"}
+    assert set(logged.values()) == {False, True}
+    capsys.readouterr()
+    assert cli.main(["export", "--trace", str(trace), "--series", "skipped"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert lines == [f"{t},{float(logged[t])!r}" for t in sorted(logged)]
+
+
+def test_export_loss_omits_skipped_steps(tmp_path, capsys):
+    trace = run_once(tmp_path, extra="synthetic.decay_horizon = 0.5\n", iterations=12)
+    steps = [r for r in read_trace(trace) if r["kind"] == "step"]
+    capsys.readouterr()
+    assert cli.main(["export", "--trace", str(trace), "--series", "loss"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert lines == [f"{r['iteration']},{r['loss']!r}" for r in steps if not r["skipped"]]
+    assert 0 < len(lines) < len(steps)
+
+
+@pytest.mark.parametrize("series", ["mode", "advantages", "nope"])
+def test_export_non_numeric_or_missing_series_exits_2(tmp_path, capsys, series):
+    trace = run_once(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["export", "--trace", str(trace), "--series", series]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    valid = captured.err.split("valid: ")[1].strip().split(", ")
+    assert {"alpha", "skipped", "loss", "grad_norm", "cumulative_max"} <= set(valid)
+    assert not {"mode", "advantages", "g_branch", "kind", "params_hash_start"} & set(valid)
 
 
 def test_export_empty_trace_header_only(tmp_path, capsys):

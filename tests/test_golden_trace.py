@@ -54,47 +54,47 @@ CASES = {
 GOLDEN = {
     # AVX-512 exp/log, SkylakeX BLAS kernels
     "24937bbe441f55b4b9b07786f6aa6b4f491b32bd7a3b52582f644770ce9e0e8a": {
-        "synthetic": "7e42715caacadd909f3a26b7e0b7de4bb13910a9a53c49585321e7988c8aaf29",
-        "eplb": "9d4fb23ff78ca1f22e10ac125a00641a59db97165d5b6b0850048e915a563bc7",
-        "synthetic-compressed": "7be468a3ed33cb9c3fe458b9d591f439029a4e3fcaed7f5730bae1144380e02b",
-        "eplb-wide": "4dff519dfe4261138116013149ba4bc4ad47c970f9a511128b812c65ef3491d6",
-        "synthetic-multiparent": "56ce9a5ed7fb151d1e27c23710ae5b4798e80e1f7980974f8b45dbe8167c98d7",
-        "eplb-grpo": "c4319ab46552f9bf422c227949787848fbbd80086dfd0a0d0dfa7cf26a3c1c5a",
-        "eplb-entropic": "fae59c43f6f5153ac412f0fec4e78ee5775f6977bc31499b971d679cb8743897",
-        "eplb-maxk": "8937b2c6107a4cad91c0143eb44d228b4602cdd3a043857704b255d6e88c0bf5",
+        "synthetic": "4d1ae1eca898685f38ca4b281af6136b7fca6d16477bb33aa7f29ec543404692",
+        "eplb": "de72588f8fdbe153e0842c70721c2c087e64ddd613dcacbca9a8edb1c8cec913",
+        "synthetic-compressed": "1e24072077ca22d316bcf6b371150c794085ba001ffcdc9a630d603ad07fef7b",
+        "eplb-wide": "463f79abd8e803af645bc9f24357e06a9d47049761425b2d3faed0a2ec977346",
+        "synthetic-multiparent": "53b184aa7f01f2c16af54b02f0aaf32c5a9759fb05055ce3de6fdc4a9e6f028c",
+        "eplb-grpo": "13f279410d3c8ec114b15661ad2533c2f20b4188bb88f45b1aab7d4adc0f276d",
+        "eplb-entropic": "268b19378818da8731a4e0cc0f3c7ec4110b30e4e08024462729766bd15e12ae",
+        "eplb-maxk": "36679327e92e3f036fbfb81ac235ff487a39c541a4a523730df90f4574d5c5ff",
     },
     # AVX-512 exp/log, Haswell BLAS kernels
     "ee9231e713ee634660a79c03901ec10813ae3a3f45ce2e226c7c8e85d13aa243": {
-        "synthetic": "13ba75632db562e569f2aaabcfb5317a440397a45ac0ad512b46f2a9331b7691",
-        "eplb": "a4ccf530ab682bfac2fc938193485354c1483993cd64b00f234bb55bbaa852fa",
-        "synthetic-compressed": "f343adb21af5985ed212afc720b5ce263e2bb93e533c0066ce1b147fdbb926a4",
-        "eplb-wide": "f81eea36dd6bffb08c47fe53743a7898ac2a415224760b8fc4c9583a56eb3774",
-        "synthetic-multiparent": "23f77f4aca963123420ee46cff362fe8d5630ff3ada669de3c1cdebda1cec990",
-        "eplb-grpo": "c8b4f585b251387230f577602a4ed0da9dba1759b4e3e6fab6c9f88d4b4e0978",
-        "eplb-entropic": "631b9cdf29fa004505c660885e26b21fec8ced1aafd74f79070591b6feca4111",
-        "eplb-maxk": "0937afe10c60253cb52609a895732677a852d0c7f783caf88eb1fdf032f250f3",
+        "synthetic": "fe27dd490effd9a83dd981585f3499896af6da0fa81cc181bbf393a50342fcbc",
+        "eplb": "9dd52096a8fe832f3a2f836ed18a604bdbf7649bccc78e66ebdef81577ec3b32",
+        "synthetic-compressed": "47d8ad71f62a7af804b9b7955d77c2fefcced1f19bf806936ac19856cba93329",
+        "eplb-wide": "167f655e89357436593a22d6bc403e73c7fbc6cdab801aeb85dff5779cda654a",
+        "synthetic-multiparent": "8d60c3c3faa18cea3971b2406366dfd900a6646714cd5e7a92c5e2572dc8f979",
+        "eplb-grpo": "96abee31f257d34c4f6bc480e60c95eef083b370204b8a5cee42b4e1b998f29f",
+        "eplb-entropic": "01465a5b33c9f946ed20f0b454a8cdf30fe73803e1ebe7b87d49a7097beadde8",
+        "eplb-maxk": "b58a31e0afa0a900b709e45e4232b6367a449d24749f6fd9ced23d9aa9abf5cc",
     },
     # AVX2 exp/log, SkylakeX BLAS kernels
     "e20f2ac3d2a72a9bc7752d0ca1bb03dbf30b9a59829771fc617f7657198a2984": {
-        "synthetic": "b2338ad5062ab06c07b92d4def6b5b8fa2a2123d40aa5b06c1a3148e1ac9ab7f",
-        "eplb": "7223b384c3792283906836c00e321c999cdcf9936427f6ff1317a057366d5b09",
-        "synthetic-compressed": "6a478424e85b38deb50a6e85d3b8218f801d2056e647563808c4467d255c2aa3",
-        "eplb-wide": "46897d81f6c2ce3d22df26eecf34bfa2285cf1bfe2ab94736f68b3a096a172b3",
-        "synthetic-multiparent": "cc55c6a380d9607341d2b3d04a117ee97f397be1281e40c150f6ab78a75217b8",
-        "eplb-grpo": "a7032a35859e39a0edf51499cad6fab66e5131171f3926420a5be104b49645c1",
-        "eplb-entropic": "bdd4fca6fbfd512da71887013cc0ffc22208934b3d7970dc2e3a08ca8c110ec1",
-        "eplb-maxk": "a7fd429c6562fc9a09a631ff6cc9e6351528966452201266073f059ae9d1835c",
+        "synthetic": "2cd48d618ec4bb658eb5020bf6e53a0a4b19dbd1f4d0ae856cb8ea817038bc19",
+        "eplb": "6cb4b63357f47903baa1171feebb2e74715b5d45324a832d7054300cd2b035c2",
+        "synthetic-compressed": "1d6e53695720e8de7b78134b20d37d558104e431a5647e01e3cd7b0887ac6ee0",
+        "eplb-wide": "778c8345b7516ca0e1c1dac6e7d94a36dabc0ac2d7daed431b3213559519488e",
+        "synthetic-multiparent": "068495de3ba05be313cf7aeb351249f9ad3a749bf497342666b7a60ab394c489",
+        "eplb-grpo": "5ef5e44cdf11d76b33245795d712a6a3c32f1a68431bd4dbe593156bf9a27c99",
+        "eplb-entropic": "72d69a960b7d9c4b18862bffb3366d0947723a9321e7dfbd74e379143e4b8692",
+        "eplb-maxk": "7ff18c60e5f53060ac74b4208bcd16500bc8c1a7afe5075480dbde713cd989ad",
     },
     # AVX2 exp/log, Haswell BLAS kernels (an AVX2-only CPU)
     "e07ce9d6895bd66c8b6ee4c106b6af27219c363d3ab5e2eda3340af80a21ed38": {
-        "synthetic": "ae06cc514bafcde6bcf6f9447c3df7b9aea11f452d28482df1b44fa0abe4fa19",
-        "eplb": "d1c697a8ebc54269144ecc87c703936a739f412309adf040df71e91a0092e41e",
-        "synthetic-compressed": "baa24a560ec601a0adc9d28377731b9c8f3b7032ec2690ed1f9b41106196d39c",
-        "eplb-wide": "3b4c49e1524870ba41ab24cbf57325b8af8771761a8bbb3ef2d32ac74c084142",
-        "synthetic-multiparent": "b8a07abe7b4bbf3e4da6c3e0d4a18f16ca4d6347789433ef16f4dfb467328f98",
-        "eplb-grpo": "d0f8a0ce87154ca4b44bd4eebbd0ff1a79cf05d15916dd60f01c1f05f36337be",
-        "eplb-entropic": "fe8255084eae47b180c32a3f8d1593b39bc359643f90ccc35cb2c6987404c1f6",
-        "eplb-maxk": "06702ba2ae7cddabafc93b155e81998d2144a23dbcc1274441d381d8320d3e28",
+        "synthetic": "86c63c16048a217139365b67f9e3e064c63fb751d59e619b6f0440daf55f31a9",
+        "eplb": "5234bc354a175e7e7ea3b89b55fd6928c1386aed552052e8acb71b3d58a6527b",
+        "synthetic-compressed": "44f6b059c5207bbf2b870dd051da2ac9b195991f22d610b7295d939d997a4e13",
+        "eplb-wide": "8db958c1f1af038275b749744ab9032f92dde8bf28c0bf97bf280b6c0b8ae9d6",
+        "synthetic-multiparent": "1c547894aee2662d4f6b2988870f154cd66141d06c8790f7de3adb8c3bf03125",
+        "eplb-grpo": "e80ddff1b87ea66f2b4f4844409b48fbe57ac269da6a18911ee0542d8fa215bd",
+        "eplb-entropic": "a3da32ed8f213942a9c62d4ee0e40eba39ab1cf21f1404721ed61093163431d5",
+        "eplb-maxk": "690e6fe8aee89ab75c9f2050f1d7e0b1ae4a4d14f7fe23763422e9d94d2132c1",
     },
 }
 

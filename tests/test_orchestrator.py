@@ -1,5 +1,4 @@
-
-
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from phasevolve.orchestrator import (
     Candidate,
     FrontierArchive,
     RewardBatch,
+    StepDiagnostics,
     init_run_state,
     random_search_best,
     rollout_group,
@@ -42,13 +42,15 @@ class ConstantTask:
 
 
 class TimeoutTask:
+    """Every evaluation fails without raising."""
+
     name = "timeout"
 
     def describe(self, seq):
         return {}
 
     def evaluate(self, seq, iteration, rng):
-        return EvaluationOutcome.timeout()
+        return EvaluationOutcome.parse_failure()
 
 
 class PanicTask:
@@ -221,6 +223,16 @@ def test_rollout_group_evaluator_panic_becomes_error_reward():
     batch, candidates = rollout_group(state, state.task, 4)
     assert batch.rewards == pytest.approx([-1.0] * 4)
     assert all(c.outcome.status.value == "evaluator_error" for c in candidates)
+
+
+def test_run_records_keep_the_evaluator_error(tmp_path):
+    trace_path = tmp_path / "trace.jsonl"
+    run_evolution(small_config(iterations=2), PanicTask(), trace_path=trace_path)
+    candidates = [r for r in read_trace(trace_path) if r["kind"] == "candidate"]
+    assert len(candidates) == 2 * 4
+    for rec in candidates:
+        assert rec["status"] == "evaluator_error"
+        assert rec["error"] == "RuntimeError: evaluator crashed"
 
 
 def test_rollout_group_empty_archive_parent_is_seed():
@@ -433,6 +445,25 @@ def test_run_record_accounting(tmp_path):
     header = records[0]
     assert header["config"]["iterations"] == 7
     assert header["config"]["mode"] == "phase"
+
+
+def test_run_record_schema(tmp_path):
+    trace_path = tmp_path / "trace.jsonl"
+    run_evolution(small_config(iterations=3), TokenSumTask(), trace_path=trace_path)
+    records = read_trace(trace_path)
+    assert set(records[0]) == {"kind", "version", "config"}
+    candidate_keys = {
+        "kind", "iteration", "candidate_id", "parent_id", "status", "raw_score", "reward",
+        "error",
+    }
+    step_keys = {f.name for f in fields(StepDiagnostics)} | {
+        "kind", "cumulative_max", "params_hash_start", "params_hash_end",
+    }
+    for rec in records[1:]:
+        assert set(rec) == (candidate_keys if rec["kind"] == "candidate" else step_keys)
+        if rec["kind"] == "candidate":
+            assert rec["error"] is None
+    assert {r["kind"] for r in records[1:]} == {"candidate", "step"}
 
 
 def test_run_failed_candidates_never_archived():

@@ -24,7 +24,6 @@ def test_all_failure_statuses_map_to_minus_one():
     for outcome in (
         EvaluationOutcome.parse_failure(),
         EvaluationOutcome.evaluator_error(),
-        EvaluationOutcome.timeout(),
     ):
         assert shape_reward(outcome, config) == FAILURE_REWARD
 
