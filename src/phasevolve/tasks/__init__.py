@@ -1,8 +1,10 @@
 """Deterministic desk-scale candidate evaluators.
 
 A task turns a sampled token sequence into an evaluated candidate. Both
-bundled tasks are pure functions of (tokens, iteration, rng) so groups can be
-evaluated in any order, or in parallel, without changing results.
+bundled tasks compute pure functions of (tokens, iteration, rng) so groups can
+be evaluated in any order, or in parallel, without changing results. An
+``EplbTask`` memoizes its outcomes for the run it serves; ``make_task`` builds
+a new task for each run, so nothing is kept between runs.
 """
 
 from __future__ import annotations

@@ -59,7 +59,9 @@ class WorkloadProfile:
     num_devices: int
 
     def __post_init__(self) -> None:
-        loads = np.asarray(self.loads, dtype=np.float64)
+        # A private read-only copy: evaluators memoize on these loads.
+        loads = np.array(self.loads, dtype=np.float64)
+        loads.flags.writeable = False
         if loads.ndim != 2 or loads.shape[0] < 1:
             raise ValueError(f"need 2-d loads with at least one profile, got shape {loads.shape}")
         object.__setattr__(self, "loads", loads)
@@ -146,38 +148,36 @@ def _device_loads(device: np.ndarray, loads: np.ndarray, num_devices: int) -> np
     return sums.reshape(rows, num_devices)
 
 
-def eplb_assign(
-    h: HeuristicDescriptor, w: WorkloadProfile
-) -> tuple[np.ndarray, int]:
-    """Run the heuristic on every profile at once.
+def eplb_place(
+    sort_mode: SortMode, placement: Placement, w: WorkloadProfile
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The heuristic's first stage on every profile at once: sort, then place.
 
     One row-wise stable sort; greedy placement steps through the sort
     positions, giving each row's expert to that row's least loaded device;
-    round-robin and blocked destinations are scattered in one go; rebalance
-    passes run on the rows that still improve.
+    round-robin and blocked destinations are scattered in one go.
 
-    Returns a (num_profiles x num_experts) device index matrix and the total
-    deterministic operation count (the wall-clock proxy), the sum of the
-    per-profile counts.
+    Returns the (num_profiles x num_experts) device index matrix, the
+    (num_profiles x num_devices) device loads and the sort's and placement's
+    operation count.
     """
     loads = w.loads
     num_profiles, num_experts = loads.shape
     num_devices = w.num_devices
-    rows = np.arange(num_profiles)
     row_ops = 0
 
-    if h.sort_mode is SortMode.UNSORTED:
+    if sort_mode is SortMode.UNSORTED:
         order = np.broadcast_to(np.arange(num_experts), loads.shape)
     else:
-        key = -loads if h.sort_mode is SortMode.DESCENDING_LOAD else loads
+        key = -loads if sort_mode is SortMode.DESCENDING_LOAD else loads
         order = np.argsort(key, axis=1, kind="stable")
         row_ops += num_experts * max(1, math.ceil(math.log2(max(num_experts, 2))))
     ordered_loads = np.take_along_axis(loads, order, axis=1)
 
     # dest[r, i]: device of the expert at sort position i of row r.
-    if h.placement is Placement.GREEDY_LEAST_LOADED:
+    if placement is Placement.GREEDY_LEAST_LOADED:
         # Indexed flat, row r's device d is r * num_devices + d.
-        base = rows * num_devices
+        base = np.arange(num_profiles) * num_devices
         flat_dest = np.empty((num_experts, num_profiles), dtype=np.int64)
         device_loads = np.zeros((num_profiles, num_devices))
         flat_loads = device_loads.reshape(-1)
@@ -189,7 +189,7 @@ def eplb_assign(
         row_ops += num_experts * (num_devices + 1)
     else:
         position = np.arange(num_experts)
-        if h.placement is Placement.ROUND_ROBIN:
+        if placement is Placement.ROUND_ROBIN:
             dest_of_position = position % num_devices
         else:  # Placement.BLOCKED: contiguous chunks of the chosen order
             block = math.ceil(num_experts / num_devices)
@@ -199,24 +199,37 @@ def eplb_assign(
         row_ops += num_experts
     device = np.empty(loads.shape, dtype=np.int64)
     np.put_along_axis(device, order, dest, axis=1)
-    total_ops = row_ops * num_profiles
+    return device, device_loads, row_ops * num_profiles
 
-    # Rebalance: of the hottest device's swap_window heaviest residents, move
-    # the first whose move lowers the peak to the coldest device; a row stops
-    # at its first pass that moves nothing.
-    active = rows
+
+def eplb_rebalance(
+    h: HeuristicDescriptor, w: WorkloadProfile, device: np.ndarray, device_loads: np.ndarray,
+    ops: int,
+) -> tuple[np.ndarray, int]:
+    """The heuristic's second stage: h's rebalance passes on every profile.
+
+    Works on copies, so a placement can be rebalanced under any descriptor.
+    Of the hottest device's swap_window heaviest residents, a pass moves the
+    first whose move lowers the peak to the coldest device; a row stops at its
+    first pass that moves nothing. Returns the device index matrix and the
+    operation count, ops plus that of the passes.
+    """
+    loads = w.loads
+    num_devices = w.num_devices
+    device, device_loads = device.copy(), device_loads.copy()
+    active = np.arange(loads.shape[0])
     for _ in range(h.rebalance_passes):
         if active.size == 0:
             break
         active_loads = device_loads[active]
         hot = active_loads.argmax(axis=1)
         cold = active_loads.argmin(axis=1)
-        total_ops += 2 * num_devices * active.size
+        ops += 2 * num_devices * active.size
         differ = hot != cold
         active, hot, cold = active[differ], hot[differ], cold[differ]
         resident = device[active] == hot[:, None]
         residents = resident.sum(axis=1)
-        total_ops += int(residents.sum())
+        ops += int(residents.sum())
         # Heaviest residents first, ties by expert index; others sort last.
         key = np.where(resident, -loads[active], np.inf)
         candidates = np.argsort(key, axis=1, kind="stable")[:, : h.swap_window]
@@ -226,7 +239,7 @@ def eplb_assign(
             tries = int(trying.sum())
             if tries == 0:  # stays 0 at later ranks
                 break
-            total_ops += 2 * tries
+            ops += 2 * tries
             expert = candidates[:, rank]
             load = loads[active, expert]
             hot_load = device_loads[active, hot]
@@ -236,11 +249,21 @@ def eplb_assign(
             device[r, e] = cold[move]
             device_loads[r, hot[move]] -= load
             device_loads[r, cold[move]] += load
-            total_ops += int(move.sum())
+            ops += int(move.sum())
             moved |= move
         active = active[moved]
 
-    return device, total_ops
+    return device, ops
+
+
+def eplb_assign(h: HeuristicDescriptor, w: WorkloadProfile) -> tuple[np.ndarray, int]:
+    """Run the heuristic on every profile at once: place, then rebalance.
+
+    Returns a (num_profiles x num_experts) device index matrix and the total
+    deterministic operation count (the wall-clock proxy), the sum of the
+    per-profile counts. ``EplbTask`` runs the same two stages, memoized.
+    """
+    return eplb_rebalance(h, w, *eplb_place(h.sort_mode, h.placement, w))
 
 
 def eplb_score(
@@ -281,7 +304,10 @@ class EplbTask:
     """Evaluator wiring: decode tokens, assign, score, report a Parsed outcome.
 
     The speed term counts operations rather than timing them, so an outcome
-    depends only on the decoded descriptor and the profiles.
+    depends only on the decoded descriptor and the read-only profiles. Each
+    instance therefore memoizes, for the run it serves, the outcome of every
+    descriptor and the placement of every (sort mode, placement rule); at
+    most 144 and 9 entries, so nothing is evicted. Use one instance per run.
     """
 
     name = "eplb"
@@ -291,6 +317,8 @@ class EplbTask:
         # Reference cost: the base heuristic (all-zero decoding) on these
         # profiles, so the base candidate scores speed exactly 1.
         _, self.c_ref = eplb_assign(HeuristicDescriptor(), profile)
+        self._outcomes: dict[HeuristicDescriptor, EvaluationOutcome] = {}
+        self._placements: dict[tuple[SortMode, Placement], tuple] = {}
 
     def describe(self, seq: TokenSequence) -> dict:
         return eplb_decode(seq).as_dict()
@@ -298,9 +326,18 @@ class EplbTask:
     def evaluate(
         self, seq: TokenSequence, iteration: int, rng: np.random.Generator
     ) -> EvaluationOutcome:
-        assignment, ops = eplb_assign(eplb_decode(seq), self.profile)
+        h = eplb_decode(seq)
+        if h in self._outcomes:
+            return self._outcomes[h]
+        key = (h.sort_mode, h.placement)
+        if key not in self._placements:
+            device, device_loads, ops = eplb_place(h.sort_mode, h.placement, self.profile)
+            device.flags.writeable = device_loads.flags.writeable = False
+            self._placements[key] = device, device_loads, ops
+        assignment, ops = eplb_rebalance(h, self.profile, *self._placements[key])
         balancedness, speed, score = eplb_score(assignment, self.profile, ops, self.c_ref)
-        return EvaluationOutcome.parsed(
+        outcome = self._outcomes[h] = EvaluationOutcome.parsed(
             score,
             metrics={"balancedness": balancedness, "speed": speed, "op_count": float(ops)},
         )
+        return outcome

@@ -6,9 +6,14 @@ arithmetic and its order are the same, so assignments, op counts and scores
 must be equal exactly, for every descriptor, on heavy-tailed loads, on
 integer loads (ties in the sort, in argmin/argmax and in the rebalance rule)
 and on loads with zero-load experts.
+
+``EplbTask`` memoizes both stages per instance: outcomes by descriptor and
+placements by (sort mode, placement rule). The memo tests below require each
+outcome to equal a fresh instance's, whatever was evaluated before it.
 """
 
 import itertools
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -16,7 +21,12 @@ import pytest
 from hypothesis import given, settings
 
 import reference_eplb as ref
+from phasevolve.config import parse_config_text
+from phasevolve.orchestrator import run_evolution
+from phasevolve.policy import TokenSequence
+from phasevolve.tasks import eplb, make_task
 from phasevolve.tasks.eplb import (
+    EplbTask,
     HeuristicDescriptor,
     Placement,
     SortMode,
@@ -101,3 +111,145 @@ def test_score_of_any_valid_assignment_matches_reference(kind, profiles, seed):
     # Any assignment, not only a heuristic's: some devices may stay empty.
     assignment = rng.integers(0, devices, size=(profiles, experts))
     assert eplb_score(assignment, w, 7, 5.0) == ref.eplb_score(assignment, w, 7, 5.0)
+
+
+# ------------------------------------------------------------------ the memo
+
+
+def seq_for(h: HeuristicDescriptor) -> TokenSequence:
+    """A token sequence that decodes to h."""
+    tokens = np.array(
+        [h.sort_mode.value, h.placement.value, h.rebalance_passes, h.swap_window - 1, 0, 0]
+    )
+    return TokenSequence(tokens, np.ones_like(tokens), np.zeros(tokens.size))
+
+
+def memo_profile() -> WorkloadProfile:
+    # Integer loads give ties; 29 experts on 5 devices leave uneven blocks.
+    return WorkloadProfile(make_loads("integer", (4, 29), np.random.default_rng(11)), 5)
+
+
+def fresh_outcome(h: HeuristicDescriptor, w: WorkloadProfile):
+    return EplbTask(w).evaluate(seq_for(h), 0, np.random.default_rng(0))
+
+
+def assert_same_outcome(got, want) -> None:
+    assert got.status is want.status
+    assert got.value == want.value
+    assert got.metrics == want.metrics
+
+
+def test_memoized_outcomes_equal_fresh_instances_in_any_order():
+    w = memo_profile()
+    want = {h: fresh_outcome(h, w) for h in DESCRIPTORS}
+    forward, backward = EplbTask(w), EplbTask(w)
+    rng = np.random.default_rng(0)
+    for order, task in ((DESCRIPTORS, forward), (DESCRIPTORS[::-1], backward)):
+        for h in order:
+            assert_same_outcome(task.evaluate(seq_for(h), 0, rng), want[h])
+    for h in DESCRIPTORS[::-1]:  # every one now a memo hit
+        assert_same_outcome(forward.evaluate(seq_for(h), 0, rng), want[h])
+
+
+def test_each_stage_runs_once_per_key(monkeypatch):
+    task = EplbTask(memo_profile())
+    calls = {"eplb_place": 0, "eplb_rebalance": 0}
+
+    def counted(name):
+        fn = getattr(eplb, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(eplb, name, counted(name))
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        for h in DESCRIPTORS:
+            task.evaluate(seq_for(h), 0, rng)
+    assert calls == {"eplb_place": 9, "eplb_rebalance": 144}
+
+
+@pytest.mark.parametrize("placement", Placement)
+@pytest.mark.parametrize("sort_mode", SortMode)
+def test_rebalance_leaves_the_memoized_placement_unchanged(sort_mode, placement):
+    w = memo_profile()
+    rebalanced = HeuristicDescriptor(sort_mode, placement, 3, 4)
+    placed_only = HeuristicDescriptor(sort_mode, placement, 0, 1)
+    task = EplbTask(w)
+    rng = np.random.default_rng(0)
+    task.evaluate(seq_for(rebalanced), 0, rng)
+    assert_same_outcome(task.evaluate(seq_for(placed_only), 0, rng), fresh_outcome(placed_only, w))
+
+
+def test_rebalance_moves_experts_on_the_memo_profile():
+    # Otherwise the test above could not see a write into a placement.
+    w = memo_profile()
+    moved = [
+        not np.array_equal(
+            eplb_assign(HeuristicDescriptor(s, p, 3, 4), w)[0],
+            eplb_assign(HeuristicDescriptor(s, p, 0, 1), w)[0],
+        )
+        for s, p in itertools.product(SortMode, Placement)
+    ]
+    assert sum(moved) >= 3
+
+
+def test_memoized_placement_is_read_only():
+    task = EplbTask(memo_profile())
+    task.evaluate(seq_for(HeuristicDescriptor()), 0, np.random.default_rng(0))
+    device, device_loads, _ = task._placements[
+        (SortMode.DESCENDING_LOAD, Placement.GREEDY_LEAST_LOADED)
+    ]
+    with pytest.raises(ValueError):
+        device[0, 0] = 1
+    with pytest.raises(ValueError):
+        device_loads[0, 0] = 1.0
+
+
+def test_an_evaluation_that_raises_is_not_memoized(monkeypatch):
+    w = memo_profile()
+    h = HeuristicDescriptor(SortMode.ASCENDING_LOAD, Placement.BLOCKED, 2, 3)
+    task = EplbTask(w)
+    score = eplb.eplb_score
+    failures = []
+
+    def fails_once(*args):
+        if not failures:
+            failures.append(1)
+            raise RuntimeError("scorer crashed")
+        return score(*args)
+
+    monkeypatch.setattr(eplb, "eplb_score", fails_once)
+    rng = np.random.default_rng(0)
+    with pytest.raises(RuntimeError, match="scorer crashed"):
+        task.evaluate(seq_for(h), 0, rng)
+    assert_same_outcome(task.evaluate(seq_for(h), 0, rng), fresh_outcome(h, w))
+
+
+def test_evaluate_draws_nothing_and_ignores_the_iteration():
+    # The premise of the memo: an outcome depends on the descriptor alone.
+    w = memo_profile()
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    early, late = EplbTask(w), EplbTask(w)
+    for h in DESCRIPTORS:
+        assert_same_outcome(
+            late.evaluate(seq_for(h), 10**6, rng), early.evaluate(seq_for(h), 0, rng)
+        )
+    assert rng.bit_generator.state == state
+
+
+def test_runs_with_fresh_or_reused_tasks_write_identical_traces(tmp_path):
+    text = (Path(__file__).resolve().parents[1] / "configs" / "eplb.cfg").read_text()
+    config = parse_config_text(text + "\niterations = 8\n")
+    reused = make_task(config)
+    traces = set()
+    for run, task in enumerate([make_task(config), make_task(config), reused, reused]):
+        path = tmp_path / f"trace-{run}.jsonl"
+        run_evolution(config, task, path)
+        traces.add(path.read_bytes())
+    assert len(traces) == 1

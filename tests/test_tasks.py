@@ -263,6 +263,16 @@ def test_profile_load_rejects_empty_header_before_reading_rows(tmp_path, header)
         WorkloadProfile.load(path)
 
 
+def test_profile_loads_are_a_read_only_copy():
+    loads = np.ones((2, 4))
+    profile = WorkloadProfile(loads=loads, num_devices=2)
+    task = EplbTask(profile)
+    with pytest.raises(ValueError):
+        task.profile.loads[0, 0] = 5.0
+    loads[0, 0] = 5.0  # the caller's array stays writable and is not shared
+    assert profile.loads[0, 0] == 1.0
+
+
 def test_profile_generate_deterministic():
     a = WorkloadProfile.generate(num_profiles=3, num_experts=8, num_devices=2, seed=5)
     b = WorkloadProfile.generate(num_profiles=3, num_experts=8, num_devices=2, seed=5)
