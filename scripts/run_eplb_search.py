@@ -40,9 +40,8 @@ def main() -> None:
     task = make_task(config)
     result = run_evolution(config, task)
 
-    base_seq = np.zeros(config.seq_length, dtype=np.int64)
     base = task.evaluate(
-        TokenSequence(base_seq, np.ones_like(base_seq), np.zeros(config.seq_length)),
+        TokenSequence(np.zeros(config.seq_length, dtype=np.int64), np.zeros(config.seq_length)),
         0,
         np.random.default_rng(0),
     )

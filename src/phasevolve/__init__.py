@@ -7,8 +7,8 @@ Subpackages:
   linear phase mixture.
 * ``rewards`` -- progress-normalized reward shaping with unified failure
   handling.
-* ``policy`` -- a small autoregressive token policy with a masked clipped
-  surrogate loss, analytic gradients and AdamW.
+* ``policy`` -- a small autoregressive token policy with a clipped surrogate
+  loss, analytic gradients and AdamW.
 * ``tasks`` -- deterministic evaluators: expert load balancing and a
   synthetic compressed-reward landscape.
 * ``orchestrator`` -- the rollout/evaluate/train loop with a frontier

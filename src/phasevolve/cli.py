@@ -74,17 +74,23 @@ def _write_json_atomic(path: Path, obj) -> None:
         raise
 
 
+def _read_failure(exc: OSError | UnicodeDecodeError) -> str:
+    """Why an input file could not be read."""
+    return f"not UTF-8 text ({exc})" if isinstance(exc, UnicodeDecodeError) else exc.strerror
+
+
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
-    except OSError as exc:
-        print(f"cannot read config file {args.config}: {exc.strerror}", file=sys.stderr)
+        if args.seed is not None:
+            config.seed = args.seed
+            config.validate()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read config file {args.config}: {_read_failure(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
-        config.seed = args.seed
 
     out_root = args.out or os.environ.get("PHASEVOLVE_OUT") or "runs"
     out_dir = Path(out_root)
@@ -135,7 +141,7 @@ def _cmd_run(args) -> int:
 
 def _read_rewards(path: str) -> np.ndarray:
     values = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:
@@ -152,8 +158,8 @@ def _read_rewards(path: str) -> np.ndarray:
 def _cmd_estimate(args) -> int:
     try:
         rewards = _read_rewards(args.file)
-    except OSError as exc:
-        print(f"cannot read rewards file {args.file}: {exc.strerror}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read rewards file {args.file}: {_read_failure(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
@@ -198,7 +204,7 @@ def _cmd_export(args) -> int:
     except OSError as exc:
         print(f"cannot read trace file {args.trace}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"trace does not parse: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     try:

@@ -17,6 +17,7 @@ table. Unknown keys and malformed or out-of-range values raise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -82,11 +83,12 @@ class RunConfig:
         def fail(name: str, problem: str):
             raise ConfigError(f"{_KEYS[name]}: {problem}")
 
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                fail(f.name, f"must be finite, got {getattr(self, f.name)}")
         for name, allowed in (("task", TASKS), ("mode", MODES), ("direction", DIRECTIONS)):
             if getattr(self, name) not in allowed:
                 fail(name, f"unknown value {getattr(self, name)!r} (expected one of {allowed})")
-        if self.iterations < 0:
-            fail("iterations", f"must be >= 0, got {self.iterations}")
         for name in (
             "samples_per_group", "top_k", "learning_rate", "eps_lo", "eps_hi",
             "eps_num", "eps_skip", "beta_max", "beta_tol", "shaping_multiplier",
@@ -106,7 +108,9 @@ class RunConfig:
             fail("eps_skip", f"{self.eps_skip} must be >= estimator.eps_num ({self.eps_num})")
         if not self.y_min < self.y_max:
             fail("y_min", f"{self.y_min} must be < shaping.y_max ({self.y_max})")
-        for name in ("gamma", "weight_decay", "synthetic_noise"):
+        for name in (
+            "iterations", "seed", "eplb_profile_seed", "gamma", "weight_decay", "synthetic_noise",
+        ):
             if not getattr(self, name) >= 0:
                 fail(name, f"must be >= 0, got {getattr(self, name)}")
         for name in ("adam_beta1", "adam_beta2"):
@@ -172,7 +176,7 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config_text(Path(path).read_text())
+    return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
 def config_to_dict(config: RunConfig) -> dict:

@@ -177,7 +177,6 @@ def init_run_state(config: RunConfig, task) -> RunState:
     # bundled task), evaluated once so parent selection never starts blind.
     seed_seq = TokenSequence(
         tokens=np.zeros(config.seq_length, dtype=np.int64),
-        mask=np.ones(config.seq_length, dtype=np.int64),
         old_logprobs=np.full(config.seq_length, -math.log(config.vocab_size)),
     )
     outcome = _safe_evaluate(task, seed_seq, 0, state.rng)
@@ -447,7 +446,6 @@ def random_search_best(
         for _ in range(samples_per_group):
             seq = TokenSequence(
                 tokens=rng.integers(0, vocab_size, size=seq_length),
-                mask=np.ones(seq_length, dtype=np.int64),
                 old_logprobs=np.full(seq_length, uniform_logp),
             )
             outcome = _safe_evaluate(task, seq, t, rng)

@@ -11,8 +11,7 @@ Under fixed parameters and context this is a bigram: the next-token
 distribution depends only on the previous token. So every distribution the
 policy can use for one context fits in one (V + 1, V) log-softmax table.
 Row 0 is position 0, which has no previous token, and row 1 + j is the
-position after token j. A masked-out token is padding and leaves the row
-unchanged.
+position after token j.
 
 ``context_table`` builds that table once per context per iteration, with
 the cumulative probabilities and per-row p . log p that sampling and entropy
@@ -42,7 +41,7 @@ class InvalidTokenError(ValueError):
 
 
 class EmptyBatchError(ValueError):
-    """No masked-in tokens to average the loss over."""
+    """No tokens to average the loss over."""
 
 
 class NumericFailureError(RuntimeError):
@@ -103,24 +102,16 @@ class RolloutContext:
 @dataclass
 class TokenSequence:
     tokens: np.ndarray
-    mask: np.ndarray
     old_logprobs: np.ndarray
 
     def __post_init__(self) -> None:
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
-        self.mask = np.asarray(self.mask, dtype=np.int64)
         self.old_logprobs = np.asarray(self.old_logprobs, dtype=np.float64)
-        if not (len(self.tokens) == len(self.mask) == len(self.old_logprobs)):
-            raise ValueError("tokens, mask and old_logprobs must have equal length")
-        if not np.all((self.mask == 0) | (self.mask == 1)):
-            raise ValueError("mask entries must be 0 or 1")
+        if len(self.tokens) != len(self.old_logprobs):
+            raise ValueError("tokens and old_logprobs must have equal length")
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    @property
-    def masked_in(self) -> np.ndarray:
-        return self.mask == 1
 
 
 @dataclass
@@ -312,23 +303,21 @@ def sample_sequence(table: ContextTable, rng: np.random.Generator, length: int) 
         tokens.append(token)
         logprobs.append(table.log_p_rows[row][token])
         row = token + 1
-    return TokenSequence(tokens=tokens, mask=np.ones(length, dtype=np.int64), old_logprobs=logprobs)
+    return TokenSequence(tokens=tokens, old_logprobs=logprobs)
 
 
 def token_entropy(table: ContextTable, seq: TokenSequence) -> float:
-    """Mean per-step categorical entropy (nats) over masked-in positions."""
-    total, count, row = 0.0, 0, 0
-    for token, valid in zip(seq.tokens.tolist(), seq.mask.tolist()):
-        if valid:
-            total -= table.row_dots[row]
-            count += 1
-            row = token + 1
-    return total / count if count else 0.0
+    """Mean per-position categorical entropy (nats); 0.0 for no tokens."""
+    total, row = 0.0, 0
+    for token in seq.tokens.tolist():
+        total -= table.row_dots[row]
+        row = token + 1
+    return total / len(seq) if len(seq) else 0.0
 
 
 def broadcast_advantage(advantage: float, seq: TokenSequence) -> np.ndarray:
-    """Response-level scalar copied to every masked-in token (0 elsewhere)."""
-    return advantage * seq.mask.astype(np.float64)
+    """Response-level scalar copied to every token."""
+    return np.full(len(seq), advantage, dtype=np.float64)
 
 
 def _clip_terms(
@@ -359,25 +348,22 @@ def loss_and_gradient(
     """Surrogate loss and its analytic gradient over a rollout batch.
 
     ``batch`` holds (context vector, sequence, per-token advantages) triples;
-    the mean runs over every masked-in token of the whole batch. Each
-    distinct context's table is built once, and the batch's tokens are
-    checked, looked up and clipped as one array. The backward pass covers
-    the M tokens with a nonzero derivative at once; every sum runs over
-    those tokens in batch order, as a token-by-token loop would.
+    the mean runs over every token of the whole batch. Each distinct
+    context's table is built once, and the batch's tokens are checked,
+    looked up and clipped as one array. The backward pass covers the M
+    tokens with a nonzero derivative at once; every sum runs over those
+    tokens in batch order, as a token-by-token loop would.
     """
-    if not batch:
-        raise EmptyBatchError("empty rollout batch")
     seqs = [seq for _, seq, _ in batch]
-    total_masked = sum(int(seq.mask.sum()) for seq in seqs)
-    if total_masked == 0:
-        raise EmptyBatchError("no masked-in tokens in the batch")
+    total = sum(len(seq) for seq in seqs)
+    if total == 0:
+        raise EmptyBatchError("no tokens in the batch")
 
     h_dim = params.hidden_dim
     lengths = [len(seq) for seq in seqs]
     ends = np.cumsum(lengths)
     starts = np.repeat(ends - lengths, lengths)  # each token's sequence start
     tokens = np.concatenate([seq.tokens for seq in seqs])
-    valid = np.concatenate([seq.mask for seq in seqs]) == 1
     outside = (tokens < 0) | (tokens >= params.vocab_size)
     if outside.any():
         bad = int(np.argmax(outside))
@@ -391,12 +377,10 @@ def loss_and_gradient(
     slot_of = [slots.setdefault((ctx.shape, ctx.tobytes()), len(slots)) for ctx in ctxs]
     hiddens = [_hidden(params, ctxs[slot_of.index(slot)]) for slot in range(len(slots))]
     table = np.concatenate([_log_prob_table(params, hidden) for hidden in hiddens])
-    # Table row of each position: 1 + the last masked-in token before it in
-    # its sequence, else 0. Masked-out tokens are padding: they never enter
-    # the autoregressive state, so they cannot leak into later positions.
-    last = np.maximum.accumulate(np.where(valid, np.arange(len(tokens)), -1))
-    prev = np.concatenate([[-1], last[:-1]])
-    rows = np.where(prev >= starts, tokens[prev] + 1, 0)
+    # Table row of each position: 1 + the previous token of its own
+    # sequence, or 0 at a sequence start.
+    position = np.arange(len(tokens))
+    rows = np.where(position > starts, tokens[position - 1] + 1, 0)
     token_slot = np.repeat(slot_of, lengths)
     flat_rows = token_slot * (params.vocab_size + 1) + rows
 
@@ -406,15 +390,15 @@ def loss_and_gradient(
         np.concatenate([adv_tok for _, _, adv_tok in batch]),
         clip,
     )
-    nonfinite = valid & ~np.isfinite(objective)
+    nonfinite = ~np.isfinite(objective)
     if nonfinite.any():
         bad = int(np.argmax(nonfinite))
         raise NumericFailureError(f"non-finite surrogate term at token index {bad - starts[bad]}")
     loss_acc = 0.0
     for start, end in zip(ends - lengths, ends):
-        loss_acc -= float(objective[start:end][valid[start:end]].sum())
+        loss_acc -= float(objective[start:end].sum())
     # dL/d new_logp_t, including the -1/M of the negated mean.
-    dlogp = np.where(valid, -dobj / total_masked, 0.0)
+    dlogp = -dobj / total
     live = dlogp != 0.0
     seq_index = np.repeat(np.arange(len(batch)), lengths)[live]
     rows = rows[live]
@@ -438,7 +422,7 @@ def loss_and_gradient(
         np.stack(ctxs)[:, :, None] * dhidden[:, None, :], axis=0, initial=0.0
     )
 
-    loss = loss_acc / total_masked
+    loss = loss_acc / total
     if not (np.isfinite(loss) and grad.is_finite()):
         raise NumericFailureError("non-finite loss or gradient")
     return loss, grad

@@ -125,12 +125,12 @@ class WorkloadProfile:
 
 
 def eplb_decode(seq: TokenSequence) -> HeuristicDescriptor:
-    """Positional decoding of the first four masked-in tokens.
+    """Positional decoding of the first four tokens.
 
     Total on the vocabulary and surjective onto the descriptor space; missing
-    positions (short or heavily masked sequences) default to 0.
+    positions (sequences shorter than four) default to 0.
     """
-    visible = [int(t) for t, m in zip(seq.tokens, seq.mask) if m]
+    visible = seq.tokens.tolist()
     visible += [0] * (4 - len(visible))
     return HeuristicDescriptor(
         sort_mode=SortMode(visible[0] % 3),
@@ -213,6 +213,11 @@ def eplb_rebalance(
     first whose move lowers the peak to the coldest device; a row stops at its
     first pass that moves nothing. Returns the device index matrix and the
     operation count, ops plus that of the passes.
+
+    After DESCENDING_LOAD + GREEDY_LEAST_LOADED no pass moves an expert, so
+    the passes only add ops: the hottest device's last expert, its lightest,
+    went to the then coldest device, so each resident weighs at least peak
+    minus coldest (monotone float sums keep this under rounding).
     """
     loads = w.loads
     num_devices = w.num_devices

@@ -54,8 +54,8 @@ def _hash_unit(tokens: tuple[int, ...]) -> float:
 
 
 def latent_quality(seq: TokenSequence, land: SyntheticLandscape) -> float:
-    """Deterministic q(tokens) in [0, 1] over masked-in tokens."""
-    visible = tuple(int(t) for t, m in zip(seq.tokens, seq.mask) if m)
+    """Deterministic q(tokens) in [0, 1] over the sequence's tokens."""
+    visible = tuple(seq.tokens.tolist())
     if not visible:
         return 0.0
     hits = sum(1 for t in visible if t == land.target_token) / len(visible)
@@ -91,7 +91,7 @@ class SyntheticTask:
 
     def describe(self, seq: TokenSequence) -> dict:
         return {
-            "tokens": [int(t) for t, m in zip(seq.tokens, seq.mask) if m],
+            "tokens": seq.tokens.tolist(),
             "quality": latent_quality(seq, self.landscape),
         }
 

@@ -56,7 +56,7 @@ def sample_sequence(
         tokens[t] = token
         logprobs[t] = log_p[token]
         prev = token
-    return TokenSequence(tokens=tokens, mask=np.ones(length, dtype=np.int64), old_logprobs=logprobs)
+    return TokenSequence(tokens=tokens, old_logprobs=logprobs)
 
 
 def sequence_logprobs(params: PolicyParams, ctx: np.ndarray, seq: TokenSequence) -> np.ndarray:
@@ -71,44 +71,37 @@ def sequence_logprobs(params: PolicyParams, ctx: np.ndarray, seq: TokenSequence)
     for t, token in enumerate(seq.tokens):
         log_p = log_softmax(step_logits(params, hidden, prev))
         out[t] = log_p[token]
-        if seq.mask[t]:
-            prev = int(token)
+        prev = int(token)
     return out
 
 
 def token_entropy(params: PolicyParams, ctx: np.ndarray, seq: TokenSequence) -> float:
     hidden = _hidden(params, ctx)
     total = 0.0
-    count = 0
     prev: int | None = None
-    for t, token in enumerate(seq.tokens):
-        if seq.mask[t]:
-            log_p = log_softmax(step_logits(params, hidden, prev))
-            total -= float(np.dot(np.exp(log_p), log_p))
-            count += 1
-            prev = int(token)
-    return total / count if count else 0.0
+    for token in seq.tokens:
+        log_p = log_softmax(step_logits(params, hidden, prev))
+        total -= float(np.dot(np.exp(log_p), log_p))
+        prev = int(token)
+    return total / len(seq) if len(seq) else 0.0
 
 
 def surrogate_loss(
     new_logp: np.ndarray,
     old_logp: np.ndarray,
     adv_tok: np.ndarray,
-    mask: np.ndarray,
     clip: ClipConfig,
 ) -> float:
-    """Masked clipped surrogate: -mean over valid tokens of min(rA, clip(r)A)."""
+    """Clipped surrogate: -mean over tokens of min(rA, clip(r)A)."""
     new_logp = np.asarray(new_logp, dtype=np.float64)
     old_logp = np.asarray(old_logp, dtype=np.float64)
     adv_tok = np.asarray(adv_tok, dtype=np.float64)
-    mask = np.asarray(mask)
-    if not (new_logp.shape == old_logp.shape == adv_tok.shape == mask.shape):
-        raise ValueError("new_logp, old_logp, adv_tok and mask must share a shape")
-    valid = mask == 1
-    if not valid.any():
-        raise EmptyBatchError("no masked-in tokens in the batch")
+    if not (new_logp.shape == old_logp.shape == adv_tok.shape):
+        raise ValueError("new_logp, old_logp and adv_tok must share a shape")
+    if new_logp.size == 0:
+        raise EmptyBatchError("no tokens in the batch")
     objective, _ = _clip_terms(new_logp, old_logp, adv_tok, clip)
-    return float(-objective[valid].mean())
+    return float(-objective.mean())
 
 
 def loss_and_gradient(
@@ -116,11 +109,9 @@ def loss_and_gradient(
     batch: list[tuple[np.ndarray, TokenSequence, np.ndarray]],
     clip: ClipConfig,
 ) -> tuple[float, PolicyGradient]:
-    if not batch:
-        raise EmptyBatchError("empty rollout batch")
-    total_masked = sum(int(seq.mask.sum()) for _, seq, _ in batch)
-    if total_masked == 0:
-        raise EmptyBatchError("no masked-in tokens in the batch")
+    total = sum(len(seq) for _, seq, _ in batch)
+    if total == 0:
+        raise EmptyBatchError("no tokens in the batch")
 
     h_dim = params.hidden_dim
     grad = PolicyGradient.zeros_like(params)
@@ -129,13 +120,12 @@ def loss_and_gradient(
         ctx = np.asarray(ctx, dtype=np.float64)
         new_logp = sequence_logprobs(params, ctx, seq)
         objective, dobj = _clip_terms(new_logp, seq.old_logprobs, adv_tok, clip)
-        valid = seq.masked_in
-        if not np.all(np.isfinite(objective[valid])):
-            bad = int(np.flatnonzero(valid & ~np.isfinite(objective))[0])
+        if not np.all(np.isfinite(objective)):
+            bad = int(np.flatnonzero(~np.isfinite(objective))[0])
             raise NumericFailureError(f"non-finite surrogate term at token index {bad}")
-        loss_acc -= float(objective[valid].sum())
+        loss_acc -= float(objective.sum())
         # dL/d new_logp_t, including the -1/M of the negated mean.
-        dlogp = np.where(valid, -dobj / total_masked, 0.0)
+        dlogp = -dobj / total
 
         hidden = _hidden(params, ctx)
         dhidden = np.zeros(h_dim)
@@ -150,11 +140,10 @@ def loss_and_gradient(
                 if prev is not None:
                     grad.w_emit[h_dim + prev] += dlogits
                 dhidden += params.w_emit[:h_dim] @ dlogits
-            if seq.mask[t]:
-                prev = token
+            prev = token
         grad.w_ctx += np.outer(ctx, dhidden)
 
-    loss = loss_acc / total_masked
+    loss = loss_acc / total
     if not (np.isfinite(loss) and grad.is_finite()):
         raise NumericFailureError("non-finite loss or gradient")
     return loss, grad

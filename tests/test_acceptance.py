@@ -374,9 +374,7 @@ def test_criterion_8_eplb_evaluator():
 
         base_ops = eplb_assign(HeuristicDescriptor(), w)[1]
         tokens = rng.integers(0, 24, size=8)
-        seq = P.TokenSequence(
-            tokens=tokens, mask=np.ones(8, dtype=np.int64), old_logprobs=np.zeros(8)
-        )
+        seq = P.TokenSequence(tokens=tokens, old_logprobs=np.zeros(8))
         fuzzed, fuzz_ops = eplb_assign(eplb_decode(seq), w)
         balancedness, speed, score = eplb_score(fuzzed, w, fuzz_ops, base_ops)
         assert 0.0 < balancedness <= 1.0
@@ -393,11 +391,7 @@ def test_criterion_8_eplb_evaluator():
     assert brute_force_balance(w)[0] == 7.0
 
     rr = HeuristicDescriptor(placement=eplb_decode(
-        P.TokenSequence(
-            tokens=np.array([0, 1, 0, 0]),
-            mask=np.ones(4, dtype=np.int64),
-            old_logprobs=np.zeros(4),
-        )
+        P.TokenSequence(tokens=np.array([0, 1, 0, 0]), old_logprobs=np.zeros(4))
     ).placement)
     w2 = WorkloadProfile(loads=np.array([[4.0, 3.0, 2.0, 1.0]]), num_devices=2)
     rr_assignment, _ = eplb_assign(rr, w2)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -87,11 +88,25 @@ def test_validation_errors():
         ("eplb.num_devices = 0", "eplb.num_devices"),
         ("eplb.num_experts = 2", "eplb.num_devices"),
         ("eplb.num_profiles = 0", "eplb.num_profiles"),
+        ("seed = -1", "seed"),
+        ("eplb.profile_seed = -1", "eplb.profile_seed"),
     ],
 )
 def test_validation_names_the_key(line, key):
     with pytest.raises(ConfigError, match=f"^{key}: "):
         parse_config_text(line)
+
+
+FLOAT_KEYS = [
+    key for key, value in config_to_dict(RunConfig()).items() if isinstance(value, float)
+]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_every_float_key_must_be_finite(key):
+    for raw in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be finite, got "):
+            parse_config_text(f"{key} = {raw}")
 
 
 def test_target_token_bound_follows_vocab_size():
@@ -312,6 +327,34 @@ def test_run_seed_override_and_byte_identical_reruns(tmp_path, capsys):
         assert cli.main(["run", "--config", cfg, "--seed", "9", "--out", str(out_b)]) == 0
         assert (out_a / "trace.jsonl").read_bytes() == (out_b / "trace.jsonl").read_bytes()
         assert (out_a / "archive.json").read_bytes() == (out_b / "archive.json").read_bytes()
+
+
+def test_run_negative_seed_override_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, RUN_CFG)
+    assert cli.main(["run", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert "config error: seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["run", "--config", "{path}"], 2, "cannot read config file {path}: not UTF-8 text"),
+        (
+            ["estimate", "--file", "{path}", "--mode", "grpo"], 2,
+            "cannot read rewards file {path}: not UTF-8 text",
+        ),
+        (["export", "--trace", "{path}", "--series", "alpha"], 3, "trace does not parse: "),
+    ],
+    ids=["run-config", "estimate-file", "export-trace"],
+)
+def test_non_utf8_input_file(tmp_path, capsys, argv, code, message):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("0.5\n0.25\n# caf\u00e9\n".encode("latin-1"))
+    argv = [arg.format(path=path) for arg in argv]
+    if argv[0] == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == code
+    assert message.format(path=path) in capsys.readouterr().err
 
 
 def test_run_default_out_via_env(tmp_path, capsys, monkeypatch):

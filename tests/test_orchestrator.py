@@ -76,16 +76,11 @@ class TokenSumTask:
         return {"sum": int(seq.tokens.sum())}
 
     def evaluate(self, seq, iteration, rng):
-        visible = seq.tokens[seq.mask == 1]
-        return EvaluationOutcome.parsed(float(visible.sum()) / (11.0 * len(visible)))
+        return EvaluationOutcome.parsed(float(seq.tokens.sum()) / (11.0 * len(seq)))
 
 
 def make_candidate(cid, score, reward=None, status="ok"):
-    seq = TokenSequence(
-        tokens=np.zeros(4, dtype=np.int64),
-        mask=np.ones(4, dtype=np.int64),
-        old_logprobs=np.zeros(4),
-    )
+    seq = TokenSequence(tokens=np.zeros(4, dtype=np.int64), old_logprobs=np.zeros(4))
     if status == "ok":
         outcome = EvaluationOutcome.parsed(score)
     else:

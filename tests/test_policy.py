@@ -26,13 +26,9 @@ def make_ctx(rng=None):
     return rng.normal(size=DIMS.context_dim)
 
 
-def make_seq(tokens, mask=None, old=None):
-    tokens = np.asarray(tokens)
-    if mask is None:
-        mask = np.ones(len(tokens), dtype=np.int64)
-    if old is None:
-        old = np.full(len(tokens), -math.log(DIMS.vocab_size))
-    return TokenSequence(tokens=tokens, mask=np.asarray(mask), old_logprobs=np.asarray(old))
+def make_seq(tokens):
+    uniform = -math.log(DIMS.vocab_size)
+    return TokenSequence(tokens=tokens, old_logprobs=np.full(len(tokens), uniform))
 
 
 def random_setup(seed, n_seqs=3, length=5):
@@ -51,7 +47,7 @@ def random_setup(seed, n_seqs=3, length=5):
             bad = np.abs(ratios - edge) < 5e-3
             offsets[bad] += 0.02
         seq.old_logprobs = seq.old_logprobs + offsets
-        adv = rng.normal() * seq.mask
+        adv = P.broadcast_advantage(rng.normal(), seq)
         batch.append((ctx, seq, adv))
     return params, batch
 
@@ -80,7 +76,6 @@ def test_zero_params_sample_uniform_logprobs():
     params = PolicyParams.zeros(DIMS)
     seq = P.sample_sequence(P.context_table(params, make_ctx()), np.random.default_rng(0), 6)
     assert len(seq) == 6
-    assert np.all(seq.mask == 1)
     assert seq.old_logprobs == pytest.approx([-math.log(DIMS.vocab_size)] * 6)
 
 
@@ -153,11 +148,6 @@ def test_invalid_token_rejected():
 # ------------------------------------------------------------ broadcast
 
 
-def test_broadcast_respects_mask():
-    seq = make_seq([1, 2, 3], mask=[1, 1, 0])
-    assert P.broadcast_advantage(1.5, seq) == pytest.approx([1.5, 1.5, 0.0])
-
-
 def test_broadcast_zero():
     seq = make_seq([1, 2, 3, 4])
     assert P.broadcast_advantage(0.0, seq) == pytest.approx([0, 0, 0, 0])
@@ -172,29 +162,33 @@ def test_broadcast_zero():
 def test_loss_on_policy_is_negative_mean_advantage():
     adv = np.array([0.5, -1.0, 2.0])
     logp = np.array([-1.0, -2.0, -0.5])
-    mask = np.ones(3)
-    loss = ref.surrogate_loss(logp, logp, adv, mask, CLIP)
+    loss = ref.surrogate_loss(logp, logp, adv, CLIP)
     assert loss == pytest.approx(-adv.mean(), abs=1e-10)
 
 
 def test_loss_clips_positive_advantage():
     new = np.array([math.log(2.0)])
     old = np.array([0.0])
-    loss = ref.surrogate_loss(new, old, np.array([1.0]), np.ones(1), CLIP)
+    loss = ref.surrogate_loss(new, old, np.array([1.0]), CLIP)
     assert loss == pytest.approx(-1.28)
 
 
 def test_loss_clips_negative_advantage():
     new = np.array([math.log(0.5)])
     old = np.array([0.0])
-    loss = ref.surrogate_loss(new, old, np.array([-1.0]), np.ones(1), CLIP)
+    loss = ref.surrogate_loss(new, old, np.array([-1.0]), CLIP)
     assert loss == pytest.approx(0.8)
 
 
 def test_loss_needs_masked_in_tokens():
-    z = np.zeros(3)
+    z = np.zeros(0)
     with pytest.raises(EmptyBatchError):
-        ref.surrogate_loss(z, z, z, np.zeros(3), CLIP)
+        ref.surrogate_loss(z, z, z, CLIP)
+    params = PolicyParams.zeros(DIMS)
+    empty = make_seq([])
+    for impl in (P, ref):
+        with pytest.raises(EmptyBatchError, match="no tokens"):
+            impl.loss_and_gradient(params, [(make_ctx(), empty, z), (make_ctx(), empty, z)], CLIP)
 
 
 def test_loss_clip_bound_per_token():
@@ -203,7 +197,7 @@ def test_loss_clip_bound_per_token():
         new = rng.normal(scale=1.5, size=1)
         old = rng.normal(scale=1.5, size=1)
         adv = rng.normal(size=1)
-        loss = ref.surrogate_loss(new, old, adv, np.ones(1), CLIP)
+        loss = ref.surrogate_loss(new, old, adv, CLIP)
         ratio = float(np.exp(new[0] - old[0]))
         if adv[0] > 0:
             assert abs(loss) <= (1 + CLIP.eps_hi) * abs(adv[0]) + 1e-12
@@ -261,26 +255,6 @@ def test_deep_clipped_token_contributes_no_gradient():
     seq.old_logprobs = seq.old_logprobs - 2.0
     _, grad = P.loss_and_gradient(params, [(ctx, seq, P.broadcast_advantage(1.0, seq))], CLIP)
     assert P.grad_norm(grad) == 0.0
-
-
-def test_mask_soundness_loss_and_gradient():
-    params, batch = random_setup(4, n_seqs=1, length=5)
-    ctx, seq, adv = batch[0]
-    seq.mask = np.array([1, 1, 0, 1, 0])
-    adv = adv * seq.mask
-    loss_a, grad_a = P.loss_and_gradient(params, [(ctx, seq, adv)], CLIP)
-
-    perturbed = TokenSequence(
-        tokens=seq.tokens.copy(), mask=seq.mask.copy(), old_logprobs=seq.old_logprobs.copy()
-    )
-    perturbed.tokens[2] = (perturbed.tokens[2] + 3) % DIMS.vocab_size
-    perturbed.tokens[4] = (perturbed.tokens[4] + 1) % DIMS.vocab_size
-    perturbed.old_logprobs[2] = -9.0
-    loss_b, grad_b = P.loss_and_gradient(params, [(ctx, perturbed, adv)], CLIP)
-
-    assert loss_a == loss_b
-    assert np.array_equal(grad_a.w_ctx, grad_b.w_ctx)
-    assert np.array_equal(grad_a.w_emit, grad_b.w_emit)
 
 
 def test_empty_batch_rejected():

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from phasevolve import policy as P
 from phasevolve.policy import (
     ClipConfig,
-    EmptyBatchError,
     InvalidTokenError,
     NumericFailureError,
     PolicyDims,
@@ -33,10 +32,9 @@ SETTINGS = settings(max_examples=60, deadline=None)
 def setups(draw, max_seqs=4, pool=False):
     """Random params, then a batch of (context, sequence, per-token advantages).
 
-    Masks are drawn position by position, so masked-out tokens appear in the
-    middle of sequences as well as at their ends. With ``pool``, contexts are
-    copies of one of 1-3 vectors, so equal contexts repeat within the batch
-    as separate arrays.
+    Sequence lengths are drawn from 1..max_tokens, so sequences of mixed
+    lengths share a batch. With ``pool``, contexts are copies of one of 1-3
+    vectors, so equal contexts repeat within the batch as separate arrays.
     """
     dims = PolicyDims(
         context_dim=draw(st.integers(1, 4)),
@@ -50,17 +48,15 @@ def setups(draw, max_seqs=4, pool=False):
     batch = []
     for _ in range(draw(st.integers(1, max_seqs))):
         length = draw(st.integers(1, dims.max_tokens))
-        mask = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=length, max_size=length)))
         seq = TokenSequence(
             tokens=rng.integers(0, dims.vocab_size, size=length),
-            mask=mask,
             old_logprobs=-rng.uniform(0.0, 3.0, size=length),
         )
         if pool:
             ctx = contexts[draw(st.integers(0, len(contexts) - 1))].copy()
         else:
             ctx = rng.normal(size=dims.context_dim)
-        batch.append((ctx, seq, rng.normal(size=length) * mask))
+        batch.append((ctx, seq, rng.normal(size=length)))
     return params, batch
 
 
@@ -108,8 +104,6 @@ def test_group_entropy_from_one_shared_table(setup):
 @given(setups(max_seqs=6, pool=True))
 def test_loss_with_repeated_contexts_matches_reference(setup):
     params, batch = setup
-    if not any(seq.mask.any() for _, seq, _ in batch):
-        return
     assert_same_loss_and_gradient(params, batch)
 
 
@@ -117,19 +111,13 @@ def test_loss_with_repeated_contexts_matches_reference(setup):
 @given(setups())
 def test_loss_and_gradient_match_reference(setup):
     params, batch = setup
-    if not any(seq.mask.any() for _, seq, _ in batch):
-        for impl in (P, ref):
-            with pytest.raises(EmptyBatchError):
-                impl.loss_and_gradient(params, batch, CLIP)
-        return
     loss, _ = assert_same_loss_and_gradient(params, batch)
     # The stand-alone reference loss over the concatenated batch is the same
     # mean, summed in another order.
     new = np.concatenate([ref.sequence_logprobs(params, ctx, seq) for ctx, seq, _ in batch])
     old = np.concatenate([seq.old_logprobs for _, seq, _ in batch])
     adv = np.concatenate([adv for _, _, adv in batch])
-    mask = np.concatenate([seq.mask for _, seq, _ in batch])
-    expected = ref.surrogate_loss(new, old, adv, mask, CLIP)
+    expected = ref.surrogate_loss(new, old, adv, CLIP)
     assert loss == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
@@ -137,7 +125,6 @@ def test_loss_and_gradient_match_reference(setup):
 @given(setups())
 def test_zero_advantages_give_zero_gradient(setup):
     params, batch = setup
-    batch[0][1].mask[0] = 1  # at least one masked-in token
     batch = [(ctx, seq, np.zeros(len(seq))) for ctx, seq, _ in batch]
     loss, grad = assert_same_loss_and_gradient(params, batch)
     assert loss == 0.0
@@ -148,7 +135,6 @@ def test_zero_advantages_give_zero_gradient(setup):
 @given(setups())
 def test_deep_clipped_batch_gives_zero_gradient(setup):
     params, batch = setup
-    batch[0][1].mask[0] = 1
     clipped = []
     for ctx, seq, _ in batch:
         # ratio e^2 > 1 + eps_hi with A > 0, or e^-2 < 1 - eps_lo with A < 0:
@@ -156,28 +142,9 @@ def test_deep_clipped_batch_gives_zero_gradient(setup):
         sign = np.where(np.arange(len(seq)) % 2 == 0, 1.0, -1.0)
         new = ref.sequence_logprobs(params, ctx, seq)
         seq.old_logprobs = new - 2.0 * sign
-        clipped.append((ctx, seq, sign * seq.mask))
+        clipped.append((ctx, seq, sign))
     _, grad = assert_same_loss_and_gradient(params, clipped)
     assert not grad.w_ctx.any() and not grad.w_emit.any()
-
-
-def test_masked_out_middle_tokens_match_reference():
-    dims = PolicyDims(context_dim=3, hidden_dim=5, vocab_size=7, max_tokens=8)
-    rng = np.random.default_rng(17)
-    params = PolicyParams.random(dims, rng, scale=0.8)
-    batch = []
-    for mask in ([1, 0, 1, 0, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 1]):
-        seq = TokenSequence(
-            tokens=rng.integers(0, dims.vocab_size, size=len(mask)),
-            mask=np.array(mask),
-            old_logprobs=-rng.uniform(1.0, 2.5, size=len(mask)),
-        )
-        batch.append((rng.normal(size=3), seq, rng.normal() * seq.mask))
-    _, grad = assert_same_loss_and_gradient(params, batch)
-    assert grad.w_emit.any()
-    for ctx, seq, _ in batch:
-        table = P.context_table(params, ctx)
-        assert P.token_entropy(table, seq) == ref.token_entropy(params, ctx, seq)
 
 
 def two_sequence_batch():
@@ -220,7 +187,6 @@ def test_sampler_matches_reference_and_uses_length_uniforms(setup, seed, data):
     ref_seq = ref.sample_sequence(params, ctx, ref_rng, length)
     assert np.array_equal(seq.tokens, ref_seq.tokens)
     assert np.array_equal(seq.old_logprobs, ref_seq.old_logprobs)
-    assert np.array_equal(seq.mask, np.ones(length, dtype=np.int64))
     twin.random(length)
     after = twin.random()
     assert rng.random() == after

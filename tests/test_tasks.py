@@ -25,11 +25,8 @@ from phasevolve.tasks.synthetic import (
 )
 
 
-def seq_of(tokens, mask=None):
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if mask is None:
-        mask = np.ones(len(tokens), dtype=np.int64)
-    return TokenSequence(tokens=tokens, mask=np.asarray(mask), old_logprobs=np.zeros(len(tokens)))
+def seq_of(tokens):
+    return TokenSequence(tokens=tokens, old_logprobs=np.zeros(len(tokens)))
 
 
 token_lists = st.lists(st.integers(min_value=0, max_value=23), min_size=1, max_size=8)
@@ -52,12 +49,6 @@ def test_decode_total_and_valid(tokens):
     assert isinstance(h.placement, Placement)
     assert 0 <= h.rebalance_passes <= 3
     assert 1 <= h.swap_window <= 4
-
-
-def test_decode_ignores_masked_tail():
-    a = seq_of([1, 2, 3, 0, 5, 6], mask=[1, 1, 1, 1, 0, 0])
-    b = seq_of([1, 2, 3, 0, 9, 9], mask=[1, 1, 1, 1, 0, 0])
-    assert eplb_decode(a) == eplb_decode(b)
 
 
 def test_decode_short_sequence_pads_with_zero():
@@ -338,13 +329,6 @@ def test_synthetic_quality_in_unit_interval(tokens):
     land = SyntheticLandscape()
     q = latent_quality(seq_of(tokens), land)
     assert 0.0 <= q <= 1.0
-
-
-def test_synthetic_quality_ignores_masked_tail():
-    land = SyntheticLandscape()
-    a = seq_of([0, 0, 1, 7], mask=[1, 1, 1, 0])
-    b = seq_of([0, 0, 1, 3], mask=[1, 1, 1, 0])
-    assert latent_quality(a, land) == latent_quality(b, land)
 
 
 def test_synthetic_noise_uses_rng():
