@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -156,6 +157,12 @@ def _read_rewards(path: str) -> np.ndarray:
 
 
 def _cmd_estimate(args) -> int:
+    # The estimators check their own ranges, but nan and inf pass most of them.
+    for flag in ("eps_num", "eps_skip", "gamma", "alpha"):
+        if not math.isfinite(getattr(args, flag)):
+            print(f"--{flag.replace('_', '-')} must be finite, got {getattr(args, flag)}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     try:
         rewards = _read_rewards(args.file)
     except (OSError, UnicodeDecodeError) as exc:

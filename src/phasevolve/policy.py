@@ -20,10 +20,13 @@ table per distinct context and runs its forward half over the whole group.
 
 Everything is float64 and hand-differentiated; ``loss_and_gradient`` is the
 only code path that produces gradients, and it is checked against central
-finite differences in the test suite. Table rows hold exactly the values a
-per-token log-softmax gives, and the batched backward pass adds its terms in
-the order of a token-by-token loop, so results match that loop bit for bit
-(``tests/reference_policy.py`` keeps it as the oracle).
+finite differences in the test suite. ``tests/reference_policy.py`` keeps a
+token-by-token loop as the oracle. Table rows hold exactly the values a
+per-token log-softmax gives, so tables, sampling, entropy and the loss match
+that loop bit for bit. The gradient is summed per table row rather than per
+token, so it matches the loop to rtol 1e-12, atol 1e-13; an entry no token
+reaches, such as the bigram row of a token nothing follows, is exactly zero
+in both.
 """
 
 from __future__ import annotations
@@ -216,10 +219,6 @@ class PolicyGradient:
     w_ctx: np.ndarray
     w_emit: np.ndarray
 
-    @classmethod
-    def zeros_like(cls, params: PolicyParams) -> "PolicyGradient":
-        return cls(np.zeros_like(params.w_ctx), np.zeros_like(params.w_emit))
-
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.w_ctx)) and np.all(np.isfinite(self.w_emit)))
 
@@ -350,16 +349,15 @@ def loss_and_gradient(
     ``batch`` holds (context vector, sequence, per-token advantages) triples;
     the mean runs over every token of the whole batch. Each distinct
     context's table is built once, and the batch's tokens are checked,
-    looked up and clipped as one array. The backward pass covers the M
-    tokens with a nonzero derivative at once; every sum runs over those
-    tokens in batch order, as a token-by-token loop would.
+    looked up and clipped as one array. The backward pass sums each token's
+    derivative into its table row with one bincount and then works per
+    row, never per token, so a row that no token reads adds exactly zero.
     """
     seqs = [seq for _, seq, _ in batch]
     total = sum(len(seq) for seq in seqs)
     if total == 0:
         raise EmptyBatchError("no tokens in the batch")
 
-    h_dim = params.hidden_dim
     lengths = [len(seq) for seq in seqs]
     ends = np.cumsum(lengths)
     starts = np.repeat(ends - lengths, lengths)  # each token's sequence start
@@ -375,14 +373,14 @@ def loss_and_gradient(
     ctxs = [np.asarray(ctx, dtype=np.float64) for ctx, _, _ in batch]
     slots: dict[tuple, int] = {}
     slot_of = [slots.setdefault((ctx.shape, ctx.tobytes()), len(slots)) for ctx in ctxs]
-    hiddens = [_hidden(params, ctxs[slot_of.index(slot)]) for slot in range(len(slots))]
+    slot_ctxs = [ctxs[slot_of.index(slot)] for slot in range(len(slots))]
+    hiddens = [_hidden(params, ctx) for ctx in slot_ctxs]
     table = np.concatenate([_log_prob_table(params, hidden) for hidden in hiddens])
     # Table row of each position: 1 + the previous token of its own
     # sequence, or 0 at a sequence start.
     position = np.arange(len(tokens))
     rows = np.where(position > starts, tokens[position - 1] + 1, 0)
-    token_slot = np.repeat(slot_of, lengths)
-    flat_rows = token_slot * (params.vocab_size + 1) + rows
+    flat_rows = np.repeat(slot_of, lengths) * (params.vocab_size + 1) + rows
 
     objective, dobj = _clip_terms(
         table[flat_rows, tokens],
@@ -397,29 +395,18 @@ def loss_and_gradient(
     loss_acc = 0.0
     for start, end in zip(ends - lengths, ends):
         loss_acc -= float(objective[start:end].sum())
-    # dL/d new_logp_t, including the -1/M of the negated mean.
-    dlogp = -dobj / total
-    live = dlogp != 0.0
-    seq_index = np.repeat(np.arange(len(batch)), lengths)[live]
-    rows = rows[live]
-    dlogp = dlogp[live]
-    # dL/dlogits, one row per live token: (M, V).
-    dlogits = -np.exp(table[flat_rows[live]]) * dlogp[:, None]
-    dlogits[np.arange(len(dlogp)), tokens[live]] += dlogp
-
-    grad = PolicyGradient.zeros_like(params)
-    hidden = np.stack(hiddens)[token_slot[live]]
-    grad.w_emit[:h_dim] = np.add.reduce(
-        hidden[:, :, None] * dlogits[:, None, :], axis=0, initial=0.0
-    )
-    after = rows > 0
-    np.add.at(grad.w_emit, h_dim - 1 + rows[after], dlogits[after])
-    # W @ dlogits per token (one gemv each), summed per sequence in order.
-    dhidden_tok = np.matmul(params.w_emit[:h_dim], dlogits[:, :, None])[:, :, 0]
-    dhidden = np.zeros((len(batch), h_dim))
-    np.add.at(dhidden, seq_index, dhidden_tok)
-    grad.w_ctx[...] = np.add.reduce(
-        np.stack(ctxs)[:, :, None] * dhidden[:, None, :], axis=0, initial=0.0
+    # dL/d new_logp_t, including the -1/M of the negated mean. A token adds
+    # dlogp_t * (onehot(token) - p) to its row's dlogits, so each row's
+    # dlogits are its weighted token counts C minus rowsum(C) * p.
+    counts = np.bincount(
+        flat_rows * params.vocab_size + tokens, weights=-dobj / total, minlength=table.size
+    ).reshape(len(slots), params.vocab_size + 1, params.vocab_size)
+    dlogits = counts - counts.sum(axis=2, keepdims=True) * np.exp(table).reshape(counts.shape)
+    # Every row of a slot's table adds that slot's base logits.
+    dbase = dlogits.sum(axis=1)
+    grad = PolicyGradient(
+        w_ctx=np.stack(slot_ctxs).T @ (dbase @ params.w_emit[: params.hidden_dim].T),
+        w_emit=np.concatenate([np.stack(hiddens).T @ dbase, dlogits[:, 1:].sum(axis=0)]),
     )
 
     loss = loss_acc / total

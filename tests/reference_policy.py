@@ -2,9 +2,12 @@
 
 This is the original position-by-position code: one log-softmax per token,
 recomputed wherever it is needed. ``phasevolve.policy`` reads the same
-distributions from one per-context table and vectorizes the backward pass;
-the oracle tests require both to agree bit for bit. ``surrogate_loss`` is the
-stand-alone form of the loss inside ``loss_and_gradient``.
+distributions from one per-context table, and the oracle tests require
+tables, sampling, entropy and the loss to agree with this code bit for bit.
+Its backward pass sums the same terms per table row instead of per token, so
+gradients agree to rtol 1e-12, atol 1e-13, and exactly where no token
+contributes. ``surrogate_loss`` is the stand-alone form of the loss inside
+``loss_and_gradient``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from phasevolve.policy import (
     _clip_terms,
     _hidden,
 )
+
+
+def zero_gradient(params: PolicyParams) -> PolicyGradient:
+    return PolicyGradient(np.zeros_like(params.w_ctx), np.zeros_like(params.w_emit))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -114,7 +121,7 @@ def loss_and_gradient(
         raise EmptyBatchError("no tokens in the batch")
 
     h_dim = params.hidden_dim
-    grad = PolicyGradient.zeros_like(params)
+    grad = zero_gradient(params)
     loss_acc = 0.0
     for ctx, seq, adv_tok in batch:
         ctx = np.asarray(ctx, dtype=np.float64)

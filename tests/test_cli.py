@@ -168,6 +168,26 @@ def test_estimate_explicit_bad_k_errors(tmp_path, capsys):
     assert cli.main(["estimate", "--file", path, "--mode", "sloo", "--k", "7"]) == 2
 
 
+@pytest.mark.parametrize(
+    "mode, flag, value",
+    [
+        ("grpo", "--eps-num", "nan"),
+        ("phase", "--eps-skip", "inf"),
+        ("entropic", "--gamma", "inf"),
+        ("phase", "--alpha", "nan"),
+    ],
+)
+def test_estimate_rejects_non_finite_flag(tmp_path, capsys, mode, flag, value):
+    # nan and inf pass most of the estimators' own range checks (the first
+    # three cases would print nan, 99999999.0 or SKIP), so the flag is
+    # checked and named before any estimator runs.
+    path = write_rewards(tmp_path, ["1", "2", "3"])
+    assert cli.main(["estimate", "--file", path, "--mode", mode, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be finite" in captured.err
+
+
 def test_estimate_modes_agree_with_library(tmp_path, capsys):
     rng = np.random.default_rng(0)
     rewards = rng.normal(size=6)

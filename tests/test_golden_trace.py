@@ -10,9 +10,14 @@ differ between its AVX2 and AVX-512 kernels) and on the BLAS kernels. So
 the digests are recorded under one numpy version, once per set of kernels,
 and the set in use is identified by ``arithmetic_fingerprint``. Under
 another numpy version or an unrecorded kernel set the tests skip and say why.
+
+Run as a script (``PYTHONPATH=src python tests/test_golden_trace.py``), the
+file prints this machine's fingerprint and the digest of every case in
+``GOLDEN``'s layout, ready to paste when a change re-pins the digests.
 """
 
 import hashlib
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -54,47 +59,47 @@ CASES = {
 GOLDEN = {
     # AVX-512 exp/log, SkylakeX BLAS kernels
     "24937bbe441f55b4b9b07786f6aa6b4f491b32bd7a3b52582f644770ce9e0e8a": {
-        "synthetic": "4d1ae1eca898685f38ca4b281af6136b7fca6d16477bb33aa7f29ec543404692",
-        "eplb": "de72588f8fdbe153e0842c70721c2c087e64ddd613dcacbca9a8edb1c8cec913",
-        "synthetic-compressed": "1e24072077ca22d316bcf6b371150c794085ba001ffcdc9a630d603ad07fef7b",
-        "eplb-wide": "463f79abd8e803af645bc9f24357e06a9d47049761425b2d3faed0a2ec977346",
-        "synthetic-multiparent": "53b184aa7f01f2c16af54b02f0aaf32c5a9759fb05055ce3de6fdc4a9e6f028c",
-        "eplb-grpo": "13f279410d3c8ec114b15661ad2533c2f20b4188bb88f45b1aab7d4adc0f276d",
-        "eplb-entropic": "268b19378818da8731a4e0cc0f3c7ec4110b30e4e08024462729766bd15e12ae",
-        "eplb-maxk": "36679327e92e3f036fbfb81ac235ff487a39c541a4a523730df90f4574d5c5ff",
+        "synthetic": "8ce425a6519e7b9fd6924e1215a4a1be5b0fccda345ce21998746aa495b66cce",
+        "eplb": "a2097111327611d25a08947dea25aac2761c9b99d5aa2d3cbb4e7f2cfe923339",
+        "synthetic-compressed": "20f2bd06e3f457d24a59c570cc86ca9487f6b05864a1316066d2f80e03a976f8",
+        "eplb-wide": "0985f69a20a948f24e6ecb243ccf3368541a2801c81363dec64a40cbb514c59e",
+        "synthetic-multiparent": "c62daa57818fcbd787ecb71c58c5150d6982686e0086825889369a33d70f7fe4",
+        "eplb-grpo": "0bf092302296822769ce031d6abc558ad2e986620711de47c212b4515084b28c",
+        "eplb-entropic": "0a475bf1a24e2a55c7210d2036777e87100fce56991a602e5b6749eaccef89a4",
+        "eplb-maxk": "7fdaf0f5aeb9b5b6f998fab7bc7b9596cf6c7dc17d114f88dd1509ff3abe03e9",
     },
     # AVX-512 exp/log, Haswell BLAS kernels
     "ee9231e713ee634660a79c03901ec10813ae3a3f45ce2e226c7c8e85d13aa243": {
-        "synthetic": "fe27dd490effd9a83dd981585f3499896af6da0fa81cc181bbf393a50342fcbc",
-        "eplb": "9dd52096a8fe832f3a2f836ed18a604bdbf7649bccc78e66ebdef81577ec3b32",
-        "synthetic-compressed": "47d8ad71f62a7af804b9b7955d77c2fefcced1f19bf806936ac19856cba93329",
-        "eplb-wide": "167f655e89357436593a22d6bc403e73c7fbc6cdab801aeb85dff5779cda654a",
-        "synthetic-multiparent": "8d60c3c3faa18cea3971b2406366dfd900a6646714cd5e7a92c5e2572dc8f979",
-        "eplb-grpo": "96abee31f257d34c4f6bc480e60c95eef083b370204b8a5cee42b4e1b998f29f",
-        "eplb-entropic": "01465a5b33c9f946ed20f0b454a8cdf30fe73803e1ebe7b87d49a7097beadde8",
-        "eplb-maxk": "b58a31e0afa0a900b709e45e4232b6367a449d24749f6fd9ced23d9aa9abf5cc",
+        "synthetic": "c4ea2f638a0dbe565c8cf39e9f5e758f57b523fcc703f0d5dd338941cf526230",
+        "eplb": "56bd940811308dbbd06ed9c8b8bf4ad0856bd5b04d616d8d2ff20bd20f2afda9",
+        "synthetic-compressed": "b1759bcd9f3365bed1bf6bc48b609b119f079616668718f15b59ed4a69ed5019",
+        "eplb-wide": "1a5fa9ecc3405d6a3091dec538a58f8f412e734fcf8cad04749a64fb49db6866",
+        "synthetic-multiparent": "ab38fa252af822394dba7fb04b2379687b0cef86b16a45ccbcd7e2c982517ab6",
+        "eplb-grpo": "d998678c2bd0a9eecb57f3997fa24eb92211ac0c0e13af5dc75986fd570580bd",
+        "eplb-entropic": "398b462292fca2fc2716927a41faaa2f5db98faf68aaae886727365c585fdb09",
+        "eplb-maxk": "56a289f3b5b9111c2bcd4cffed1b458cedf2ec84efdd5bbad205fb70b978e540",
     },
     # AVX2 exp/log, SkylakeX BLAS kernels
     "e20f2ac3d2a72a9bc7752d0ca1bb03dbf30b9a59829771fc617f7657198a2984": {
-        "synthetic": "2cd48d618ec4bb658eb5020bf6e53a0a4b19dbd1f4d0ae856cb8ea817038bc19",
-        "eplb": "6cb4b63357f47903baa1171feebb2e74715b5d45324a832d7054300cd2b035c2",
-        "synthetic-compressed": "1d6e53695720e8de7b78134b20d37d558104e431a5647e01e3cd7b0887ac6ee0",
-        "eplb-wide": "778c8345b7516ca0e1c1dac6e7d94a36dabc0ac2d7daed431b3213559519488e",
-        "synthetic-multiparent": "068495de3ba05be313cf7aeb351249f9ad3a749bf497342666b7a60ab394c489",
-        "eplb-grpo": "5ef5e44cdf11d76b33245795d712a6a3c32f1a68431bd4dbe593156bf9a27c99",
-        "eplb-entropic": "72d69a960b7d9c4b18862bffb3366d0947723a9321e7dfbd74e379143e4b8692",
-        "eplb-maxk": "7ff18c60e5f53060ac74b4208bcd16500bc8c1a7afe5075480dbde713cd989ad",
+        "synthetic": "e7fe72ad84ba00076b63bfb08dae8ad0f855a74cba7ef956dea2f7f70d10ea8f",
+        "eplb": "009fd114dface1a91273961051161f1f5e7007ad82d53a8d6bfac175b798489f",
+        "synthetic-compressed": "ca8e693bae8f9c682f27739fb6f28830f0cca50e1173ebde602f2a590c8f187d",
+        "eplb-wide": "43236ba889a1b6c23f6fe2671c979f060e51be60842fb52516b6dd6e49d48823",
+        "synthetic-multiparent": "4a4d56a8ab53e16b8e3a9a41f05b0cc9d9fc2803a987c8a9af15fc8beda32737",
+        "eplb-grpo": "746f58ddb7a40a3ebc9d28cedf17257a68ae3d5abef86ebb84968e5437f033ba",
+        "eplb-entropic": "84eb54f05d0f325fec82a68b9bee782c11d2ab5568cd701b190960ee4b447b22",
+        "eplb-maxk": "3fad3c201ed4d3c7d0408984b8217a010dbd26aaf753257d2dfd2cd4150641cc",
     },
     # AVX2 exp/log, Haswell BLAS kernels (an AVX2-only CPU)
     "e07ce9d6895bd66c8b6ee4c106b6af27219c363d3ab5e2eda3340af80a21ed38": {
-        "synthetic": "86c63c16048a217139365b67f9e3e064c63fb751d59e619b6f0440daf55f31a9",
-        "eplb": "5234bc354a175e7e7ea3b89b55fd6928c1386aed552052e8acb71b3d58a6527b",
-        "synthetic-compressed": "44f6b059c5207bbf2b870dd051da2ac9b195991f22d610b7295d939d997a4e13",
-        "eplb-wide": "8db958c1f1af038275b749744ab9032f92dde8bf28c0bf97bf280b6c0b8ae9d6",
-        "synthetic-multiparent": "1c547894aee2662d4f6b2988870f154cd66141d06c8790f7de3adb8c3bf03125",
-        "eplb-grpo": "e80ddff1b87ea66f2b4f4844409b48fbe57ac269da6a18911ee0542d8fa215bd",
-        "eplb-entropic": "a3da32ed8f213942a9c62d4ee0e40eba39ab1cf21f1404721ed61093163431d5",
-        "eplb-maxk": "690e6fe8aee89ab75c9f2050f1d7e0b1ae4a4d14f7fe23763422e9d94d2132c1",
+        "synthetic": "03200565b6c4899967802353b15299de5772fc9bc7529833ad4540d0c70fdfbc",
+        "eplb": "0115a86d582dce06cffe0adb88db92eb769d337962cbe66683cd8fce2d512b88",
+        "synthetic-compressed": "95050f0c79154ce754e5628a20a5a47beca3b1ad5f1b5c164c27031930dc23c1",
+        "eplb-wide": "63af489e8d7e1915259ec9b45b9f2160595aede682eb889d9b2310eba0914965",
+        "synthetic-multiparent": "232afa38888324963be8001be0a16331647653ad5ee4c9c6272ba5036abbbde4",
+        "eplb-grpo": "2ab538b635c1a280f389d3f705729ce2bf3eda49b7039184342b5748a44f9c82",
+        "eplb-entropic": "b3ce22766e0e3a82befc0287a0f829e77c3745210aba7ef0e354e3df720145ac",
+        "eplb-maxk": "0d45a7e4b50e38ceb15d7fcbfe20574b02a088c96e4b16310d13ccb3d56eaa65",
     },
 }
 
@@ -148,3 +153,16 @@ def test_multiparent_case_has_several_contexts_per_group(tmp_path):
         if record["kind"] == "candidate":
             parents.setdefault(record["iteration"], set()).add(record["parent_id"])
     assert max(len(ids) for ids in parents.values()) > 1
+
+
+def main() -> None:
+    print(f'    "{arithmetic_fingerprint()}": {{')
+    for name in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            digest = hashlib.sha256(run_trace(name, Path(tmp)).read_bytes()).hexdigest()
+        print(f'        "{name}": "{digest}",')
+    print("    },")
+
+
+if __name__ == "__main__":
+    main()

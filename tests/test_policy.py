@@ -318,7 +318,7 @@ def test_grad_norm_values():
 def test_optimizer_zero_gradient_no_decay_is_identity():
     params = PolicyParams.random(DIMS, np.random.default_rng(0), scale=0.5)
     state = AdamState.zeros(params)
-    grad = P.PolicyGradient.zeros_like(params)
+    grad = ref.zero_gradient(params)
     new_params, _, applied = P.optimizer_step(params, grad, state, lr=0.1, weight_decay=0.0)
     assert applied
     assert np.array_equal(new_params.w_ctx, params.w_ctx)
@@ -328,7 +328,7 @@ def test_optimizer_zero_gradient_no_decay_is_identity():
 def test_optimizer_first_step_magnitude_is_lr():
     params = PolicyParams.zeros(DIMS)
     state = AdamState.zeros(params)
-    grad = P.PolicyGradient.zeros_like(params)
+    grad = ref.zero_gradient(params)
     grad.w_ctx[1, 2] = 0.5
     grad.w_emit[0, 3] = -1.25
     lr = 1e-3
@@ -344,7 +344,7 @@ def test_optimizer_first_step_magnitude_is_lr():
 def test_optimizer_decoupled_weight_decay():
     params = PolicyParams.random(DIMS, np.random.default_rng(1), scale=0.5)
     state = AdamState.zeros(params)
-    grad = P.PolicyGradient.zeros_like(params)
+    grad = ref.zero_gradient(params)
     lr, wd = 0.01, 0.1
     new_params, _, applied = P.optimizer_step(params, grad, state, lr=lr, weight_decay=wd)
     assert applied
@@ -355,7 +355,7 @@ def test_optimizer_decoupled_weight_decay():
 def test_optimizer_rejects_nonfinite_gradient():
     params = PolicyParams.random(DIMS, np.random.default_rng(2), scale=0.5)
     state = AdamState.zeros(params)
-    grad = P.PolicyGradient.zeros_like(params)
+    grad = ref.zero_gradient(params)
     grad.w_ctx[0, 0] = float("nan")
     new_params, new_state, applied = P.optimizer_step(params, grad, state, lr=0.1)
     assert not applied

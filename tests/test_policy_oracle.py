@@ -1,9 +1,12 @@
-"""The table-driven policy passes against the per-token reference, bit for bit.
+"""The table-driven policy passes against the per-token reference.
 
-Every comparison is exact (``np.array_equal`` or ``==``): the table holds the
-same values a per-token log-softmax computes, and the batched backward pass
-adds its terms in the reference loop's order. Sampling and entropy read one
-shared table per context; the loss builds one per distinct context.
+Tables, sampling, entropy and the loss are compared exactly (``np.array_equal``
+or ``==``): the table holds the same values a per-token log-softmax computes.
+Sampling and entropy read one shared table per context; the loss builds one
+per distinct context. The gradient sums its terms per table row, not in the
+reference loop's token order, so two tests compare it within ``GRAD_TOL``.
+Zero gradients (zero advantages, a fully clipped batch, bigram rows of tokens
+nothing follows) are compared exactly.
 """
 
 import math
@@ -26,6 +29,10 @@ from phasevolve.policy import (
 
 CLIP = ClipConfig()
 SETTINGS = settings(max_examples=60, deadline=None)
+# The gradient sums each table row's terms in another order than the
+# reference's token loop. Over 8,000 random batches drawn like ``setups``
+# (gradient entries up to 13) the largest absolute difference was 5.5e-15.
+GRAD_TOL = dict(rtol=1e-12, atol=1e-13)
 
 
 @st.composite
@@ -60,12 +67,13 @@ def setups(draw, max_seqs=4, pool=False):
     return params, batch
 
 
-def assert_same_loss_and_gradient(params, batch):
+def assert_same_loss_and_gradient(params, batch, rtol=0.0, atol=0.0):
+    """Equal losses; gradients equal, or within the given tolerance."""
     loss, grad = P.loss_and_gradient(params, batch, CLIP)
     ref_loss, ref_grad = ref.loss_and_gradient(params, batch, CLIP)
     assert loss == ref_loss
-    assert np.array_equal(grad.w_ctx, ref_grad.w_ctx)
-    assert np.array_equal(grad.w_emit, ref_grad.w_emit)
+    np.testing.assert_allclose(grad.w_ctx, ref_grad.w_ctx, rtol=rtol, atol=atol)
+    np.testing.assert_allclose(grad.w_emit, ref_grad.w_emit, rtol=rtol, atol=atol)
     return loss, grad
 
 
@@ -104,14 +112,14 @@ def test_group_entropy_from_one_shared_table(setup):
 @given(setups(max_seqs=6, pool=True))
 def test_loss_with_repeated_contexts_matches_reference(setup):
     params, batch = setup
-    assert_same_loss_and_gradient(params, batch)
+    assert_same_loss_and_gradient(params, batch, **GRAD_TOL)
 
 
 @SETTINGS
 @given(setups())
 def test_loss_and_gradient_match_reference(setup):
     params, batch = setup
-    loss, _ = assert_same_loss_and_gradient(params, batch)
+    loss, _ = assert_same_loss_and_gradient(params, batch, **GRAD_TOL)
     # The stand-alone reference loss over the concatenated batch is the same
     # mean, summed in another order.
     new = np.concatenate([ref.sequence_logprobs(params, ctx, seq) for ctx, seq, _ in batch])
@@ -145,6 +153,22 @@ def test_deep_clipped_batch_gives_zero_gradient(setup):
         clipped.append((ctx, seq, sign))
     _, grad = assert_same_loss_and_gradient(params, clipped)
     assert not grad.w_ctx.any() and not grad.w_emit.any()
+
+
+@SETTINGS
+@given(setups(max_seqs=6, pool=True))
+def test_rows_after_unfollowed_tokens_get_exactly_zero_gradient(setup):
+    # A bigram row whose token no sequence in the batch follows holds no
+    # token, so its gradient is exactly zero, not a rounding residue: Adam's
+    # m / sqrt(v) would turn any residue into a step of size lr.
+    params, batch = setup
+    followed = {int(token) for _, seq, _ in batch for token in seq.tokens[:-1]}
+    unfollowed = [
+        params.hidden_dim + token for token in range(params.vocab_size) if token not in followed
+    ]
+    for impl in (P, ref):
+        _, grad = impl.loss_and_gradient(params, batch, CLIP)
+        assert not grad.w_emit[unfollowed].any()
 
 
 def two_sequence_batch():
