@@ -211,7 +211,7 @@ def _cmd_export(args) -> int:
     except OSError as exc:
         print(f"cannot read trace file {args.trace}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or not a trace record
         print(f"trace does not parse: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     try:

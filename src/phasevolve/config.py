@@ -62,7 +62,6 @@ class RunConfig:
     shaping_exponent: float = _keyed("shaping.alpha_r", 1.0)
     archive_capacity: int = _keyed("archive.capacity", 16)
     select_temperature: float = _keyed("archive.select_temperature", 0.5)
-    per_candidate_parents: bool = _keyed("archive.per_candidate_parents", False)
     context_dim: int = _keyed("policy.context_dim", 8)
     hidden_dim: int = _keyed("policy.hidden_dim", 32)
     vocab_size: int = _keyed("policy.vocab_size", 24)
@@ -141,13 +140,6 @@ _FIELDS = {_KEYS[f.name]: f for f in fields(RunConfig)}
 def _parse_value(key: str, kind: str, raw: str):
     raw = raw.strip()
     try:
-        if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if kind == "int":
             return int(raw)
         if kind == "float":

@@ -42,7 +42,6 @@ class Candidate:
     reward: float
     iteration_born: int
     parent_id: int | None = None
-    context: np.ndarray | None = None
 
     @property
     def raw_score(self) -> float | None:
@@ -51,11 +50,11 @@ class Candidate:
 
 @dataclass
 class RewardBatch:
-    """One rollout group: shaped rewards and each candidate's context table
-    (valid until the parameters change)."""
+    """One rollout group: shaped rewards and the context table every candidate
+    was sampled from (valid until the parameters change)."""
 
     rewards: np.ndarray
-    tables: dict[int, policy.ContextTable]  # by parent id
+    table: policy.ContextTable
 
 
 class FrontierArchive:
@@ -216,32 +215,17 @@ def rollout_group(
     state: RunState, task, n: int
 ) -> tuple[RewardBatch, list[Candidate]]:
     """Sample, evaluate and shape one group of n candidates under frozen
-    parameters."""
+    parameters, all from one parent and so from one context table."""
     if n < 2:
         raise ValueError(f"group size must be >= 2, got {n}")
     cfg = state.config
-    if cfg.per_candidate_parents:
-        parents = [
-            select_parent(
-                state.archive, state.rng, cfg.select_temperature, state.seed_candidate
-            )
-            for _ in range(n)
-        ]
-    else:
-        parent = select_parent(
-            state.archive, state.rng, cfg.select_temperature, state.seed_candidate
-        )
-        parents = [parent] * n
-
-    # The archive and the parameters do not change during a rollout, so a
-    # parent's context table is the same for every candidate drawn from it.
-    tables: dict[int, policy.ContextTable] = {}
+    parent = select_parent(
+        state.archive, state.rng, cfg.select_temperature, state.seed_candidate
+    )
+    ctx = build_context(state, parent).features(cfg.context_dim)
+    table = policy.context_table(state.params, ctx)
     candidates: list[Candidate] = []
-    for parent in parents:
-        table = tables.get(parent.id)
-        if table is None:
-            ctx = build_context(state, parent).features(cfg.context_dim)
-            table = tables[parent.id] = policy.context_table(state.params, ctx)
+    for _ in range(n):
         seq = policy.sample_sequence(table, state.rng, cfg.seq_length)
         outcome = _safe_evaluate(task, seq, state.iteration, state.rng)
         candidates.append(
@@ -253,12 +237,11 @@ def rollout_group(
                 reward=shape_reward(outcome, state.shaping),
                 iteration_born=state.iteration,
                 parent_id=parent.id,
-                context=table.ctx,
             )
         )
         state.next_id += 1
 
-    batch = RewardBatch(rewards=np.array([c.reward for c in candidates]), tables=tables)
+    batch = RewardBatch(rewards=np.array([c.reward for c in candidates]), table=table)
     return batch, candidates
 
 
@@ -292,12 +275,8 @@ def training_step(
         raise ValueError("training step needs a group of at least 2 rewards")
     cfg = state.config
     alpha = state.schedule.alpha(state.iteration)
-    # Parameters have not changed since the rollout, so its tables still hold.
-    entropy = float(
-        np.mean(
-            [policy.token_entropy(batch.tables[c.parent_id], c.tokens) for c in candidates]
-        )
-    )
+    # Parameters have not changed since the rollout, so its table still holds.
+    entropy = float(np.mean([policy.token_entropy(batch.table, c.tokens) for c in candidates]))
     advantages, info = estimators.advantages(
         cfg.mode,
         batch.rewards,
@@ -324,11 +303,13 @@ def training_step(
 
     diag.advantages = advantages.tolist()
     token_batch = [
-        (c.context, c.tokens, policy.broadcast_advantage(float(a), c.tokens))
+        (c.tokens, policy.broadcast_advantage(float(a), c.tokens))
         for c, a in zip(candidates, advantages)
     ]
     try:
-        loss, grad = policy.loss_and_gradient(state.params, token_batch, state.clip)
+        loss, grad = policy.loss_and_gradient(
+            state.params, batch.table.ctx, token_batch, state.clip
+        )
     except policy.NumericFailureError as exc:
         # Reject the step: parameters and optimizer state stay untouched.
         diag.error = str(exc)

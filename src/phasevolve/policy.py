@@ -13,10 +13,11 @@ policy can use for one context fits in one (V + 1, V) log-softmax table.
 Row 0 is position 0, which has no previous token, and row 1 + j is the
 position after token j.
 
-``context_table`` builds that table once per context per iteration, with
-the cumulative probabilities and per-row p . log p that sampling and entropy
-read from it. ``loss_and_gradient`` keeps taking (params, batch), builds one
-table per distinct context and runs its forward half over the whole group.
+A rollout group has one parent and so one context: ``context_table`` builds
+its table once per group, with the cumulative probabilities and per-row
+p . log p that sampling and entropy read from it. ``loss_and_gradient``
+builds the same table from (params, ctx) and runs its forward half over the
+whole group.
 
 Everything is float64 and hand-differentiated; ``loss_and_gradient`` is the
 only code path that produces gradients, and it is checked against central
@@ -341,24 +342,26 @@ def _clip_terms(
 
 def loss_and_gradient(
     params: PolicyParams,
-    batch: list[tuple[np.ndarray, TokenSequence, np.ndarray]],
+    ctx: np.ndarray,
+    batch: list[tuple[TokenSequence, np.ndarray]],
     clip: ClipConfig,
 ) -> tuple[float, PolicyGradient]:
-    """Surrogate loss and its analytic gradient over a rollout batch.
+    """Surrogate loss and its analytic gradient over one rollout group.
 
-    ``batch`` holds (context vector, sequence, per-token advantages) triples;
-    the mean runs over every token of the whole batch. Each distinct
-    context's table is built once, and the batch's tokens are checked,
-    looked up and clipped as one array. The backward pass sums each token's
-    derivative into its table row with one bincount and then works per
-    row, never per token, so a row that no token reads adds exactly zero.
+    ``batch`` holds (sequence, per-token advantages) pairs, all sampled under
+    the group's one context vector ``ctx``; the mean runs over every token of
+    the whole batch. The context's table is built once, and the batch's
+    tokens are checked, looked up and clipped as one array. The backward pass
+    sums each token's derivative into its table row with one bincount and
+    then works per row, never per token, so a row that no token reads adds
+    exactly zero.
     """
-    seqs = [seq for _, seq, _ in batch]
-    total = sum(len(seq) for seq in seqs)
+    seqs = [seq for seq, _ in batch]
+    lengths = [len(seq) for seq in seqs]
+    total = sum(lengths)
     if total == 0:
         raise EmptyBatchError("no tokens in the batch")
 
-    lengths = [len(seq) for seq in seqs]
     ends = np.cumsum(lengths)
     starts = np.repeat(ends - lengths, lengths)  # each token's sequence start
     tokens = np.concatenate([seq.tokens for seq in seqs])
@@ -370,22 +373,17 @@ def loss_and_gradient(
             f"outside vocabulary of {params.vocab_size}"
         )
 
-    ctxs = [np.asarray(ctx, dtype=np.float64) for ctx, _, _ in batch]
-    slots: dict[tuple, int] = {}
-    slot_of = [slots.setdefault((ctx.shape, ctx.tobytes()), len(slots)) for ctx in ctxs]
-    slot_ctxs = [ctxs[slot_of.index(slot)] for slot in range(len(slots))]
-    hiddens = [_hidden(params, ctx) for ctx in slot_ctxs]
-    table = np.concatenate([_log_prob_table(params, hidden) for hidden in hiddens])
+    hidden = _hidden(params, ctx)
+    table = _log_prob_table(params, hidden)
     # Table row of each position: 1 + the previous token of its own
     # sequence, or 0 at a sequence start.
     position = np.arange(len(tokens))
     rows = np.where(position > starts, tokens[position - 1] + 1, 0)
-    flat_rows = np.repeat(slot_of, lengths) * (params.vocab_size + 1) + rows
 
     objective, dobj = _clip_terms(
-        table[flat_rows, tokens],
+        table[rows, tokens],
         np.concatenate([seq.old_logprobs for seq in seqs]),
-        np.concatenate([adv_tok for _, _, adv_tok in batch]),
+        np.concatenate([adv_tok for _, adv_tok in batch]),
         clip,
     )
     nonfinite = ~np.isfinite(objective)
@@ -399,14 +397,14 @@ def loss_and_gradient(
     # dlogp_t * (onehot(token) - p) to its row's dlogits, so each row's
     # dlogits are its weighted token counts C minus rowsum(C) * p.
     counts = np.bincount(
-        flat_rows * params.vocab_size + tokens, weights=-dobj / total, minlength=table.size
-    ).reshape(len(slots), params.vocab_size + 1, params.vocab_size)
-    dlogits = counts - counts.sum(axis=2, keepdims=True) * np.exp(table).reshape(counts.shape)
-    # Every row of a slot's table adds that slot's base logits.
-    dbase = dlogits.sum(axis=1)
+        rows * params.vocab_size + tokens, weights=-dobj / total, minlength=table.size
+    ).reshape(table.shape)
+    dlogits = counts - counts.sum(axis=1, keepdims=True) * np.exp(table)
+    # Every row of the table adds the base logits.
+    dbase = dlogits.sum(axis=0)
     grad = PolicyGradient(
-        w_ctx=np.stack(slot_ctxs).T @ (dbase @ params.w_emit[: params.hidden_dim].T),
-        w_emit=np.concatenate([np.stack(hiddens).T @ dbase, dlogits[:, 1:].sum(axis=0)]),
+        w_ctx=np.outer(ctx, params.w_emit[: params.hidden_dim] @ dbase),
+        w_emit=np.concatenate([np.outer(hidden, dbase), dlogits[1:]]),
     )
 
     loss = loss_acc / total

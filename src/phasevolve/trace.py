@@ -47,7 +47,9 @@ def read_trace(path) -> list[dict]:
 
     A last line that has no newline and does not parse is a record torn by a
     run killed mid-write, and is skipped. Any other line that does not parse
-    raises ``json.JSONDecodeError`` with its position in the whole file.
+    raises ``json.JSONDecodeError`` with its position in the whole file. A
+    line that parses but is not a JSON object, or a step record without an
+    integer ``iteration``, raises ``ValueError`` naming its line.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.split("\n")  # the last item is "" unless that line is torn
@@ -56,11 +58,16 @@ def read_trace(path) -> list[dict]:
     for number, line in enumerate(lines, start=1):
         if line.strip():
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 if number == len(lines):
                     break
                 raise json.JSONDecodeError(exc.msg, text, offset + exc.pos) from None
+            if not isinstance(record, dict):
+                raise ValueError(f"line {number}: not a JSON object")
+            if record.get("kind") == "step" and not isinstance(record.get("iteration"), int):
+                raise ValueError(f"line {number}: step record has no integer iteration")
+            records.append(record)
         offset += len(line) + 1
     return records
 

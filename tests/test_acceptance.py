@@ -195,9 +195,10 @@ def test_criterion_5_gradient_check():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         params = P.PolicyParams.random(dims, rng, scale=0.5)
+        # One rollout group: three sequences under one shared context.
+        ctx = rng.normal(size=dims.context_dim)
         batch = []
         for _ in range(3):
-            ctx = rng.normal(size=dims.context_dim)
             seq = P.sample_sequence(P.context_table(params, ctx), rng, 5)
             offsets = rng.uniform(-0.6, 0.6, size=5)
             # keep ratios away from the clip kinks so central differences
@@ -214,9 +215,9 @@ def test_criterion_5_gradient_check():
                     | ((ratios < 1 - clip.eps_lo) & (adv < 0))
                 )
             )
-            batch.append((ctx, seq, adv))
+            batch.append((seq, adv))
 
-        _, grad = P.loss_and_gradient(params, batch, clip)
+        _, grad = P.loss_and_gradient(params, ctx, batch, clip)
         for name in ("w_ctx", "w_emit"):
             tensor = getattr(params, name)
             analytic = getattr(grad, name)
@@ -226,8 +227,8 @@ def test_criterion_5_gradient_check():
                 minus = params.copy()
                 getattr(minus, name)[idx] -= h
                 fd = (
-                    P.loss_and_gradient(plus, batch, clip)[0]
-                    - P.loss_and_gradient(minus, batch, clip)[0]
+                    P.loss_and_gradient(plus, ctx, batch, clip)[0]
+                    - P.loss_and_gradient(minus, ctx, batch, clip)[0]
                 ) / (2 * h)
                 if abs(analytic[idx]) > 1e-8:
                     worst = max(worst, abs(analytic[idx] - fd) / abs(analytic[idx]))

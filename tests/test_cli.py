@@ -40,14 +40,17 @@ def test_parse_config_text_roundtrip():
     mode = grpo
     shaping.c = 3.5
     estimator.eps_skip = 1e-5
-    archive.per_candidate_parents = true
+    archive.select_temperature = 0.25
     """
     config = parse_config_text(text)
     assert config.iterations == 20
     assert config.mode == "grpo"
     assert config.shaping_multiplier == 3.5
     assert config.eps_skip == 1e-5
-    assert config.per_candidate_parents is True
+    assert config.select_temperature == 0.25
+    # Every rollout group has one parent; the per-candidate key is gone.
+    with pytest.raises(ConfigError, match="unknown config key 'archive.per_candidate_parents'"):
+        parse_config_text(text + "archive.per_candidate_parents = true\n")
 
 
 def test_unknown_key_names_the_key():
@@ -505,3 +508,23 @@ def test_export_malformed_line_names_its_line(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["export", "--trace", str(trace), "--series", "grad_norm"]) == 3
     assert "line 3 column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1,2]", "line 3: not a JSON object"),
+        ('{"kind":"step","alpha":0.5}', "line 3: step record has no integer iteration"),
+    ],
+    ids=["non-object", "step-without-iteration"],
+)
+def test_export_line_that_is_not_a_trace_record_exits_3(tmp_path, capsys, line, message):
+    trace = run_once(tmp_path, iterations=6)
+    lines = trace.read_text().splitlines(keepends=True)
+    lines[2] = line + "\n"
+    trace.write_text("".join(lines))
+    capsys.readouterr()
+    assert cli.main(["export", "--trace", str(trace), "--series", "alpha"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"trace does not parse: {message}\n"

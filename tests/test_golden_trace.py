@@ -12,11 +12,17 @@ and the set in use is identified by ``arithmetic_fingerprint``. Under
 another numpy version or an unrecorded kernel set the tests skip and say why.
 
 Run as a script (``PYTHONPATH=src python tests/test_golden_trace.py``), the
-file prints this machine's fingerprint and the digest of every case in
-``GOLDEN``'s layout, ready to paste when a change re-pins the digests.
+file re-runs itself once per kernel set in ``KERNEL_SETS``, each in a child
+process with that set's environment, and prints every fingerprint with the
+digest of every case in ``GOLDEN``'s layout, ready to paste when a change
+re-pins the digests. A kernel set this machine cannot produce gives the
+fingerprint of one printed before it, and is reported as such.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -43,12 +49,8 @@ CASES = {
         {"eplb.num_experts": 128, "eplb.num_devices": 16, "eplb.num_profiles": 16,
          "iterations": 20},
     ),
-    # A parent per candidate: several distinct contexts per group, and the
-    # evaluator's noise draws fall between the sampler's.
-    "synthetic-multiparent": (
-        "synthetic.cfg",
-        {"archive.per_candidate_parents": "true", "synthetic.noise": 0.01, "iterations": 60},
-    ),
+    # A noisy evaluator: its noise draws fall between the sampler's.
+    "synthetic-noisy": ("synthetic.cfg", {"synthetic.noise": 0.01, "iterations": 60}),
     # The single-source estimator modes, each through the same loop.
     "eplb-grpo": ("eplb.cfg", {"mode": "grpo", "iterations": 30}),
     "eplb-entropic": ("eplb.cfg", {"mode": "entropic", "iterations": 30}),
@@ -59,47 +61,47 @@ CASES = {
 GOLDEN = {
     # AVX-512 exp/log, SkylakeX BLAS kernels
     "24937bbe441f55b4b9b07786f6aa6b4f491b32bd7a3b52582f644770ce9e0e8a": {
-        "synthetic": "8ce425a6519e7b9fd6924e1215a4a1be5b0fccda345ce21998746aa495b66cce",
-        "eplb": "a2097111327611d25a08947dea25aac2761c9b99d5aa2d3cbb4e7f2cfe923339",
-        "synthetic-compressed": "20f2bd06e3f457d24a59c570cc86ca9487f6b05864a1316066d2f80e03a976f8",
-        "eplb-wide": "0985f69a20a948f24e6ecb243ccf3368541a2801c81363dec64a40cbb514c59e",
-        "synthetic-multiparent": "c62daa57818fcbd787ecb71c58c5150d6982686e0086825889369a33d70f7fe4",
-        "eplb-grpo": "0bf092302296822769ce031d6abc558ad2e986620711de47c212b4515084b28c",
-        "eplb-entropic": "0a475bf1a24e2a55c7210d2036777e87100fce56991a602e5b6749eaccef89a4",
-        "eplb-maxk": "7fdaf0f5aeb9b5b6f998fab7bc7b9596cf6c7dc17d114f88dd1509ff3abe03e9",
+        "synthetic": "d5484e93a6169f09c51f6a21339af85df5e7c92fdb893820ae8a869e71af9442",
+        "eplb": "0e08b239e29e9d550eb6d2b1d5ab029be1f0539c52f79397f80d534e7b77b356",
+        "synthetic-compressed": "674df99c3717807231d2f200e70723c981af453ce3a046b0c893c10c05223036",
+        "eplb-wide": "ec4d5c28cbaa889fb35d5cd3d73c9d9d45f4d4816c0d6e7bee2d25b71a56a686",
+        "synthetic-noisy": "a095e65c14423ccf18ebfe106a2e773cab5770509b405f501088c42756029a75",
+        "eplb-grpo": "619ac2f26b28253d37b03af51dbdb443bb4eea0bcd0989e41a5297dbf6e39949",
+        "eplb-entropic": "dfc54657941366bde868b9a046b9a4289e1d96ab97e9249b904fb595e9170b0d",
+        "eplb-maxk": "fe0860d72ec108fbbf0629be1b8cf34ba02f9de86ee5d7ae34b49038e672d1ab",
     },
     # AVX-512 exp/log, Haswell BLAS kernels
     "ee9231e713ee634660a79c03901ec10813ae3a3f45ce2e226c7c8e85d13aa243": {
-        "synthetic": "c4ea2f638a0dbe565c8cf39e9f5e758f57b523fcc703f0d5dd338941cf526230",
-        "eplb": "56bd940811308dbbd06ed9c8b8bf4ad0856bd5b04d616d8d2ff20bd20f2afda9",
-        "synthetic-compressed": "b1759bcd9f3365bed1bf6bc48b609b119f079616668718f15b59ed4a69ed5019",
-        "eplb-wide": "1a5fa9ecc3405d6a3091dec538a58f8f412e734fcf8cad04749a64fb49db6866",
-        "synthetic-multiparent": "ab38fa252af822394dba7fb04b2379687b0cef86b16a45ccbcd7e2c982517ab6",
-        "eplb-grpo": "d998678c2bd0a9eecb57f3997fa24eb92211ac0c0e13af5dc75986fd570580bd",
-        "eplb-entropic": "398b462292fca2fc2716927a41faaa2f5db98faf68aaae886727365c585fdb09",
-        "eplb-maxk": "56a289f3b5b9111c2bcd4cffed1b458cedf2ec84efdd5bbad205fb70b978e540",
+        "synthetic": "fd544a38a522196664ac57b3ae2c7e6e77de3c447949fe644b6c53d767523f9f",
+        "eplb": "ec6cc59bd3619ed04dcf0ada22244f633cc7bda2612650dbcf39ecdd0e62cbac",
+        "synthetic-compressed": "722ecfbca2f35704a0e1f7d2f10a2e6bd3c47739cd91282f3f60ca83d299328b",
+        "eplb-wide": "d5cfdf0a263bf3c3a153f4c34b083bbd79d812d128fff6e80a8848c680792f96",
+        "synthetic-noisy": "55e85ab0e5c09773cde75cf2eb03df06fde16ec9f2d615892fc5e066a2fa2d4d",
+        "eplb-grpo": "cba165ea9e6d8c65bf8a1f7c2798485aeacabc8ef79a524c2cd5b3e74e00e8d4",
+        "eplb-entropic": "f14605499a9e3a200961f59b3680937d2b49ad8ac1ae1bca81a096b6b1438328",
+        "eplb-maxk": "0a60e98b39544868d228eb0c23fe528c369a1729a12d79a0a533cf9291ae967d",
     },
     # AVX2 exp/log, SkylakeX BLAS kernels
     "e20f2ac3d2a72a9bc7752d0ca1bb03dbf30b9a59829771fc617f7657198a2984": {
-        "synthetic": "e7fe72ad84ba00076b63bfb08dae8ad0f855a74cba7ef956dea2f7f70d10ea8f",
-        "eplb": "009fd114dface1a91273961051161f1f5e7007ad82d53a8d6bfac175b798489f",
-        "synthetic-compressed": "ca8e693bae8f9c682f27739fb6f28830f0cca50e1173ebde602f2a590c8f187d",
-        "eplb-wide": "43236ba889a1b6c23f6fe2671c979f060e51be60842fb52516b6dd6e49d48823",
-        "synthetic-multiparent": "4a4d56a8ab53e16b8e3a9a41f05b0cc9d9fc2803a987c8a9af15fc8beda32737",
-        "eplb-grpo": "746f58ddb7a40a3ebc9d28cedf17257a68ae3d5abef86ebb84968e5437f033ba",
-        "eplb-entropic": "84eb54f05d0f325fec82a68b9bee782c11d2ab5568cd701b190960ee4b447b22",
-        "eplb-maxk": "3fad3c201ed4d3c7d0408984b8217a010dbd26aaf753257d2dfd2cd4150641cc",
+        "synthetic": "f5a269647869eb397dc9c6a4b3698c2964e6dd13677401c694c8e3840b9d0f4d",
+        "eplb": "f70177461355464d4fb759ad6a40b0e21d75ab4262a27590c25531bf373f412f",
+        "synthetic-compressed": "03ef21731f1901f502b5275093fa0dd07d0c812c484eab54722fd9663d811028",
+        "eplb-wide": "07e9901df615870e033b0b2971d18c1bfe6ace44ab8cd46c16ef29944612850b",
+        "synthetic-noisy": "fe38f177ff7cef24b8cc6f3156474d1308ac4e126b9a40ec13d061aace17f0db",
+        "eplb-grpo": "e7533740308468bef5a7d6ceff3c5472d9c4af0000fd56eb3751afc7005a354e",
+        "eplb-entropic": "f10dfc6ef8748bce0b3574a8b9ab274ba62623c782b1f354b6e2c0d01725d1b5",
+        "eplb-maxk": "cefc3829c6c876f37b3ba14fd61daab14bc705adc5faeaefeb231a2190ffd200",
     },
     # AVX2 exp/log, Haswell BLAS kernels (an AVX2-only CPU)
     "e07ce9d6895bd66c8b6ee4c106b6af27219c363d3ab5e2eda3340af80a21ed38": {
-        "synthetic": "03200565b6c4899967802353b15299de5772fc9bc7529833ad4540d0c70fdfbc",
-        "eplb": "0115a86d582dce06cffe0adb88db92eb769d337962cbe66683cd8fce2d512b88",
-        "synthetic-compressed": "95050f0c79154ce754e5628a20a5a47beca3b1ad5f1b5c164c27031930dc23c1",
-        "eplb-wide": "63af489e8d7e1915259ec9b45b9f2160595aede682eb889d9b2310eba0914965",
-        "synthetic-multiparent": "232afa38888324963be8001be0a16331647653ad5ee4c9c6272ba5036abbbde4",
-        "eplb-grpo": "2ab538b635c1a280f389d3f705729ce2bf3eda49b7039184342b5748a44f9c82",
-        "eplb-entropic": "b3ce22766e0e3a82befc0287a0f829e77c3745210aba7ef0e354e3df720145ac",
-        "eplb-maxk": "0d45a7e4b50e38ceb15d7fcbfe20574b02a088c96e4b16310d13ccb3d56eaa65",
+        "synthetic": "36fa27166b258ebb09f446e94a3c4a54ca63488ff5f4aed3ec2a2ac9d65b43d8",
+        "eplb": "94ef474967ce2f717cc6d11a62a99b782d85cbd2723f33c9cb0d7fb2b567ace4",
+        "synthetic-compressed": "85bb39bcb8552a63ed93d8938a74bfd0d05d2d2b08989272523d95f61334117b",
+        "eplb-wide": "36e4f5bb5279cc7423576825f5e61b2884b9f448bf3d4e796d341096d831b998",
+        "synthetic-noisy": "c3efef175c9fe886625a87237475f30b14097e1dc3640407e9f904a31a8689a1",
+        "eplb-grpo": "46311b8bf7c63dd3faa6330768616d9e94ddda501cc423e945d800f02b4c2820",
+        "eplb-entropic": "4050061e9fdb83f1ada616d5f70c9caf8f647f6e02e7a1d482e4d90d9396d01c",
+        "eplb-maxk": "38b96218a02a495270ca3f21dc2b89fb08b6802afd14a65cc8f69d0d5e94343f",
     },
 }
 
@@ -146,22 +148,50 @@ def test_compressed_case_covers_skipped_and_trained_steps(tmp_path):
     assert any(skipped) and not all(skipped)
 
 
-def test_multiparent_case_has_several_contexts_per_group(tmp_path):
-    trace_path = run_trace("synthetic-multiparent", tmp_path)
-    parents: dict[int, set] = {}
-    for record in read_trace(trace_path):
-        if record["kind"] == "candidate":
-            parents.setdefault(record["iteration"], set()).add(record["parent_id"])
-    assert max(len(ids) for ids in parents.values()) > 1
+# The kernel sets CI checks the digests under, as environment settings of a
+# process: numpy's AVX2 exp/log kernels stand in for AVX-512 ones when
+# their names are disabled, and OpenBLAS takes the kernels it is told. The
+# default set runs without either setting, even where the caller has one.
+AVX2_ONLY = "X86_V4 AVX512_ICL AVX512_SPR"
+KERNEL_SETS = {
+    "default kernels": {},
+    "OPENBLAS_CORETYPE=Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    f'NPY_DISABLE_CPU_FEATURES="{AVX2_ONLY}"': {"NPY_DISABLE_CPU_FEATURES": AVX2_ONLY},
+    "both": {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": AVX2_ONLY},
+}
 
 
-def main() -> None:
+def print_digests() -> None:
+    """Print this process's fingerprint and every case's digest."""
     print(f'    "{arithmetic_fingerprint()}": {{')
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             digest = hashlib.sha256(run_trace(name, Path(tmp)).read_bytes()).hexdigest()
         print(f'        "{name}": "{digest}",')
     print("    },")
+
+
+def main() -> None:
+    """Print the digests of every kernel set, each from its own child process."""
+    names = {name for settings in KERNEL_SETS.values() for name in settings}
+    base = {k: v for k, v in os.environ.items() if k not in names}
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+        "import test_golden_trace; test_golden_trace.print_digests()"
+    )
+    seen: dict[str, str] = {}
+    for label, settings in KERNEL_SETS.items():
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**base, **settings},
+            check=True, capture_output=True, text=True,
+        ).stdout
+        fingerprint = out.split('"')[1]
+        if fingerprint in seen:
+            print(f"    # {label}: not produced here, same fingerprint as {seen[fingerprint]}")
+            continue
+        seen[fingerprint] = label
+        print(f"    # {label}")
+        print(out, end="")
 
 
 if __name__ == "__main__":

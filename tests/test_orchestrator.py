@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import reference_policy as ref
 
-from phasevolve import cli
+from phasevolve import cli, orchestrator
 from phasevolve.config import MODES, RunConfig
 from phasevolve.estimators import standardize, group_relative_raw, sloo_weights
 from phasevolve.orchestrator import (
@@ -292,30 +292,20 @@ def test_training_step_alpha_one_uses_topk_branch():
 
 
 def test_training_step_updates_params_once():
-    state, batch, candidates = _state_with_batch(TokenSumTask())
+    state = init_run_state(small_config(), TokenSumTask())
+    # Random parameters make the entropy depend on the group's context.
+    dims = PolicyDims(context_dim=6, hidden_dim=8, vocab_size=12, max_tokens=6)
+    state.params = PolicyParams.random(dims, np.random.default_rng(4), scale=0.5)
+    batch, candidates = rollout_group(state, state.task, state.config.samples_per_group)
+    expected = [ref.token_entropy(state.params, batch.table.ctx, c.tokens) for c in candidates]
     before = state.params.fingerprint()
     diag = training_step(state, batch, candidates)
+    assert diag.entropy == float(np.mean(expected))
     assert diag.optimizer_steps == 1
     assert not diag.skipped
     assert state.params.fingerprint() != before
     assert state.opt_state.step == 1
     assert diag.grad_norm > 0.0
-
-
-def test_training_step_entropy_uses_each_candidates_context():
-    # Zero parameters ignore the context, so start from random ones; a parent
-    # per candidate gives the group several distinct contexts.
-    config = small_config(per_candidate_parents=True, samples_per_group=6)
-    state = init_run_state(config, TokenSumTask())
-    dims = PolicyDims(context_dim=6, hidden_dim=8, vocab_size=12, max_tokens=6)
-    state.params = PolicyParams.random(dims, np.random.default_rng(4), scale=0.5)
-    for cand in rollout_group(state, state.task, 6)[1]:
-        update_frontier(state.archive, cand)
-    batch, candidates = rollout_group(state, state.task, 6)
-    assert len({c.context.tobytes() for c in candidates}) > 1
-    expected = [ref.token_entropy(state.params, c.context, c.tokens) for c in candidates]
-    diag = training_step(state, batch, candidates)
-    assert diag.entropy == float(np.mean(expected))
 
 
 def test_training_step_grpo_mode_never_skips_on_constant():
@@ -486,12 +476,31 @@ def test_run_learns_on_token_sum_task(tmp_path):
     assert late > early
 
 
-def test_run_per_candidate_parents_mode():
-    config = small_config(iterations=6, per_candidate_parents=True)
-    result_a = run_evolution(config, TokenSumTask())
-    result_b = run_evolution(config, TokenSumTask())
-    assert result_a.best_score == result_b.best_score
-    assert len(result_a.archive) > 0
+def test_each_rollout_group_draws_one_parent(tmp_path, monkeypatch):
+    # The estimators compare a group's rewards as draws from one search
+    # state, so one rollout group selects exactly one parent.
+    counts = {"select_parent": 0, "rollout_group": 0}
+    for name in counts:
+        original = getattr(orchestrator, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, name, counted)
+    config = small_config(iterations=12, samples_per_group=6, top_k=3)
+    trace_path = tmp_path / "trace.jsonl"
+    result = run_evolution(config, TokenSumTask(), trace_path=trace_path)
+    assert counts == {"select_parent": 12, "rollout_group": 12}
+    assert len({c.raw_score for c in result.archive.entries}) > 1
+    parents: dict[int, set] = {}
+    for record in read_trace(trace_path):
+        if record["kind"] == "candidate":
+            parents.setdefault(record["iteration"], set()).add(record["parent_id"])
+    assert sorted(parents) == list(range(12))
+    assert all(len(ids) == 1 for ids in parents.values())
+    # The parents come from an archive of several scores, not one fixed entry.
+    assert len(set().union(*parents.values())) > 1
 
 
 def test_random_search_deterministic_and_comparable():

@@ -32,12 +32,12 @@ def make_seq(tokens):
 
 
 def random_setup(seed, n_seqs=3, length=5):
-    """Params, contexts and resampled sequences with off-policy old logprobs."""
+    """Params, one context and resampled sequences with off-policy old logprobs."""
     rng = np.random.default_rng(seed)
     params = PolicyParams.random(DIMS, rng, scale=0.5)
+    ctx = make_ctx(rng)
     batch = []
     for _ in range(n_seqs):
-        ctx = make_ctx(rng)
         seq = P.sample_sequence(P.context_table(params, ctx), rng, length)
         # Shift old logprobs so ratios leave 1 and some tokens clip; keep them
         # away from the clip boundaries so finite differences stay valid.
@@ -48,11 +48,11 @@ def random_setup(seed, n_seqs=3, length=5):
             offsets[bad] += 0.02
         seq.old_logprobs = seq.old_logprobs + offsets
         adv = P.broadcast_advantage(rng.normal(), seq)
-        batch.append((ctx, seq, adv))
-    return params, batch
+        batch.append((seq, adv))
+    return params, ctx, batch
 
 
-def finite_difference_gradient(params, batch, clip, h=1e-5):
+def finite_difference_gradient(params, ctx, batch, clip, h=1e-5):
     grads = {}
     for name in ("w_ctx", "w_emit"):
         tensor = getattr(params, name)
@@ -62,8 +62,8 @@ def finite_difference_gradient(params, batch, clip, h=1e-5):
             getattr(plus, name)[idx] += h
             minus = params.copy()
             getattr(minus, name)[idx] -= h
-            f_plus, _ = P.loss_and_gradient(plus, batch, clip)
-            f_minus, _ = P.loss_and_gradient(minus, batch, clip)
+            f_plus, _ = P.loss_and_gradient(plus, ctx, batch, clip)
+            f_minus, _ = P.loss_and_gradient(minus, ctx, batch, clip)
             grad[idx] = (f_plus - f_minus) / (2 * h)
         grads[name] = grad
     return grads
@@ -186,9 +186,10 @@ def test_loss_needs_masked_in_tokens():
         ref.surrogate_loss(z, z, z, CLIP)
     params = PolicyParams.zeros(DIMS)
     empty = make_seq([])
-    for impl in (P, ref):
-        with pytest.raises(EmptyBatchError, match="no tokens"):
-            impl.loss_and_gradient(params, [(make_ctx(), empty, z), (make_ctx(), empty, z)], CLIP)
+    with pytest.raises(EmptyBatchError, match="no tokens"):
+        P.loss_and_gradient(params, make_ctx(), [(empty, z), (empty, z)], CLIP)
+    with pytest.raises(EmptyBatchError, match="no tokens"):
+        ref.loss_and_gradient(params, [(make_ctx(), empty, z), (make_ctx(), empty, z)], CLIP)
 
 
 def test_loss_clip_bound_per_token():
@@ -209,9 +210,9 @@ def test_loss_clip_bound_per_token():
 
 
 def test_zero_advantage_zero_gradient():
-    params, batch = random_setup(0)
-    batch = [(ctx, seq, np.zeros_like(adv)) for ctx, seq, adv in batch]
-    loss, grad = P.loss_and_gradient(params, batch, CLIP)
+    params, ctx, batch = random_setup(0)
+    batch = [(seq, np.zeros_like(adv)) for seq, adv in batch]
+    loss, grad = P.loss_and_gradient(params, ctx, batch, CLIP)
     assert loss == 0.0
     assert P.grad_norm(grad) == 0.0
 
@@ -222,9 +223,9 @@ def test_on_policy_gradient_matches_finite_differences():
     ctx = make_ctx(rng)
     seq = P.sample_sequence(P.context_table(params, ctx), rng, 5)
     adv = P.broadcast_advantage(0.7, seq)
-    batch = [(ctx, seq, adv)]
-    _, grad = P.loss_and_gradient(params, batch, CLIP)
-    fd = finite_difference_gradient(params, batch, CLIP)
+    batch = [(seq, adv)]
+    _, grad = P.loss_and_gradient(params, ctx, batch, CLIP)
+    fd = finite_difference_gradient(params, ctx, batch, CLIP)
     for name in ("w_ctx", "w_emit"):
         assert np.allclose(getattr(grad, name), fd[name], rtol=1e-5, atol=1e-8)
 
@@ -232,10 +233,10 @@ def test_on_policy_gradient_matches_finite_differences():
 def test_gradient_check_off_policy_with_clipping():
     worst = 0.0
     for seed in range(6):
-        params, batch = random_setup(seed)
+        params, ctx, batch = random_setup(seed)
         # make sure the draw actually contains clipped tokens somewhere
-        _, grad = P.loss_and_gradient(params, batch, CLIP)
-        fd = finite_difference_gradient(params, batch, CLIP)
+        _, grad = P.loss_and_gradient(params, ctx, batch, CLIP)
+        fd = finite_difference_gradient(params, ctx, batch, CLIP)
         for name in ("w_ctx", "w_emit"):
             a = getattr(grad, name)
             b = fd[name]
@@ -253,14 +254,14 @@ def test_deep_clipped_token_contributes_no_gradient():
     seq = P.sample_sequence(P.context_table(params, ctx), rng, 4)
     # ratio = exp(new - old) >> 1 + eps_hi with positive advantage: clipped flat
     seq.old_logprobs = seq.old_logprobs - 2.0
-    _, grad = P.loss_and_gradient(params, [(ctx, seq, P.broadcast_advantage(1.0, seq))], CLIP)
+    _, grad = P.loss_and_gradient(params, ctx, [(seq, P.broadcast_advantage(1.0, seq))], CLIP)
     assert P.grad_norm(grad) == 0.0
 
 
 def test_empty_batch_rejected():
     params = PolicyParams.zeros(DIMS)
     with pytest.raises(EmptyBatchError):
-        P.loss_and_gradient(params, [], CLIP)
+        P.loss_and_gradient(params, make_ctx(), [], CLIP)
 
 
 # ------------------------------------------------------------ entropy

@@ -2,9 +2,12 @@
 
 Tables, sampling, entropy and the loss are compared exactly (``np.array_equal``
 or ``==``): the table holds the same values a per-token log-softmax computes.
-Sampling and entropy read one shared table per context; the loss builds one
-per distinct context. The gradient sums its terms per table row, not in the
-reference loop's token order, so two tests compare it within ``GRAD_TOL``.
+A rollout group has one context: sampling and entropy read its one shared
+table, and the loss builds that table once. The reference takes (context,
+sequence, advantages) triples, so each comparison hands it the group's one
+context with every sequence. The gradient sums its terms per table row, not
+in the reference loop's token order, so two tests compare it within
+``GRAD_TOL``.
 Zero gradients (zero advantages, a fully clipped batch, bigram rows of tokens
 nothing follows) are compared exactly.
 """
@@ -36,12 +39,12 @@ GRAD_TOL = dict(rtol=1e-12, atol=1e-13)
 
 
 @st.composite
-def setups(draw, max_seqs=4, pool=False):
-    """Random params, then a batch of (context, sequence, per-token advantages).
+def setups(draw, max_seqs=4):
+    """Random params and one context, then a group of (sequence, per-token
+    advantages) pairs sampled under it.
 
     Sequence lengths are drawn from 1..max_tokens, so sequences of mixed
-    lengths share a batch. With ``pool``, contexts are copies of one of 1-3
-    vectors, so equal contexts repeat within the batch as separate arrays.
+    lengths share a batch.
     """
     dims = PolicyDims(
         context_dim=draw(st.integers(1, 4)),
@@ -51,7 +54,7 @@ def setups(draw, max_seqs=4, pool=False):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     params = PolicyParams.random(dims, rng, scale=draw(st.sampled_from([0.01, 0.5, 3.0])))
-    contexts = [rng.normal(size=dims.context_dim) for _ in range(draw(st.integers(1, 3)))]
+    ctx = rng.normal(size=dims.context_dim)
     batch = []
     for _ in range(draw(st.integers(1, max_seqs))):
         length = draw(st.integers(1, dims.max_tokens))
@@ -59,18 +62,19 @@ def setups(draw, max_seqs=4, pool=False):
             tokens=rng.integers(0, dims.vocab_size, size=length),
             old_logprobs=-rng.uniform(0.0, 3.0, size=length),
         )
-        if pool:
-            ctx = contexts[draw(st.integers(0, len(contexts) - 1))].copy()
-        else:
-            ctx = rng.normal(size=dims.context_dim)
-        batch.append((ctx, seq, rng.normal(size=length)))
-    return params, batch
+        batch.append((seq, rng.normal(size=length)))
+    return params, ctx, batch
 
 
-def assert_same_loss_and_gradient(params, batch, rtol=0.0, atol=0.0):
+def triples(ctx, batch):
+    """The reference's form of a group: its one context with each sequence."""
+    return [(ctx, seq, adv) for seq, adv in batch]
+
+
+def assert_same_loss_and_gradient(params, ctx, batch, rtol=0.0, atol=0.0):
     """Equal losses; gradients equal, or within the given tolerance."""
-    loss, grad = P.loss_and_gradient(params, batch, CLIP)
-    ref_loss, ref_grad = ref.loss_and_gradient(params, batch, CLIP)
+    loss, grad = P.loss_and_gradient(params, ctx, batch, CLIP)
+    ref_loss, ref_grad = ref.loss_and_gradient(params, triples(ctx, batch), CLIP)
     assert loss == ref_loss
     np.testing.assert_allclose(grad.w_ctx, ref_grad.w_ctx, rtol=rtol, atol=atol)
     np.testing.assert_allclose(grad.w_emit, ref_grad.w_emit, rtol=rtol, atol=atol)
@@ -82,9 +86,9 @@ def assert_same_loss_and_gradient(params, batch, rtol=0.0, atol=0.0):
 def test_sequence_logprobs_match_reference(setup, seed):
     # The sampler records each token's log-probability from the table; the
     # reference recomputes them with one log-softmax per position.
-    params, batch = setup
+    params, ctx, batch = setup
     rng = np.random.default_rng(seed)
-    for ctx, seq, _ in batch:
+    for seq, _ in batch:
         sampled = P.sample_sequence(P.context_table(params, ctx), rng, len(seq))
         assert np.array_equal(sampled.old_logprobs, ref.sequence_logprobs(params, ctx, sampled))
 
@@ -92,8 +96,8 @@ def test_sequence_logprobs_match_reference(setup, seed):
 @SETTINGS
 @given(setups())
 def test_token_entropy_matches_reference(setup):
-    params, batch = setup
-    for ctx, seq, _ in batch:
+    params, ctx, batch = setup
+    for seq, _ in batch:
         table = P.context_table(params, ctx)
         assert P.token_entropy(table, seq) == ref.token_entropy(params, ctx, seq)
 
@@ -101,30 +105,31 @@ def test_token_entropy_matches_reference(setup):
 @SETTINGS
 @given(setups(max_seqs=6))
 def test_group_entropy_from_one_shared_table(setup):
-    params, batch = setup
-    ctx = batch[0][0]
+    params, ctx, batch = setup
     table = P.context_table(params, ctx)
-    for _, seq, _ in batch:
+    for seq, _ in batch:
         assert P.token_entropy(table, seq) == ref.token_entropy(params, ctx, seq)
 
 
 @SETTINGS
-@given(setups(max_seqs=6, pool=True))
+@given(setups(max_seqs=6))
 def test_loss_with_repeated_contexts_matches_reference(setup):
-    params, batch = setup
-    assert_same_loss_and_gradient(params, batch, **GRAD_TOL)
+    # One context repeated across 1-6 sequences of mixed lengths: the
+    # reference recomputes it per sequence, the loss builds its table once.
+    params, ctx, batch = setup
+    assert_same_loss_and_gradient(params, ctx, batch, **GRAD_TOL)
 
 
 @SETTINGS
 @given(setups())
 def test_loss_and_gradient_match_reference(setup):
-    params, batch = setup
-    loss, _ = assert_same_loss_and_gradient(params, batch, **GRAD_TOL)
+    params, ctx, batch = setup
+    loss, _ = assert_same_loss_and_gradient(params, ctx, batch, **GRAD_TOL)
     # The stand-alone reference loss over the concatenated batch is the same
     # mean, summed in another order.
-    new = np.concatenate([ref.sequence_logprobs(params, ctx, seq) for ctx, seq, _ in batch])
-    old = np.concatenate([seq.old_logprobs for _, seq, _ in batch])
-    adv = np.concatenate([adv for _, _, adv in batch])
+    new = np.concatenate([ref.sequence_logprobs(params, ctx, seq) for seq, _ in batch])
+    old = np.concatenate([seq.old_logprobs for seq, _ in batch])
+    adv = np.concatenate([adv for _, adv in batch])
     expected = ref.surrogate_loss(new, old, adv, CLIP)
     assert loss == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
@@ -132,9 +137,9 @@ def test_loss_and_gradient_match_reference(setup):
 @SETTINGS
 @given(setups())
 def test_zero_advantages_give_zero_gradient(setup):
-    params, batch = setup
-    batch = [(ctx, seq, np.zeros(len(seq))) for ctx, seq, _ in batch]
-    loss, grad = assert_same_loss_and_gradient(params, batch)
+    params, ctx, batch = setup
+    batch = [(seq, np.zeros(len(seq))) for seq, _ in batch]
+    loss, grad = assert_same_loss_and_gradient(params, ctx, batch)
     assert loss == 0.0
     assert not grad.w_ctx.any() and not grad.w_emit.any()
 
@@ -142,33 +147,34 @@ def test_zero_advantages_give_zero_gradient(setup):
 @SETTINGS
 @given(setups())
 def test_deep_clipped_batch_gives_zero_gradient(setup):
-    params, batch = setup
+    params, ctx, batch = setup
     clipped = []
-    for ctx, seq, _ in batch:
+    for seq, _ in batch:
         # ratio e^2 > 1 + eps_hi with A > 0, or e^-2 < 1 - eps_lo with A < 0:
         # the clipped branch is strictly smaller, so no token has a derivative.
         sign = np.where(np.arange(len(seq)) % 2 == 0, 1.0, -1.0)
         new = ref.sequence_logprobs(params, ctx, seq)
         seq.old_logprobs = new - 2.0 * sign
-        clipped.append((ctx, seq, sign))
-    _, grad = assert_same_loss_and_gradient(params, clipped)
+        clipped.append((seq, sign))
+    _, grad = assert_same_loss_and_gradient(params, ctx, clipped)
     assert not grad.w_ctx.any() and not grad.w_emit.any()
 
 
 @SETTINGS
-@given(setups(max_seqs=6, pool=True))
+@given(setups(max_seqs=6))
 def test_rows_after_unfollowed_tokens_get_exactly_zero_gradient(setup):
     # A bigram row whose token no sequence in the batch follows holds no
     # token, so its gradient is exactly zero, not a rounding residue: Adam's
     # m / sqrt(v) would turn any residue into a step of size lr.
-    params, batch = setup
-    followed = {int(token) for _, seq, _ in batch for token in seq.tokens[:-1]}
+    params, ctx, batch = setup
+    followed = {int(token) for seq, _ in batch for token in seq.tokens[:-1]}
     unfollowed = [
         params.hidden_dim + token for token in range(params.vocab_size) if token not in followed
     ]
-    for impl in (P, ref):
-        _, grad = impl.loss_and_gradient(params, batch, CLIP)
-        assert not grad.w_emit[unfollowed].any()
+    _, grad = P.loss_and_gradient(params, ctx, batch, CLIP)
+    _, ref_grad = ref.loss_and_gradient(params, triples(ctx, batch), CLIP)
+    assert not grad.w_emit[unfollowed].any()
+    assert not ref_grad.w_emit[unfollowed].any()
 
 
 def two_sequence_batch():
@@ -179,23 +185,24 @@ def two_sequence_batch():
     batch = []
     for length in (4, 5):
         seq = P.sample_sequence(P.context_table(params, ctx), rng, length)
-        batch.append((ctx, seq, P.broadcast_advantage(1.0, seq)))
-    return params, batch
+        batch.append((seq, P.broadcast_advantage(1.0, seq)))
+    return params, ctx, batch
 
 
 def test_nonfinite_term_names_its_index_within_its_sequence():
-    params, batch = two_sequence_batch()
-    batch[1][1].old_logprobs[2] = np.nan
-    for impl in (P, ref):
-        with pytest.raises(NumericFailureError, match="at token index 2$"):
-            impl.loss_and_gradient(params, batch, CLIP)
+    params, ctx, batch = two_sequence_batch()
+    batch[1][0].old_logprobs[2] = np.nan
+    with pytest.raises(NumericFailureError, match="at token index 2$"):
+        P.loss_and_gradient(params, ctx, batch, CLIP)
+    with pytest.raises(NumericFailureError, match="at token index 2$"):
+        ref.loss_and_gradient(params, triples(ctx, batch), CLIP)
 
 
 def test_invalid_token_names_its_position_within_its_sequence():
-    params, batch = two_sequence_batch()
-    batch[1][1].tokens[3] = params.vocab_size
+    params, ctx, batch = two_sequence_batch()
+    batch[1][0].tokens[3] = params.vocab_size
     with pytest.raises(InvalidTokenError, match="token 5 at position 3 outside"):
-        P.loss_and_gradient(params, batch, CLIP)
+        P.loss_and_gradient(params, ctx, batch, CLIP)
 
 
 # ------------------------------------------------------------ sampler
@@ -204,7 +211,7 @@ def test_invalid_token_names_its_position_within_its_sequence():
 @SETTINGS
 @given(setups(max_seqs=1), st.integers(0, 2**32 - 1), st.data())
 def test_sampler_matches_reference_and_uses_length_uniforms(setup, seed, data):
-    params, [(ctx, _, _)] = setup
+    params, ctx, _ = setup
     length = data.draw(st.integers(1, params.max_tokens))
     rng, ref_rng, twin = (np.random.default_rng(seed) for _ in range(3))
     seq = P.sample_sequence(P.context_table(params, ctx), rng, length)
