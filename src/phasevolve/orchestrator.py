@@ -207,7 +207,7 @@ def build_context(state: RunState, parent: Candidate) -> RolloutContext:
         phase=state.schedule.alpha(state.iteration),
         frontier_best=state.archive.best_score() or 0.0,
         frontier_mean=state.archive.mean_score() or 0.0,
-        improvement_rate=float(np.mean(gains)) if gains else 0.0,
+        improvement_rate=sum(gains) / len(gains) if gains else 0.0,
     )
 
 

@@ -3,8 +3,10 @@
 A task turns a sampled token sequence into an evaluated candidate. Both
 bundled tasks compute pure functions of (tokens, iteration, rng) so groups can
 be evaluated in any order, or in parallel, without changing results. An
-``EplbTask`` memoizes its outcomes for the run it serves; ``make_task`` builds
-a new task for each run, so nothing is kept between runs.
+``EplbTask`` memoizes its outcomes for the run it serves, and each task keeps
+a one-entry memo so ``describe`` reuses the quality or decoding ``evaluate``
+just computed for the same tokens; ``make_task`` builds a new task for each
+run, so nothing is kept between runs.
 """
 
 from __future__ import annotations

@@ -313,6 +313,8 @@ class EplbTask:
     instance therefore memoizes, for the run it serves, the outcome of every
     descriptor and the placement of every (sort mode, placement rule); at
     most 144 and 9 entries, so nothing is evicted. Use one instance per run.
+    A one-entry memo, (token bytes, descriptor), lets ``describe`` reuse what
+    ``evaluate`` just decoded for the same tokens; others are decoded again.
     """
 
     name = "eplb"
@@ -324,14 +326,19 @@ class EplbTask:
         _, self.c_ref = eplb_assign(HeuristicDescriptor(), profile)
         self._outcomes: dict[HeuristicDescriptor, EvaluationOutcome] = {}
         self._placements: dict[tuple[SortMode, Placement], tuple] = {}
+        self._last = (b"", HeuristicDescriptor())  # the empty sequence's decoding
 
     def describe(self, seq: TokenSequence) -> dict:
-        return eplb_decode(seq).as_dict()
+        raw, h = self._last
+        if seq.tokens.tobytes() != raw:
+            h = eplb_decode(seq)
+        return h.as_dict()
 
     def evaluate(
         self, seq: TokenSequence, iteration: int, rng: np.random.Generator
     ) -> EvaluationOutcome:
         h = eplb_decode(seq)
+        self._last = (seq.tokens.tobytes(), h)
         if h in self._outcomes:
             return self._outcomes[h]
         key = (h.sort_mode, h.placement)

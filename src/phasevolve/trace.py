@@ -1,10 +1,12 @@
 """JSON Lines trace log for evolution runs.
 
 One self-contained record per line: a header carrying the fully resolved
-config, one record per evaluated candidate, and one per training step. Lines
-are written in a single call each, so concurrent readers never see a torn
-record, and the serialization is canonical (sorted keys) so identical runs
-produce identical bytes.
+config, one record per evaluated candidate, and one per training step.
+Records are whole lines, and the file is flushed once per iteration, after
+its step record (and after the header), so a killed run loses at most its
+unfinished iteration; ``read_trace`` skips a torn last line. The
+serialization is canonical (sorted keys) so identical runs produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from pathlib import Path
 TRACE_VERSION = 2
 
 
-def _dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# json.dumps(record, sort_keys=True, separators=(",", ":")), built once.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class TraceWriter:
@@ -27,16 +29,17 @@ class TraceWriter:
 
     def write_header(self, config: dict) -> None:
         self._write({"kind": "header", "version": TRACE_VERSION, "config": config})
+        self._fh.flush()
 
     def write_candidate(self, record: dict) -> None:
         self._write({"kind": "candidate", **record})
 
     def write_step(self, record: dict) -> None:
         self._write({"kind": "step", **record})
+        self._fh.flush()
 
     def _write(self, record: dict) -> None:
         self._fh.write(_dumps(record) + "\n")
-        self._fh.flush()
 
     def close(self) -> None:
         self._fh.close()

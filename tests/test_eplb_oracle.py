@@ -280,3 +280,21 @@ def test_runs_with_fresh_or_reused_tasks_write_identical_traces(tmp_path):
         run_evolution(config, task, path)
         traces.add(path.read_bytes())
     assert len(traces) == 1
+
+
+def test_an_evaluation_that_raises_leaves_describe_correct(monkeypatch):
+    w = memo_profile()
+    before = HeuristicDescriptor(SortMode.UNSORTED, Placement.ROUND_ROBIN, 1, 2)
+    h = HeuristicDescriptor(SortMode.ASCENDING_LOAD, Placement.BLOCKED, 2, 3)
+    task = EplbTask(w)
+    rng = np.random.default_rng(0)
+    task.evaluate(seq_for(before), 0, rng)
+
+    def fails(*args):
+        raise RuntimeError("scorer crashed")
+
+    monkeypatch.setattr(eplb, "eplb_score", fails)
+    with pytest.raises(RuntimeError, match="scorer crashed"):
+        task.evaluate(seq_for(h), 0, rng)
+    assert task.describe(seq_for(h)) == h.as_dict()
+    assert task.describe(seq_for(before)) == before.as_dict()

@@ -4,9 +4,11 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
+import reference_synthetic
 from reference_eplb import brute_force_balance
 
 from phasevolve.policy import TokenSequence
+from phasevolve.tasks import eplb, synthetic
 from phasevolve.tasks.eplb import (
     EplbTask,
     HeuristicDescriptor,
@@ -372,3 +374,85 @@ def test_make_task_loads_profiles_from_file(tmp_path):
     task = make_task(config)
     assert np.array_equal(task.profile.loads, profile.loads)
     assert task.profile.num_devices == 3
+
+
+# ------------------------------------------------------ latent quality oracle
+
+
+tokens_any = st.one_of(st.integers(0, 5), st.integers(-(2**63), 2**63 - 1))
+
+
+@given(
+    st.lists(tokens_any, min_size=0, max_size=8),
+    tokens_any,
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_latent_quality_equals_the_reference_exactly(tokens, target, tie_weight):
+    land = SyntheticLandscape(target_token=target, tie_weight=tie_weight)
+    seq = seq_of(tokens)
+    assert latent_quality(seq, land) == reference_synthetic.latent_quality(seq, land)
+
+
+# ------------------------------------------------------------ describe memos
+
+memo_tokens = st.lists(st.integers(min_value=0, max_value=23), min_size=0, max_size=8)
+MEMO_PROFILE = WorkloadProfile.generate(num_profiles=2, num_experts=8, num_devices=3, seed=4)
+MEMO_TASKS = {
+    "synthetic": lambda: SyntheticTask(SyntheticLandscape(target_token=3, tie_weight=0.3)),
+    "eplb": lambda: EplbTask(MEMO_PROFILE),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_TASKS))
+@given(a=memo_tokens, b=memo_tokens)
+@settings(deadline=None)
+def test_describe_after_evaluate_equals_a_fresh_task(kind, a, b):
+    make = MEMO_TASKS[kind]
+    task = make()
+    rng = np.random.default_rng(0)
+    for evaluated in (a, b, a):
+        outcome = task.evaluate(seq_of(evaluated), 3, rng)
+        want = make().evaluate(seq_of(evaluated), 3, np.random.default_rng(0))
+        assert (outcome.value, outcome.metrics) == (want.value, want.metrics)
+        for described in (a, b):
+            assert task.describe(seq_of(described)) == make().describe(seq_of(described))
+
+
+@pytest.mark.parametrize(
+    "kind, module, name",
+    [("synthetic", synthetic, "latent_quality"), ("eplb", eplb, "eplb_decode")],
+)
+def test_describe_reuses_the_evaluation_of_the_same_tokens(kind, module, name, monkeypatch):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args[0].tokens.tolist())
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    task = MEMO_TASKS[kind]()
+    rng = np.random.default_rng(0)
+    task.evaluate(seq_of([3, 3, 1, 2]), 0, rng)
+    task.describe(seq_of([3, 3, 1, 2]))
+    assert calls == [[3, 3, 1, 2]]
+    task.describe(seq_of([3, 3, 1, 2, 0]))  # same decoding, other tokens: recomputed
+    assert calls == [[3, 3, 1, 2], [3, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("case", ["synthetic", "eplb"])
+def test_run_archive_descriptors_equal_a_fresh_describe(case):
+    from test_golden_trace import CASES, CONFIGS
+
+    from phasevolve.config import parse_config_text
+    from phasevolve.orchestrator import run_evolution
+    from phasevolve.tasks import make_task
+
+    sample, overrides = CASES[case]
+    text = (CONFIGS / sample).read_text()
+    text += "\n" + "".join(f"{key} = {value}\n" for key, value in overrides.items())
+    config = parse_config_text(text)
+    result = run_evolution(config, make_task(config))
+    assert len(result.archive) > 1
+    for entry in result.archive.entries:
+        assert entry.descriptor == make_task(config).describe(entry.tokens)
