@@ -293,11 +293,15 @@ def standardize(branch, eps_num: float, eps_skip: float) -> BranchOutcome:
     values = np.asarray(branch, dtype=np.float64)
     if values.ndim != 1 or values.size < 2:
         raise InvalidGroupError("branch must hold at least 2 values")
-    mean = float(values.mean())
-    std = float(values.std())
+    # np.std's own steps, taken once: the same floats as values.mean() and
+    # values.std(), and the centered values are the standardized numerators.
+    n = values.size
+    mean = float(np.add.reduce(values) / n)
+    centered = values - mean
+    std = math.sqrt(np.add.reduce(centered * centered) / n)
     if not math.isfinite(std) or std < eps_skip:
         return BranchOutcome(values=None, mean=mean, std=std)
-    return BranchOutcome(values=(values - mean) / (std + eps_num), mean=mean, std=std)
+    return BranchOutcome(values=centered / (std + eps_num), mean=mean, std=std)
 
 
 def mix_advantages(

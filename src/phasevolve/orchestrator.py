@@ -42,10 +42,11 @@ class Candidate:
     reward: float
     iteration_born: int
     parent_id: int | None = None
+    # Read from the outcome once; no code reassigns ``outcome``.
+    raw_score: float | None = field(init=False)
 
-    @property
-    def raw_score(self) -> float | None:
-        return self.outcome.value if self.outcome.ok else None
+    def __post_init__(self) -> None:
+        self.raw_score = self.outcome.value if self.outcome.ok else None
 
 
 @dataclass

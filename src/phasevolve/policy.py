@@ -13,11 +13,19 @@ policy can use for one context fits in one (V + 1, V) log-softmax table.
 Row 0 is position 0, which has no previous token, and row 1 + j is the
 position after token j.
 
-A rollout group has one parent and so one context: ``context_table`` builds
+A rollout group has one parent and so one context: ``context_table`` gives
 its table once per group, with the cumulative probabilities and per-row
 p . log p that sampling and entropy read from it. ``loss_and_gradient``
-builds the same table from (params, ctx) and runs its forward half over the
-whole group.
+looks up the same table from (params, ctx) and runs its forward half over
+the whole group.
+
+Each ``PolicyParams`` keeps one table, and one fingerprint, per parameter
+content: a one-entry memo keyed by the exact bytes the value is computed
+from, never by the object, so an in-place edit recomputes. The loss reads
+the table the rollout just built. The table also repeats across iterations:
+``w_ctx`` and ``w_emit[:H]`` start at zero and get exactly zero gradient, so
+the hidden vector is the zero vector whatever the context, and a skipped
+step leaves the parameters, and so the table, as they were.
 
 Everything is float64 and hand-differentiated; ``loss_and_gradient`` is the
 only code path that produces gradients, and it is checked against central
@@ -137,6 +145,10 @@ class PolicyParams:
             )
         if not (np.all(np.isfinite(self.w_ctx)) and np.all(np.isfinite(self.w_emit))):
             raise ValueError("policy parameters must be finite")
+        # One-entry memos, each read and written as one tuple:
+        # (hashed bytes, hex digest) and (table key, log-prob table, row lists).
+        self._hashed: tuple[bytes, str] = (b"", "")
+        self._tabled: tuple[bytes, np.ndarray | None, tuple | None] = (b"", None, None)
 
     @property
     def context_dim(self) -> int:
@@ -173,12 +185,21 @@ class PolicyParams:
         return PolicyParams(self.w_ctx.copy(), self.w_emit.copy(), self.max_tokens)
 
     def fingerprint(self) -> str:
-        """Stable content hash, used by the rollout-barrier checks."""
-        digest = hashlib.sha256()
-        for tensor in (self.w_ctx, self.w_emit):
-            digest.update(struct.pack("<2q", *tensor.shape))
-            digest.update(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
-        return digest.hexdigest()
+        """Stable content hash, used by the rollout-barrier checks.
+
+        Hashes each tensor's shape and little-endian float64 bytes; the digest
+        of bytes equal to the last ones hashed is reused.
+        """
+        content = b"".join(
+            struct.pack("<2q", *tensor.shape)
+            + np.ascontiguousarray(tensor, dtype="<f8").tobytes()
+            for tensor in (self.w_ctx, self.w_emit)
+        )
+        hashed, digest = self._hashed
+        if content != hashed:
+            digest = hashlib.sha256(content).hexdigest()
+            self._hashed = (content, digest)
+        return digest
 
     def save(self, path) -> None:
         """Dump as an ASCII shape header plus raw little-endian float64 rows."""
@@ -251,16 +272,26 @@ def _hidden(params: PolicyParams, ctx: np.ndarray) -> np.ndarray:
 
 
 def _log_prob_table(params: PolicyParams, hidden: np.ndarray) -> np.ndarray:
-    """(V + 1, V) next-token log-probabilities for one context.
+    """(V + 1, V) next-token log-probabilities for one context, read-only.
 
     Row 0 is position 0 (no previous token); row 1 + j follows token j.
+    The table is kept on ``params`` under the bytes of ``hidden`` and
+    ``w_emit`` (hidden's length fixes w_emit's shape), and returned again
+    while both are unchanged.
     """
+    key = hidden.tobytes() + params.w_emit.tobytes()
+    kept, table, _ = params._tabled
+    if key == kept:
+        return table
     base = hidden @ params.w_emit[: params.hidden_dim]
     logits = np.empty((params.vocab_size + 1, params.vocab_size))
     logits[0] = base
     logits[1:] = base + params.w_emit[params.hidden_dim :]
     shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    table = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    table.flags.writeable = False
+    params._tabled = (key, table, None)
+    return table
 
 
 @dataclass(frozen=True)
@@ -276,15 +307,20 @@ class ContextTable:
 
 
 def context_table(params: PolicyParams, ctx: np.ndarray) -> ContextTable:
-    """The table of context vector ``ctx`` under ``params``."""
+    """The table of context vector ``ctx`` under ``params``.
+
+    The row lists are kept beside the memoized log-prob table, so a table
+    that repeats shares them too.
+    """
     log_p = _log_prob_table(params, _hidden(params, ctx))
-    p = np.exp(log_p)
-    # Stacked 1xV @ Vx1 products: one BLAS dot per row, as np.dot does.
-    dots = np.matmul(p[:, None, :], log_p[:, :, None])
-    return ContextTable(
-        np.asarray(ctx, dtype=np.float64), log_p.tolist(), np.cumsum(p, axis=1).tolist(),
-        dots.ravel().tolist(), params.max_tokens,
-    )
+    key, _, rows = params._tabled  # the entry log_p was just read from
+    if rows is None:
+        p = np.exp(log_p)
+        # Stacked 1xV @ Vx1 products: one BLAS dot per row, as np.dot does.
+        dots = np.matmul(p[:, None, :], log_p[:, :, None])
+        rows = (log_p.tolist(), np.cumsum(p, axis=1).tolist(), dots.ravel().tolist())
+        params._tabled = (key, log_p, rows)
+    return ContextTable(np.asarray(ctx, dtype=np.float64), *rows, params.max_tokens)
 
 
 def sample_sequence(table: ContextTable, rng: np.random.Generator, length: int) -> TokenSequence:
@@ -350,11 +386,11 @@ def loss_and_gradient(
 
     ``batch`` holds (sequence, per-token advantages) pairs, all sampled under
     the group's one context vector ``ctx``; the mean runs over every token of
-    the whole batch. The context's table is built once, and the batch's
-    tokens are checked, looked up and clipped as one array. The backward pass
-    sums each token's derivative into its table row with one bincount and
-    then works per row, never per token, so a row that no token reads adds
-    exactly zero.
+    the whole batch. The context's table is the one the rollout built, kept
+    by ``_log_prob_table``, and the batch's tokens are checked, looked up and
+    clipped as one array. The backward pass sums each token's derivative into
+    its table row with one bincount and then works per row, never per token,
+    so a row that no token reads adds exactly zero.
     """
     seqs = [seq for seq, _ in batch]
     lengths = [len(seq) for seq in seqs]

@@ -321,12 +321,22 @@ class EplbTask:
 
     def __init__(self, profile: WorkloadProfile):
         self.profile = profile
-        # Reference cost: the base heuristic (all-zero decoding) on these
-        # profiles, so the base candidate scores speed exactly 1.
-        _, self.c_ref = eplb_assign(HeuristicDescriptor(), profile)
         self._outcomes: dict[HeuristicDescriptor, EvaluationOutcome] = {}
         self._placements: dict[tuple[SortMode, Placement], tuple] = {}
         self._last = (b"", HeuristicDescriptor())  # the empty sequence's decoding
+        # Reference cost: the base heuristic (all-zero decoding) on these
+        # profiles, so the base candidate scores speed exactly 1. Its zero
+        # rebalance passes add no ops to its placement's.
+        self.c_ref = self._placement(HeuristicDescriptor())[2]
+
+    def _placement(self, h: HeuristicDescriptor) -> tuple:
+        """The memoized, read-only first stage of h's sort mode and rule."""
+        key = (h.sort_mode, h.placement)
+        if key not in self._placements:
+            device, device_loads, ops = eplb_place(h.sort_mode, h.placement, self.profile)
+            device.flags.writeable = device_loads.flags.writeable = False
+            self._placements[key] = device, device_loads, ops
+        return self._placements[key]
 
     def describe(self, seq: TokenSequence) -> dict:
         raw, h = self._last
@@ -341,12 +351,7 @@ class EplbTask:
         self._last = (seq.tokens.tobytes(), h)
         if h in self._outcomes:
             return self._outcomes[h]
-        key = (h.sort_mode, h.placement)
-        if key not in self._placements:
-            device, device_loads, ops = eplb_place(h.sort_mode, h.placement, self.profile)
-            device.flags.writeable = device_loads.flags.writeable = False
-            self._placements[key] = device, device_loads, ops
-        assignment, ops = eplb_rebalance(h, self.profile, *self._placements[key])
+        assignment, ops = eplb_rebalance(h, self.profile, *self._placement(h))
         balancedness, speed, score = eplb_score(assignment, self.profile, ops, self.c_ref)
         outcome = self._outcomes[h] = EvaluationOutcome.parsed(
             score,

@@ -333,6 +333,42 @@ def test_standardize_matches_grpo_at_zero_eps():
     assert out.values == pytest.approx(est.grpo_advantage([0, 1, 2, 3], 0.0))
 
 
+@st.composite
+def branches(draw):
+    """Branches of 2-64 values: any finite floats up to 1e300 in magnitude,
+    a few tied values, a constant group, or gaps compressed to near 1e-12."""
+    n = draw(st.integers(min_value=2, max_value=64))
+    kind = draw(st.sampled_from(["wide", "ties", "constant", "compressed"]))
+    if kind == "wide":
+        values = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+    elif kind == "ties":
+        pool = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=3))
+        values = st.sampled_from(pool)
+    elif kind == "constant":
+        values = st.just(draw(st.floats(-1e300, 1e300, allow_nan=False)))
+    else:
+        base = draw(st.floats(-10, 10, allow_nan=False))
+        gap = draw(st.sampled_from([1e-15, 1e-12, 1e-9]))
+        values = st.integers(0, 8).map(lambda g: base + g * gap)
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+
+@given(
+    branches(),
+    st.sampled_from([0.0, 1e-8, 1e-3]),
+    st.sampled_from([1e-300, 1e-12, 1e-6]),
+)
+def test_standardize_equals_numpys_mean_and_std_exactly(values, eps_num, eps_skip):
+    with np.errstate(over="ignore"):  # squares of 1e300 overflow in both
+        out = est.standardize(values, eps_num, eps_skip)
+        mean, std = float(values.mean()), float(values.std())
+    assert out.mean == mean and out.std == std
+    if not math.isfinite(std) or std < eps_skip:
+        assert out.skipped
+    else:
+        assert out.values.tobytes() == ((values - mean) / (std + eps_num)).tobytes()
+
+
 @given(
     st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=2, max_size=10),
     st.floats(min_value=-50, max_value=50, allow_nan=False),

@@ -1,10 +1,15 @@
+import hashlib
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 import reference_policy as ref
 
 from phasevolve import policy as P
+from phasevolve.config import parse_config_text
+from phasevolve.orchestrator import run_evolution
 from phasevolve.policy import (
     AdamState,
     ClipConfig,
@@ -15,7 +20,9 @@ from phasevolve.policy import (
     RolloutContext,
     TokenSequence,
 )
+from phasevolve.tasks import make_task
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DIMS = PolicyDims(context_dim=3, hidden_dim=5, vocab_size=7, max_tokens=6)
 CLIP = ClipConfig()
 
@@ -384,6 +391,102 @@ def test_fingerprint_tracks_content():
     assert before == PolicyParams.zeros(DIMS).fingerprint()
     params.w_ctx[0, 0] = 1e-12
     assert params.fingerprint() != before
+
+
+# ------------------------------------------------------------------ memos
+
+
+def hashed_fresh(params):
+    """The fingerprint recomputed from the tensors, with no memo."""
+    digest = hashlib.sha256()
+    for tensor in (params.w_ctx, params.w_emit):
+        digest.update(struct.pack("<2q", *tensor.shape))
+        digest.update(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def table_of(params, ctx):
+    return P._log_prob_table(params, P._hidden(params, ctx))
+
+
+@pytest.mark.parametrize("name", ["w_ctx", "w_emit"])
+def test_an_in_place_edit_of_any_element_misses_both_memos(name):
+    params, ctx, _ = random_setup(0)
+    for idx in np.ndindex(getattr(params, name).shape):
+        hash_before, table_before = params.fingerprint(), table_of(params, ctx)
+        getattr(params, name)[idx] += 0.25
+        fresh = params.copy()
+        assert params.fingerprint() != hash_before
+        assert params.fingerprint() == fresh.fingerprint() == hashed_fresh(params)
+        table = table_of(params, ctx)
+        assert not np.array_equal(table, table_before)
+        assert np.array_equal(table, table_of(fresh, ctx))
+        assert P.context_table(params, ctx).log_p_rows == table.tolist()
+
+
+def test_reassigning_w_emit_misses_unless_the_values_are_equal():
+    params, ctx, _ = random_setup(1)
+    hash_before, table_before = params.fingerprint(), table_of(params, ctx)
+    params.w_emit = params.w_emit.copy()  # another object, the same bytes
+    assert params.fingerprint() == hash_before
+    assert table_of(params, ctx) is table_before
+    params.w_emit = params.w_emit * 2.0
+    fresh = params.copy()
+    assert params.fingerprint() == fresh.fingerprint() != hash_before
+    assert np.array_equal(table_of(params, ctx), table_of(fresh, ctx))
+    assert not np.array_equal(table_of(params, ctx), table_before)
+
+
+def test_the_memoized_table_is_read_only():
+    params, ctx, _ = random_setup(2)
+    table = table_of(params, ctx)
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    assert table_of(params, ctx) is table
+
+
+def run_recording_tables(monkeypatch, overrides: str):
+    """Run synthetic.cfg with overrides; keep every table the run looked up
+    and every rollout's ContextTable."""
+    config = parse_config_text((CONFIGS / "synthetic.cfg").read_text() + overrides)
+    looked_up, rollout_tables = [], []
+    lookup, build = P._log_prob_table, P.context_table
+
+    def recorded_lookup(params, hidden):
+        looked_up.append(lookup(params, hidden))
+        return looked_up[-1]
+
+    def recorded_build(params, ctx):
+        rollout_tables.append(build(params, ctx))
+        return rollout_tables[-1]
+
+    monkeypatch.setattr(P, "_log_prob_table", recorded_lookup)
+    monkeypatch.setattr(P, "context_table", recorded_build)
+    result = run_evolution(config, make_task(config))
+    return result, looked_up, rollout_tables
+
+
+@pytest.mark.parametrize("overrides", ["iterations = 20\n", "synthetic.decay_horizon = 8\n"])
+def test_one_log_prob_table_per_parameter_version(monkeypatch, overrides):
+    # Every step of the first run trains; the second skips some and trains some.
+    result, looked_up, _ = run_recording_tables(monkeypatch, overrides)
+    trained = sum(step.optimizer_steps for step in result.steps)
+    assert len(looked_up) == len(result.steps) + trained
+    # The rollout builds the table of its parameters and the loss reads it, so
+    # a new table appears only after the parameters changed.
+    versions = 1 + sum(step.optimizer_steps for step in result.steps[:-1])
+    assert len({id(table) for table in looked_up}) == versions
+
+
+def test_a_skipped_step_reuses_the_row_lists_and_a_trained_one_does_not(monkeypatch):
+    result, _, rollout_tables = run_recording_tables(
+        monkeypatch, "synthetic.decay_horizon = 8\niterations = 120\n"
+    )
+    skipped = [step.optimizer_steps == 0 for step in result.steps]
+    assert any(skipped) and not all(skipped)
+    for was_skipped, before, after in zip(skipped, rollout_tables, rollout_tables[1:]):
+        for rows in ("log_p_rows", "cdf_rows", "row_dots"):
+            assert (getattr(after, rows) is getattr(before, rows)) == was_skipped
 
 
 def test_rollout_context_features():
