@@ -9,13 +9,19 @@ The heuristic places each profile (row of the load matrix) on its own, but
 every numpy call runs across the profile axis: Python loops only over sort
 positions, rebalance passes and swap candidates. Each profile sees the same
 float operations in the same order as when placed alone.
+
+The stages are functions a task can resume: ``eplb_place``, then one
+``eplb_rebalance_pass`` per rebalance pass, then ``eplb_balancedness``.
+``eplb_assign`` and ``eplb_score`` compose them with no memo; ``EplbTask``
+keeps each placement, pass state and balancedness it computed, so a run
+computes each at most once (see its docstring).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -202,62 +208,78 @@ def eplb_place(
     return device, device_loads, row_ops * num_profiles
 
 
+def eplb_rebalance_pass(
+    w: WorkloadProfile, swap_window: int, device: np.ndarray, device_loads: np.ndarray,
+    active: np.ndarray, ops: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One rebalance pass on the rows in active.
+
+    Works on copies. Of the hottest device's swap_window heaviest residents,
+    the pass moves, in each row, the first whose move lowers the peak to the
+    coldest device. Returns the device index matrix, the device loads, the
+    rows that moved (the next pass's active rows) and ops plus the pass's
+    operation count. When no row moves, the returned arrays equal the given
+    ones.
+    """
+    loads = w.loads
+    num_devices = w.num_devices
+    device, device_loads = device.copy(), device_loads.copy()
+    active_loads = device_loads[active]
+    hot = active_loads.argmax(axis=1)
+    cold = active_loads.argmin(axis=1)
+    ops += 2 * num_devices * active.size
+    differ = hot != cold
+    active, hot, cold = active[differ], hot[differ], cold[differ]
+    resident = device[active] == hot[:, None]
+    residents = resident.sum(axis=1)
+    ops += int(residents.sum())
+    # Heaviest residents first, ties by expert index; others sort last.
+    key = np.where(resident, -loads[active], np.inf)
+    candidates = np.argsort(key, axis=1, kind="stable")[:, :swap_window]
+    moved = np.zeros(active.size, dtype=bool)
+    for rank in range(candidates.shape[1]):
+        trying = ~moved & (rank < residents)
+        tries = int(trying.sum())
+        if tries == 0:  # stays 0 at later ranks
+            break
+        ops += 2 * tries
+        expert = candidates[:, rank]
+        load = loads[active, expert]
+        hot_load = device_loads[active, hot]
+        new_peak = np.maximum(hot_load - load, device_loads[active, cold] + load)
+        move = trying & (new_peak < hot_load)
+        r, e, load = active[move], expert[move], load[move]
+        device[r, e] = cold[move]
+        device_loads[r, hot[move]] -= load
+        device_loads[r, cold[move]] += load
+        ops += int(move.sum())
+        moved |= move
+    return device, device_loads, active[moved], ops
+
+
 def eplb_rebalance(
     h: HeuristicDescriptor, w: WorkloadProfile, device: np.ndarray, device_loads: np.ndarray,
     ops: int,
 ) -> tuple[np.ndarray, int]:
     """The heuristic's second stage: h's rebalance passes on every profile.
 
-    Works on copies, so a placement can be rebalanced under any descriptor.
-    Of the hottest device's swap_window heaviest residents, a pass moves the
-    first whose move lowers the peak to the coldest device; a row stops at its
-    first pass that moves nothing. Returns the device index matrix and the
-    operation count, ops plus that of the passes.
+    Writes into none of its arguments, so a placement can be rebalanced under
+    any descriptor. A row stops at its first pass that moves nothing, and the
+    loop over eplb_rebalance_pass stops when every row has. Returns the device
+    index matrix and the operation count, ops plus that of the passes.
 
     After DESCENDING_LOAD + GREEDY_LEAST_LOADED no pass moves an expert, so
     the passes only add ops: the hottest device's last expert, its lightest,
     went to the then coldest device, so each resident weighs at least peak
     minus coldest (monotone float sums keep this under rounding).
     """
-    loads = w.loads
-    num_devices = w.num_devices
-    device, device_loads = device.copy(), device_loads.copy()
-    active = np.arange(loads.shape[0])
+    active = np.arange(w.num_profiles)
     for _ in range(h.rebalance_passes):
         if active.size == 0:
             break
-        active_loads = device_loads[active]
-        hot = active_loads.argmax(axis=1)
-        cold = active_loads.argmin(axis=1)
-        ops += 2 * num_devices * active.size
-        differ = hot != cold
-        active, hot, cold = active[differ], hot[differ], cold[differ]
-        resident = device[active] == hot[:, None]
-        residents = resident.sum(axis=1)
-        ops += int(residents.sum())
-        # Heaviest residents first, ties by expert index; others sort last.
-        key = np.where(resident, -loads[active], np.inf)
-        candidates = np.argsort(key, axis=1, kind="stable")[:, : h.swap_window]
-        moved = np.zeros(active.size, dtype=bool)
-        for rank in range(candidates.shape[1]):
-            trying = ~moved & (rank < residents)
-            tries = int(trying.sum())
-            if tries == 0:  # stays 0 at later ranks
-                break
-            ops += 2 * tries
-            expert = candidates[:, rank]
-            load = loads[active, expert]
-            hot_load = device_loads[active, hot]
-            new_peak = np.maximum(hot_load - load, device_loads[active, cold] + load)
-            move = trying & (new_peak < hot_load)
-            r, e, load = active[move], expert[move], load[move]
-            device[r, e] = cold[move]
-            device_loads[r, hot[move]] -= load
-            device_loads[r, cold[move]] += load
-            ops += int(move.sum())
-            moved |= move
-        active = active[moved]
-
+        device, device_loads, active, ops = eplb_rebalance_pass(
+            w, h.swap_window, device, device_loads, active, ops
+        )
     return device, ops
 
 
@@ -271,17 +293,10 @@ def eplb_assign(h: HeuristicDescriptor, w: WorkloadProfile) -> tuple[np.ndarray,
     return eplb_rebalance(h, w, *eplb_place(h.sort_mode, h.placement, w))
 
 
-def eplb_score(
-    assignment: np.ndarray,
-    w: WorkloadProfile,
-    op_count: int,
-    c_ref: float,
-) -> tuple[float, float, float]:
-    """(balancedness, speed, score) for an assignment.
+def eplb_balancedness(assignment: np.ndarray, w: WorkloadProfile) -> float:
+    """Mean device load over max device load, averaged across profiles.
 
-    Balancedness is mean device load over max device load, averaged across
-    profiles; speed is the reference op count over the heuristic's op count,
-    clamped to 1; the score is their arithmetic mean.
+    The device loads are summed again from the assignment, in column order.
     """
     assignment = np.asarray(assignment)
     if assignment.shape != w.loads.shape:
@@ -298,11 +313,39 @@ def eplb_score(
     idle = np.flatnonzero(peak <= 0)
     if idle.size:
         raise ValueError(f"profile {idle[0]} has zero max device load")
-    balancedness = float(np.mean(device_loads.mean(axis=1) / peak))
+    return float(np.mean(device_loads.mean(axis=1) / peak))
+
+
+def _with_speed(balancedness: float, op_count: int, c_ref: float) -> tuple[float, float, float]:
+    """(balancedness, speed, score): speed is c_ref over op_count, clamped to 1."""
     if op_count <= 0:
         raise ValueError(f"op_count must be positive, got {op_count}")
     speed = min(c_ref / op_count, 1.0)
     return balancedness, speed, 0.5 * (balancedness + speed)
+
+
+def eplb_score(
+    assignment: np.ndarray,
+    w: WorkloadProfile,
+    op_count: int,
+    c_ref: float,
+) -> tuple[float, float, float]:
+    """(balancedness, speed, score) for an assignment.
+
+    Balancedness is mean device load over max device load, averaged across
+    profiles; speed is the reference op count over the heuristic's op count,
+    clamped to 1; the score is their arithmetic mean.
+    """
+    return _with_speed(eplb_balancedness(assignment, w), op_count, c_ref)
+
+
+@dataclass(eq=False, slots=True)
+class _Assignment:
+    """A pass chain's read-only arrays and, once needed, their balancedness."""
+
+    device: np.ndarray
+    device_loads: np.ndarray
+    balancedness: float | None = None
 
 
 class EplbTask:
@@ -315,6 +358,20 @@ class EplbTask:
     most 144 and 9 entries, so nothing is evicted. Use one instance per run.
     A one-entry memo, (token bytes, descriptor), lets ``describe`` reuse what
     ``evaluate`` just decoded for the same tokens; others are decoded again.
+
+    A descriptor that misses runs only the rebalance passes no earlier miss
+    ran. p passes are the first p of p + 1 under the same window, so the
+    task keeps a chain per (sort mode, placement rule, swap window): entry p
+    is the state after p passes, (assignment, rows still active, op count),
+    and a request for more passes extends the chain from its deepest entry.
+    A pass raising appends nothing. Entry 0 is the placement; every chain of
+    a pair shares it. Zero passes never read the window, so they take window
+    1's entry 0. A pass that moves nothing leaves the assignment it started
+    from, so its entry shares that ``_Assignment``, balancedness included,
+    and only the op count grows; later passes are not run, as in
+    ``eplb_rebalance``. Each ``_Assignment`` scores its balancedness the
+    first time an outcome needs it. The arrays are read-only; a chain holds
+    at most 4 entries.
     """
 
     name = "eplb"
@@ -323,6 +380,7 @@ class EplbTask:
         self.profile = profile
         self._outcomes: dict[HeuristicDescriptor, EvaluationOutcome] = {}
         self._placements: dict[tuple[SortMode, Placement], tuple] = {}
+        self._chains: dict[tuple[SortMode, Placement, int], list[tuple]] = {}
         self._last = (b"", HeuristicDescriptor())  # the empty sequence's decoding
         # Reference cost: the base heuristic (all-zero decoding) on these
         # profiles, so the base candidate scores speed exactly 1. Its zero
@@ -338,6 +396,33 @@ class EplbTask:
             self._placements[key] = device, device_loads, ops
         return self._placements[key]
 
+    def _state(self, h: HeuristicDescriptor) -> tuple:
+        """(assignment, active rows, op count) after h's passes, from h's chain."""
+        window = h.swap_window if h.rebalance_passes else 1
+        key = (h.sort_mode, h.placement, window)
+        chain = self._chains.get(key)
+        if chain is None:
+            if window == 1:
+                device, device_loads, ops = self._placement(h)
+                active = np.arange(self.profile.num_profiles)
+                active.flags.writeable = False
+                chain = [(_Assignment(device, device_loads), active, ops)]
+            else:
+                chain = [self._state(replace(h, rebalance_passes=0))]
+            self._chains[key] = chain
+        while len(chain) <= h.rebalance_passes:
+            placed, active, ops = chain[-1]
+            if active.size:  # else every row has stopped: no pass, no ops
+                device, device_loads, active, ops = eplb_rebalance_pass(
+                    self.profile, window, placed.device, placed.device_loads, active, ops
+                )
+                active.flags.writeable = False
+                if active.size:  # some row moved
+                    device.flags.writeable = device_loads.flags.writeable = False
+                    placed = _Assignment(device, device_loads)
+            chain.append((placed, active, ops))
+        return chain[h.rebalance_passes]
+
     def describe(self, seq: TokenSequence) -> dict:
         raw, h = self._last
         if seq.tokens.tobytes() != raw:
@@ -351,8 +436,10 @@ class EplbTask:
         self._last = (seq.tokens.tobytes(), h)
         if h in self._outcomes:
             return self._outcomes[h]
-        assignment, ops = eplb_rebalance(h, self.profile, *self._placement(h))
-        balancedness, speed, score = eplb_score(assignment, self.profile, ops, self.c_ref)
+        placed, _, ops = self._state(h)
+        if placed.balancedness is None:
+            placed.balancedness = eplb_balancedness(placed.device, self.profile)
+        balancedness, speed, score = _with_speed(placed.balancedness, ops, self.c_ref)
         outcome = self._outcomes[h] = EvaluationOutcome.parsed(
             score,
             metrics={"balancedness": balancedness, "speed": speed, "op_count": float(ops)},

@@ -7,12 +7,15 @@ must be equal exactly, for every descriptor, on heavy-tailed loads, on
 integer loads (ties in the sort, in argmin/argmax and in the rebalance rule)
 and on loads with zero-load experts.
 
-``EplbTask`` memoizes both stages per instance: outcomes by descriptor and
-placements by (sort mode, placement rule). The memo tests below require each
-outcome to equal a fresh instance's, whatever was evaluated before it.
+``EplbTask`` memoizes both stages per instance: outcomes by descriptor,
+placements by (sort mode, placement rule) and rebalance passes in one chain
+per (sort mode, placement rule, swap window), each assignment's balancedness
+scored once. The memo tests below require each outcome to equal a fresh
+instance's, whatever was evaluated before it.
 """
 
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -152,7 +155,24 @@ def test_memoized_outcomes_equal_fresh_instances_in_any_order():
 
 
 def test_each_stage_runs_once_per_key(monkeypatch):
-    calls = {"eplb_place": 0, "eplb_rebalance": 0}
+    w = memo_profile()
+    # What a sweep of all 144 descriptors must run: each (pair, window) chain's
+    # passes up to depth 3, none after the first that moves nothing, and one
+    # balancedness per assignment, the placement's and each moving pass's.
+    passes = assignments = 0
+    for sort_mode, placement in itertools.product(SortMode, Placement):
+        device, device_loads, ops = eplb.eplb_place(sort_mode, placement, w)
+        assignments += 1
+        for window in range(1, 5):
+            state = (device, device_loads, np.arange(w.num_profiles), ops)
+            for _ in range(3):
+                if state[2].size == 0:
+                    break
+                state = eplb.eplb_rebalance_pass(w, window, *state)
+                passes += 1
+                assignments += state[2].size > 0
+    assert 0 < passes <= 108
+    calls = {"eplb_place": 0, "eplb_rebalance_pass": 0, "eplb_balancedness": 0}
 
     def counted(name):
         fn = getattr(eplb, name)
@@ -166,12 +186,13 @@ def test_each_stage_runs_once_per_key(monkeypatch):
     for name in calls:
         monkeypatch.setattr(eplb, name, counted(name))
     # Built under the counters: the reference cost's placement is one of the 9.
-    task = EplbTask(memo_profile())
+    task = EplbTask(w)
     rng = np.random.default_rng(0)
-    for _ in range(2):
+    want = {"eplb_place": 9, "eplb_rebalance_pass": passes, "eplb_balancedness": assignments}
+    for _ in range(2):  # the second sweep hits the outcome memo every time
         for h in DESCRIPTORS:
             task.evaluate(seq_for(h), 0, rng)
-    assert calls == {"eplb_place": 9, "eplb_rebalance": 144}
+        assert calls == want
 
 
 @pytest.mark.parametrize("placement", Placement)
@@ -242,16 +263,16 @@ def test_an_evaluation_that_raises_is_not_memoized(monkeypatch):
     w = memo_profile()
     h = HeuristicDescriptor(SortMode.ASCENDING_LOAD, Placement.BLOCKED, 2, 3)
     task = EplbTask(w)
-    score = eplb.eplb_score
+    balancedness = eplb.eplb_balancedness
     failures = []
 
     def fails_once(*args):
         if not failures:
             failures.append(1)
             raise RuntimeError("scorer crashed")
-        return score(*args)
+        return balancedness(*args)
 
-    monkeypatch.setattr(eplb, "eplb_score", fails_once)
+    monkeypatch.setattr(eplb, "eplb_balancedness", fails_once)
     rng = np.random.default_rng(0)
     with pytest.raises(RuntimeError, match="scorer crashed"):
         task.evaluate(seq_for(h), 0, rng)
@@ -294,8 +315,109 @@ def test_an_evaluation_that_raises_leaves_describe_correct(monkeypatch):
     def fails(*args):
         raise RuntimeError("scorer crashed")
 
-    monkeypatch.setattr(eplb, "eplb_score", fails)
+    monkeypatch.setattr(eplb, "eplb_balancedness", fails)
     with pytest.raises(RuntimeError, match="scorer crashed"):
         task.evaluate(seq_for(h), 0, rng)
     assert task.describe(seq_for(h)) == h.as_dict()
     assert task.describe(seq_for(before)) == before.as_dict()
+
+
+def test_a_pass_that_raises_leaves_the_chain_resumable(monkeypatch):
+    w = memo_profile()
+    h = HeuristicDescriptor(SortMode.ASCENDING_LOAD, Placement.BLOCKED, 3, 3)
+    one = replace(h, rebalance_passes=1)
+    want = {one: fresh_outcome(one, w), h: fresh_outcome(h, w)}
+    task = EplbTask(w)
+    rebalance_pass = eplb.eplb_rebalance_pass
+    calls = []
+
+    def fails_at_depth_2(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("pass crashed")
+        return rebalance_pass(*args)
+
+    monkeypatch.setattr(eplb, "eplb_rebalance_pass", fails_at_depth_2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(RuntimeError, match="pass crashed"):
+        task.evaluate(seq_for(h), 0, rng)
+    assert_same_outcome(task.evaluate(seq_for(one), 0, rng), want[one])
+    assert len(calls) == 2  # the first pass's state was kept
+    assert_same_outcome(task.evaluate(seq_for(h), 0, rng), want[h])
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("order", ["passes-descending", "passes-ascending", "shuffled"])
+def test_chains_give_fresh_outcomes_at_the_eplb_wide_shape(order):
+    # The benchmark's eplb-wide shape: 16 profiles of 128 experts on 16 devices.
+    w = WorkloadProfile.generate(num_profiles=16, num_experts=128, num_devices=16, seed=7)
+    if order == "shuffled":
+        descriptors = [DESCRIPTORS[i] for i in np.random.default_rng(3).permutation(144)]
+    else:
+        descriptors = sorted(
+            DESCRIPTORS,
+            key=lambda h: h.rebalance_passes,
+            reverse=order == "passes-descending",
+        )
+    task = EplbTask(w)
+    rng = np.random.default_rng(0)
+    c_ref = eplb_assign(HeuristicDescriptor(), w)[1]
+    for h in descriptors:
+        got = task.evaluate(seq_for(h), 0, rng)
+        assert_same_outcome(got, fresh_outcome(h, w))
+        # And the composition with no memo: place, every pass, score.
+        assignment, ops = eplb_assign(h, w)
+        balancedness, speed, score = eplb_score(assignment, w, ops, c_ref)
+        assert got.value == score
+        assert got.metrics == {
+            "balancedness": balancedness, "speed": speed, "op_count": float(ops)
+        }
+
+
+def test_every_chain_state_is_read_only():
+    task = EplbTask(memo_profile())
+    rng = np.random.default_rng(0)
+    for h in DESCRIPTORS:
+        task.evaluate(seq_for(h), 0, rng)
+    assert len(task._chains) == 36
+    for chain in task._chains.values():
+        assert len(chain) == 4
+        for placed, active, _ in chain:
+            for array in (placed.device, placed.device_loads, active):
+                assert not array.flags.writeable
+
+
+@given(
+    st.sampled_from(LOAD_KINDS),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=100, deadline=None)
+def test_greedy_on_descending_loads_scores_one_balancedness(
+    kind, profiles, experts, devices, seed
+):
+    # No pass moves an expert after this pair (see eplb_rebalance's docstring),
+    # so every pass's state shares the placement's assignment and balancedness.
+    w = WorkloadProfile(
+        make_loads(kind, (profiles, experts), np.random.default_rng(seed)),
+        num_devices=min(devices, experts),
+    )
+    balancedness = eplb.eplb_balancedness
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return balancedness(*args)
+
+    task = EplbTask(w)
+    rng = np.random.default_rng(0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eplb, "eplb_balancedness", counted)
+        for h in DESCRIPTORS:
+            if (h.sort_mode, h.placement) == (
+                SortMode.DESCENDING_LOAD, Placement.GREEDY_LEAST_LOADED
+            ):
+                task.evaluate(seq_for(h), 0, rng)
+    assert len(calls) == 1
