@@ -106,7 +106,7 @@ def _as_group(rewards) -> np.ndarray:
 def group_relative_raw(rewards) -> np.ndarray:
     """Centered rewards R_i - mean(R); the dense exploration-phase signal."""
     values = _as_group(rewards)
-    return values - values.mean()
+    return values - np.add.reduce(values) / values.size
 
 
 def grpo_advantage(rewards, eps_num: float) -> np.ndarray:

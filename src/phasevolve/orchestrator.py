@@ -12,6 +12,7 @@ checkable from the trace alone.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -59,7 +60,13 @@ class RewardBatch:
 
 
 class FrontierArchive:
-    """Bounded, score-sorted set of the best candidates found so far."""
+    """Bounded, score-sorted set of the best candidates found so far.
+
+    The mean score and the softmax selection CDF are kept in a one-entry
+    memo keyed by the list of entry scores itself, compared by value: an
+    insert or any direct edit of ``entries`` changes that list, so the next
+    read recomputes both. The CDF is kept for one temperature at a time.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -67,6 +74,8 @@ class FrontierArchive:
         self.capacity = capacity
         self.entries: list[Candidate] = []
         self.cumulative_max: float | None = None
+        # [scores, mean, temperature, cdf]; the CDF is filled when first read.
+        self._memo: list = [[], None, None, None]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -74,10 +83,31 @@ class FrontierArchive:
     def best_score(self) -> float | None:
         return self.entries[0].raw_score if self.entries else None
 
+    def _scores_memo(self) -> list:
+        scores = [c.raw_score for c in self.entries]
+        if scores != self._memo[0]:
+            mean = float(np.add.reduce(scores) / len(scores)) if scores else None
+            self._memo = [scores, mean, None, None]
+        return self._memo
+
     def mean_score(self) -> float | None:
-        if not self.entries:
-            return None
-        return float(np.mean([c.raw_score for c in self.entries]))
+        return self._scores_memo()[1]
+
+    def selection_cdf(self, temperature: float) -> list[float]:
+        """Cumulative softmax(scores / temperature) over the entries, in order.
+
+        Scores are shifted by their max before the division, so a tiny
+        temperature overflows to -inf and gives the greedy limit, not NaN.
+        """
+        memo = self._scores_memo()
+        if memo[2] != temperature:
+            scores = np.array(memo[0])
+            with np.errstate(over="ignore"):
+                z = (scores - scores.max()) / temperature
+            probs = np.exp(z)
+            probs /= probs.sum()
+            memo[2:] = temperature, np.cumsum(probs).tolist()
+        return memo[3]
 
     def _insert(self, candidate: Candidate) -> None:
         self.entries.append(candidate)
@@ -120,12 +150,7 @@ def select_parent(
         if seed_candidate is None:
             raise RuntimeError("archive empty and no seed candidate configured")
         return seed_candidate
-    scores = np.array([c.raw_score for c in archive.entries])
-    z = scores / temperature
-    z -= z.max()
-    probs = np.exp(z)
-    probs /= probs.sum()
-    idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    idx = bisect.bisect_right(archive.selection_cdf(temperature), rng.random())
     return archive.entries[min(idx, len(archive) - 1)]
 
 
@@ -277,7 +302,8 @@ def training_step(
     cfg = state.config
     alpha = state.schedule.alpha(state.iteration)
     # Parameters have not changed since the rollout, so its table still holds.
-    entropy = float(np.mean([policy.token_entropy(batch.table, c.tokens) for c in candidates]))
+    entropies = [policy.token_entropy(batch.table, c.tokens) for c in candidates]
+    entropy = float(np.add.reduce(entropies) / len(entropies))  # np.mean's sum and division
     advantages, info = estimators.advantages(
         cfg.mode,
         batch.rewards,
@@ -372,15 +398,13 @@ def run_evolution(config: RunConfig, task, trace_path=None) -> RunResult:
                     best_iteration = t
                 if writer:
                     writer.write_candidate(
-                        {
-                            "iteration": t,
-                            "candidate_id": cand.id,
-                            "parent_id": cand.parent_id,
-                            "status": cand.outcome.status.value,
-                            "raw_score": cand.raw_score,
-                            "reward": cand.reward,
-                            "error": cand.outcome.error,
-                        }
+                        t,
+                        cand.id,
+                        cand.parent_id,
+                        cand.outcome.status.value,
+                        cand.raw_score,
+                        cand.reward,
+                        cand.outcome.error,
                     )
             hash_end = state.params.fingerprint()
             diag = training_step(state, batch, candidates)

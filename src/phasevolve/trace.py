@@ -6,12 +6,16 @@ Records are whole lines, and the file is flushed once per iteration, after
 its step record (and after the header), so a killed run loses at most its
 unfinished iteration; ``read_trace`` skips a torn last line. The
 serialization is canonical (sorted keys) so identical runs produce identical
-bytes.
+bytes. Candidate lines, the most numerous, are filled into one fixed
+template rather than encoded as a dict; each is byte-equal to what
+``json.dumps(record, sort_keys=True, separators=(",", ":"))`` writes.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 TRACE_VERSION = 2
@@ -19,6 +23,26 @@ TRACE_VERSION = 2
 
 # json.dumps(record, sort_keys=True, separators=(",", ":")), built once.
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# A candidate record, keys in sorted order; write_candidate fills it in that order.
+_CANDIDATE = (
+    '{"candidate_id":%s,"error":%s,"iteration":%s,"kind":"candidate",'
+    '"parent_id":%s,"raw_score":%s,"reward":%s,"status":%s}\n'
+)
+
+
+def _json_value(value) -> str:
+    """``_dumps(value)``, without the encoder for the types a candidate holds."""
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    return _dumps(value)  # NaN, infinities, bools, numpy scalars, ...
 
 
 class TraceWriter:
@@ -31,8 +55,11 @@ class TraceWriter:
         self._write({"kind": "header", "version": TRACE_VERSION, "config": config})
         self._fh.flush()
 
-    def write_candidate(self, record: dict) -> None:
-        self._write({"kind": "candidate", **record})
+    def write_candidate(
+        self, iteration, candidate_id, parent_id, status, raw_score, reward, error
+    ) -> None:
+        values = (candidate_id, error, iteration, parent_id, raw_score, reward, status)
+        self._fh.write(_CANDIDATE % tuple(map(_json_value, values)))
 
     def write_step(self, record: dict) -> None:
         self._write({"kind": "step", **record})

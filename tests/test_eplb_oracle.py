@@ -10,8 +10,9 @@ and on loads with zero-load experts.
 ``EplbTask`` memoizes both stages per instance: outcomes by descriptor,
 placements by (sort mode, placement rule) and rebalance passes in one chain
 per (sort mode, placement rule, swap window), each assignment's balancedness
-scored once. The memo tests below require each outcome to equal a fresh
-instance's, whatever was evaluated before it.
+scored once. The memo tests below require each outcome to equal the one
+the stages give with no memo (``eplb_assign``, then ``eplb_score``),
+whatever was evaluated before it.
 """
 
 import itertools
@@ -27,6 +28,7 @@ import reference_eplb as ref
 from phasevolve.config import parse_config_text
 from phasevolve.orchestrator import run_evolution
 from phasevolve.policy import TokenSequence
+from phasevolve.rewards import EvaluationOutcome
 from phasevolve.tasks import eplb, make_task
 from phasevolve.tasks.eplb import (
     EplbTask,
@@ -132,8 +134,14 @@ def memo_profile() -> WorkloadProfile:
     return WorkloadProfile(make_loads("integer", (4, 29), np.random.default_rng(11)), 5)
 
 
-def fresh_outcome(h: HeuristicDescriptor, w: WorkloadProfile):
-    return EplbTask(w).evaluate(seq_for(h), 0, np.random.default_rng(0))
+def fresh_outcome(h: HeuristicDescriptor, w: WorkloadProfile) -> EvaluationOutcome:
+    """h's outcome from the stages with no memo: place, every pass, score."""
+    c_ref = eplb_assign(HeuristicDescriptor(), w)[1]
+    assignment, ops = eplb_assign(h, w)
+    balancedness, speed, score = eplb_score(assignment, w, ops, c_ref)
+    return EvaluationOutcome.parsed(
+        score, metrics={"balancedness": balancedness, "speed": speed, "op_count": float(ops)}
+    )
 
 
 def assert_same_outcome(got, want) -> None:

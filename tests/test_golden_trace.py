@@ -20,6 +20,7 @@ fingerprint of one printed before it, and is reported as such.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -140,6 +141,17 @@ def test_trace_digest_is_pinned(name, tmp_path):
         pytest.skip(f"no digests recorded for this machine's float kernels ({fingerprint[:12]})")
     trace_path = run_trace(name, tmp_path)
     assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == GOLDEN[fingerprint][name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_trace_line_is_canonical_json(name, tmp_path):
+    # Runs on any kernel set: the bytes may differ from the pinned ones, but
+    # each line, candidate lines from the template included, must be what
+    # json.dumps writes for the record it holds.
+    lines = run_trace(name, tmp_path).read_text(encoding="utf-8").split("\n")
+    assert lines[-1] == ""
+    for line in lines[:-1]:
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
 
 
 def test_compressed_case_covers_skipped_and_trained_steps(tmp_path):

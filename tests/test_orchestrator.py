@@ -1,8 +1,11 @@
+import warnings
 from dataclasses import fields
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import reference_policy as ref
+from hypothesis import given, settings
 
 from phasevolve import cli, orchestrator
 from phasevolve.config import MODES, RunConfig
@@ -184,6 +187,121 @@ def test_select_parent_empty_archive_uses_seed():
     seed = make_candidate(0, 0.3)
     parent = select_parent(archive, np.random.default_rng(0), 0.5, seed_candidate=seed)
     assert parent is seed
+
+
+def oracle_cdf(scores, temperature):
+    """The selection CDF in numpy, with no memo: softmax of the scores shifted
+    by their max, then divided by the temperature."""
+    scores = np.array(scores)
+    probs = np.exp((scores - scores.max()) / temperature)
+    probs /= probs.sum()
+    return np.cumsum(probs)
+
+
+def oracle_index(scores, temperature, u):
+    idx = int(np.searchsorted(oracle_cdf(scores, temperature), u, side="right"))
+    return min(idx, len(scores) - 1)
+
+
+class Uniforms:
+    """An rng stand-in that returns given uniforms and counts the draws."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.values.pop(0)
+
+
+def archive_of(scores):
+    archive = FrontierArchive(32)
+    for cid, score in enumerate(scores):
+        update_frontier(archive, make_candidate(cid, score))
+    return archive
+
+
+def picks_the_oracles_index(archive, temperature, uniforms):
+    scores = [c.raw_score for c in archive.entries]
+    for u in uniforms:
+        rng = Uniforms([u])
+        parent = select_parent(archive, rng, temperature)
+        assert rng.draws == 1
+        assert parent is archive.entries[oracle_index(scores, temperature, u)]
+
+
+# Ties come from a few shared values; the rest spread over [0, 1].
+SCORES = st.lists(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=32
+)
+
+
+@given(SCORES, st.sampled_from([0.5, 0.37, 3.0]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_select_parent_picks_the_oracles_index(scores, temperature, data):
+    archive = archive_of(scores)
+    cdf = oracle_cdf([c.raw_score for c in archive.entries], temperature).tolist()
+    # Uniforms on the CDF's own values are where bisect_right and
+    # searchsorted(side="right") must agree on the boundary.
+    uniforms = data.draw(st.lists(st.sampled_from(cdf) | st.floats(0.0, 1.0, exclude_max=True)))
+    picks_the_oracles_index(archive, temperature, uniforms + cdf + [0.0])
+
+
+@given(SCORES)
+@settings(max_examples=200, deadline=None)
+def test_mean_score_equals_np_mean(scores):
+    archive = archive_of(scores)
+    assert archive.mean_score() == np.mean([c.raw_score for c in archive.entries])
+
+
+def test_the_shift_before_dividing_changes_no_cdf_at_temperature_one_half():
+    # The shipped configs' temperature is a power of two, so dividing first
+    # and shifting after, the order before the tiny-temperature fix, gives
+    # the same floats, and so the same parents.
+    scores = np.random.default_rng(4).random((200, 16))
+    for row in scores:
+        z = row / 0.5
+        z -= z.max()
+        probs = np.exp(z)
+        probs /= probs.sum()
+        assert np.cumsum(probs).tobytes() == oracle_cdf(row, 0.5).tobytes()
+
+
+def test_the_memo_follows_every_change_to_the_entries():
+    archive = archive_of([0.9, 0.6, 0.6, 0.3])
+
+    def check(temperature=0.5):
+        scores = [c.raw_score for c in archive.entries]
+        uniforms = oracle_cdf(scores, temperature).tolist() + [0.0, 0.5, 0.99]
+        picks_the_oracles_index(archive, temperature, uniforms)
+        assert archive.mean_score() == np.mean(scores)
+
+    check()
+    update_frontier(archive, make_candidate(10, 0.95))  # an insert at the top
+    check()
+    check(temperature=3.0)  # another temperature, same scores
+    check()
+    archive.entries[1].raw_score = 0.1  # a direct edit of one entry's score
+    check()
+    archive.entries.pop(0)
+    check()
+    archive.entries[0] = make_candidate(11, 0.05)  # the same length, new content
+    check()
+    archive.entries.reverse()
+    check()
+
+
+def test_a_tiny_temperature_selects_greedily(tmp_path):
+    # 1e-310 passes validate(); dividing the scores by it overflows.
+    archive = archive_of([0.9, 0.8, 0.5, 0.2])
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert all(select_parent(archive, rng, 1e-310) is archive.entries[0] for _ in range(200))
+        config = small_config(iterations=20, select_temperature=1e-310)
+        result = run_evolution(config, TokenSumTask(), tmp_path / "trace.jsonl")
+    assert len(result.steps) == 20
 
 
 # ------------------------------------------------------------ rollout_group
