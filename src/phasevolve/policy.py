@@ -21,8 +21,10 @@ the whole group.
 
 Each ``PolicyParams`` keeps one table, and one fingerprint, per parameter
 content: a one-entry memo keyed by the exact bytes the value is computed
-from, never by the object, so an in-place edit recomputes. The loss reads
-the table the rollout just built. The table also repeats across iterations:
+from, never by the object, so an in-place edit recomputes. The table's
+entry is filled in one place, ``_log_prob_table``, with the table and its
+row lists together; the loss reads the table the rollout just built. The
+table also repeats across iterations:
 ``w_ctx`` and ``w_emit[:H]`` start at zero and get exactly zero gradient, so
 the hidden vector is the zero vector whatever the context, and a skipped
 step leaves the parameters, and so the table, as they were.
@@ -170,20 +172,6 @@ class PolicyParams:
             max_tokens=dims.max_tokens,
         )
 
-    @classmethod
-    def random(
-        cls, dims: PolicyDims, rng: np.random.Generator, scale: float = 0.01
-    ) -> "PolicyParams":
-        return cls(
-            w_ctx=scale * rng.standard_normal((dims.context_dim, dims.hidden_dim)),
-            w_emit=scale
-            * rng.standard_normal((dims.hidden_dim + dims.vocab_size, dims.vocab_size)),
-            max_tokens=dims.max_tokens,
-        )
-
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(self.w_ctx.copy(), self.w_emit.copy(), self.max_tokens)
-
     def fingerprint(self) -> str:
         """Stable content hash, used by the rollout-barrier checks.
 
@@ -271,18 +259,20 @@ def _hidden(params: PolicyParams, ctx: np.ndarray) -> np.ndarray:
     return ctx @ params.w_ctx
 
 
-def _log_prob_table(params: PolicyParams, hidden: np.ndarray) -> np.ndarray:
-    """(V + 1, V) next-token log-probabilities for one context, read-only.
+def _log_prob_table(params: PolicyParams, hidden: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(V + 1, V) next-token log-probabilities for one context, read-only,
+    and the table's row lists: log-probabilities, cumulative probabilities
+    and each row's p . log p.
 
     Row 0 is position 0 (no previous token); row 1 + j follows token j.
-    The table is kept on ``params`` under the bytes of ``hidden`` and
-    ``w_emit`` (hidden's length fixes w_emit's shape), and returned again
-    while both are unchanged.
+    Both are kept on ``params`` under the bytes of ``hidden`` and ``w_emit``
+    (hidden's length fixes w_emit's shape), and returned again while both
+    are unchanged.
     """
     key = hidden.tobytes() + params.w_emit.tobytes()
-    kept, table, _ = params._tabled
+    kept, table, rows = params._tabled
     if key == kept:
-        return table
+        return table, rows
     base = hidden @ params.w_emit[: params.hidden_dim]
     logits = np.empty((params.vocab_size + 1, params.vocab_size))
     logits[0] = base
@@ -290,8 +280,12 @@ def _log_prob_table(params: PolicyParams, hidden: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     table = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     table.flags.writeable = False
-    params._tabled = (key, table, None)
-    return table
+    p = np.exp(table)
+    # Stacked 1xV @ Vx1 products: one BLAS dot per row, as np.dot does.
+    dots = np.matmul(p[:, None, :], table[:, :, None])
+    rows = (table.tolist(), np.cumsum(p, axis=1).tolist(), dots.ravel().tolist())
+    params._tabled = (key, table, rows)
+    return table, rows
 
 
 @dataclass(frozen=True)
@@ -307,19 +301,9 @@ class ContextTable:
 
 
 def context_table(params: PolicyParams, ctx: np.ndarray) -> ContextTable:
-    """The table of context vector ``ctx`` under ``params``.
-
-    The row lists are kept beside the memoized log-prob table, so a table
-    that repeats shares them too.
-    """
-    log_p = _log_prob_table(params, _hidden(params, ctx))
-    key, _, rows = params._tabled  # the entry log_p was just read from
-    if rows is None:
-        p = np.exp(log_p)
-        # Stacked 1xV @ Vx1 products: one BLAS dot per row, as np.dot does.
-        dots = np.matmul(p[:, None, :], log_p[:, :, None])
-        rows = (log_p.tolist(), np.cumsum(p, axis=1).tolist(), dots.ravel().tolist())
-        params._tabled = (key, log_p, rows)
+    """The table of context vector ``ctx`` under ``params``; a table that
+    repeats shares its row lists too."""
+    _, rows = _log_prob_table(params, _hidden(params, ctx))
     return ContextTable(np.asarray(ctx, dtype=np.float64), *rows, params.max_tokens)
 
 
@@ -410,7 +394,7 @@ def loss_and_gradient(
         )
 
     hidden = _hidden(params, ctx)
-    table = _log_prob_table(params, hidden)
+    table, _ = _log_prob_table(params, hidden)
     # Table row of each position: 1 + the previous token of its own
     # sequence, or 0 at a sequence start.
     position = np.arange(len(tokens))

@@ -4,8 +4,8 @@ A task turns a sampled token sequence into an evaluated candidate. Both
 bundled tasks compute pure functions of (tokens, iteration, rng) so groups can
 be evaluated in any order, or in parallel, without changing results. An
 ``EplbTask`` memoizes its outcomes for the run it serves, and runs each
-rebalance pass and scores each pass state at most once for it, from chains
-of pass states that longer pass counts extend. Each task keeps
+rebalance pass and scores each pass state at most once for it: the state
+after p passes is one pass on the memoized state after p - 1. Each task keeps
 a one-entry memo so ``describe`` reuses the quality or decoding ``evaluate``
 just computed for the same tokens; ``make_task`` builds a new task for each
 run, so nothing is kept between runs.

@@ -12,16 +12,17 @@ float operations in the same order as when placed alone.
 
 The stages are functions a task can resume: ``eplb_place``, then one
 ``eplb_rebalance_pass`` per rebalance pass, then ``eplb_balancedness``.
-``eplb_assign`` and ``eplb_score`` compose them with no memo; ``EplbTask``
-keeps each placement, pass state and balancedness it computed, so a run
-computes each at most once (see its docstring).
+``EplbTask`` is their one composition: it keeps each pass state and
+balancedness it computed, so a run computes each at most once (see its
+docstring). ``tests/reference_eplb.py`` composes the same stages with no
+memo, and holds the per-profile oracle both are checked against.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -219,7 +220,12 @@ def eplb_rebalance_pass(
     coldest device. Returns the device index matrix, the device loads, the
     rows that moved (the next pass's active rows) and ops plus the pass's
     operation count. When no row moves, the returned arrays equal the given
-    ones.
+    ones. A row stops at its first pass that moves nothing.
+
+    After DESCENDING_LOAD + GREEDY_LEAST_LOADED no pass moves an expert, so
+    the passes only add ops: the hottest device's last expert, its lightest,
+    went to the then coldest device, so each resident weighs at least peak
+    minus coldest (monotone float sums keep this under rounding).
     """
     loads = w.loads
     num_devices = w.num_devices
@@ -257,42 +263,6 @@ def eplb_rebalance_pass(
     return device, device_loads, active[moved], ops
 
 
-def eplb_rebalance(
-    h: HeuristicDescriptor, w: WorkloadProfile, device: np.ndarray, device_loads: np.ndarray,
-    ops: int,
-) -> tuple[np.ndarray, int]:
-    """The heuristic's second stage: h's rebalance passes on every profile.
-
-    Writes into none of its arguments, so a placement can be rebalanced under
-    any descriptor. A row stops at its first pass that moves nothing, and the
-    loop over eplb_rebalance_pass stops when every row has. Returns the device
-    index matrix and the operation count, ops plus that of the passes.
-
-    After DESCENDING_LOAD + GREEDY_LEAST_LOADED no pass moves an expert, so
-    the passes only add ops: the hottest device's last expert, its lightest,
-    went to the then coldest device, so each resident weighs at least peak
-    minus coldest (monotone float sums keep this under rounding).
-    """
-    active = np.arange(w.num_profiles)
-    for _ in range(h.rebalance_passes):
-        if active.size == 0:
-            break
-        device, device_loads, active, ops = eplb_rebalance_pass(
-            w, h.swap_window, device, device_loads, active, ops
-        )
-    return device, ops
-
-
-def eplb_assign(h: HeuristicDescriptor, w: WorkloadProfile) -> tuple[np.ndarray, int]:
-    """Run the heuristic on every profile at once: place, then rebalance.
-
-    Returns a (num_profiles x num_experts) device index matrix and the total
-    deterministic operation count (the wall-clock proxy), the sum of the
-    per-profile counts. ``EplbTask`` runs the same two stages, memoized.
-    """
-    return eplb_rebalance(h, w, *eplb_place(h.sort_mode, h.placement, w))
-
-
 def eplb_balancedness(assignment: np.ndarray, w: WorkloadProfile) -> float:
     """Mean device load over max device load, averaged across profiles.
 
@@ -317,31 +287,17 @@ def eplb_balancedness(assignment: np.ndarray, w: WorkloadProfile) -> float:
 
 
 def _with_speed(balancedness: float, op_count: int, c_ref: float) -> tuple[float, float, float]:
-    """(balancedness, speed, score): speed is c_ref over op_count, clamped to 1."""
+    """(balancedness, speed, score): speed is the reference op count c_ref
+    over op_count, clamped to 1, and the score is the mean of the two."""
     if op_count <= 0:
         raise ValueError(f"op_count must be positive, got {op_count}")
     speed = min(c_ref / op_count, 1.0)
     return balancedness, speed, 0.5 * (balancedness + speed)
 
 
-def eplb_score(
-    assignment: np.ndarray,
-    w: WorkloadProfile,
-    op_count: int,
-    c_ref: float,
-) -> tuple[float, float, float]:
-    """(balancedness, speed, score) for an assignment.
-
-    Balancedness is mean device load over max device load, averaged across
-    profiles; speed is the reference op count over the heuristic's op count,
-    clamped to 1; the score is their arithmetic mean.
-    """
-    return _with_speed(eplb_balancedness(assignment, w), op_count, c_ref)
-
-
 @dataclass(eq=False, slots=True)
 class _Assignment:
-    """A pass chain's read-only arrays and, once needed, their balancedness."""
+    """A pass state's read-only arrays and, once needed, their balancedness."""
 
     device: np.ndarray
     device_loads: np.ndarray
@@ -354,24 +310,23 @@ class EplbTask:
     The speed term counts operations rather than timing them, so an outcome
     depends only on the decoded descriptor and the read-only profiles. Each
     instance therefore memoizes, for the run it serves, the outcome of every
-    descriptor and the placement of every (sort mode, placement rule); at
-    most 144 and 9 entries, so nothing is evicted. Use one instance per run.
-    A one-entry memo, (token bytes, descriptor), lets ``describe`` reuse what
-    ``evaluate`` just decoded for the same tokens; others are decoded again.
+    descriptor, at most 144 entries, so nothing is evicted. Use one instance
+    per run. A one-entry memo, (token bytes, descriptor), lets ``describe``
+    reuse what ``evaluate`` just decoded for the same tokens; others are
+    decoded again.
 
-    A descriptor that misses runs only the rebalance passes no earlier miss
-    ran. p passes are the first p of p + 1 under the same window, so the
-    task keeps a chain per (sort mode, placement rule, swap window): entry p
-    is the state after p passes, (assignment, rows still active, op count),
-    and a request for more passes extends the chain from its deepest entry.
-    A pass raising appends nothing. Entry 0 is the placement; every chain of
-    a pair shares it. Zero passes never read the window, so they take window
-    1's entry 0. A pass that moves nothing leaves the assignment it started
-    from, so its entry shares that ``_Assignment``, balancedness included,
-    and only the op count grows; later passes are not run, as in
-    ``eplb_rebalance``. Each ``_Assignment`` scores its balancedness the
-    first time an outcome needs it. The arrays are read-only; a chain holds
-    at most 4 entries.
+    A descriptor that misses runs only the stages no earlier miss ran. The
+    task keeps one memo of pass states, (assignment, rows still active, op
+    count), keyed by (sort mode, placement rule, swap window, passes): the
+    0-pass state is the placement, and the p-pass state is one rebalance
+    pass on the (p - 1)-pass state under the same window. Zero passes never
+    read the window, so the placement is kept under window 1 only: at most
+    9 + 9 * 4 * 3 = 117 states. A pass that moves nothing leaves the
+    assignment it started from, so its state shares that ``_Assignment``,
+    balancedness included, and only the op count grows; once no row is
+    active no pass runs. A pass that raises stores nothing. Each
+    ``_Assignment`` scores its balancedness the first time an outcome needs
+    it. The arrays are read-only.
     """
 
     name = "eplb"
@@ -379,49 +334,37 @@ class EplbTask:
     def __init__(self, profile: WorkloadProfile):
         self.profile = profile
         self._outcomes: dict[HeuristicDescriptor, EvaluationOutcome] = {}
-        self._placements: dict[tuple[SortMode, Placement], tuple] = {}
-        self._chains: dict[tuple[SortMode, Placement, int], list[tuple]] = {}
+        self._states: dict[tuple[SortMode, Placement, int, int], tuple] = {}
         self._last = (b"", HeuristicDescriptor())  # the empty sequence's decoding
         # Reference cost: the base heuristic (all-zero decoding) on these
         # profiles, so the base candidate scores speed exactly 1. Its zero
         # rebalance passes add no ops to its placement's.
-        self.c_ref = self._placement(HeuristicDescriptor())[2]
+        self.c_ref = self._state(HeuristicDescriptor(), 0)[2]
 
-    def _placement(self, h: HeuristicDescriptor) -> tuple:
-        """The memoized, read-only first stage of h's sort mode and rule."""
-        key = (h.sort_mode, h.placement)
-        if key not in self._placements:
+    def _state(self, h: HeuristicDescriptor, passes: int) -> tuple:
+        """(assignment, active rows, op count) after the first ``passes`` of h's passes."""
+        window = h.swap_window if passes else 1
+        key = (h.sort_mode, h.placement, window, passes)
+        state = self._states.get(key)
+        if state is not None:
+            return state
+        if passes == 0:
             device, device_loads, ops = eplb_place(h.sort_mode, h.placement, self.profile)
+            active = np.arange(self.profile.num_profiles)
             device.flags.writeable = device_loads.flags.writeable = False
-            self._placements[key] = device, device_loads, ops
-        return self._placements[key]
-
-    def _state(self, h: HeuristicDescriptor) -> tuple:
-        """(assignment, active rows, op count) after h's passes, from h's chain."""
-        window = h.swap_window if h.rebalance_passes else 1
-        key = (h.sort_mode, h.placement, window)
-        chain = self._chains.get(key)
-        if chain is None:
-            if window == 1:
-                device, device_loads, ops = self._placement(h)
-                active = np.arange(self.profile.num_profiles)
-                active.flags.writeable = False
-                chain = [(_Assignment(device, device_loads), active, ops)]
-            else:
-                chain = [self._state(replace(h, rebalance_passes=0))]
-            self._chains[key] = chain
-        while len(chain) <= h.rebalance_passes:
-            placed, active, ops = chain[-1]
+            placed = _Assignment(device, device_loads)
+        else:
+            placed, active, ops = self._state(h, passes - 1)
             if active.size:  # else every row has stopped: no pass, no ops
                 device, device_loads, active, ops = eplb_rebalance_pass(
                     self.profile, window, placed.device, placed.device_loads, active, ops
                 )
-                active.flags.writeable = False
                 if active.size:  # some row moved
                     device.flags.writeable = device_loads.flags.writeable = False
                     placed = _Assignment(device, device_loads)
-            chain.append((placed, active, ops))
-        return chain[h.rebalance_passes]
+        active.flags.writeable = False
+        state = self._states[key] = (placed, active, ops)
+        return state
 
     def describe(self, seq: TokenSequence) -> dict:
         raw, h = self._last
@@ -436,7 +379,7 @@ class EplbTask:
         self._last = (seq.tokens.tobytes(), h)
         if h in self._outcomes:
             return self._outcomes[h]
-        placed, _, ops = self._state(h)
+        placed, _, ops = self._state(h, h.rebalance_passes)
         if placed.balancedness is None:
             placed.balancedness = eplb_balancedness(placed.device, self.profile)
         balancedness, speed, score = _with_speed(placed.balancedness, ops, self.c_ref)

@@ -3,7 +3,13 @@
 This is the original expert-by-expert code: each profile is sorted, placed
 and rebalanced on its own, and scored with one ``bincount`` per profile.
 ``phasevolve.tasks.eplb`` runs the same steps across the whole profile
-axis; the oracle tests require both to agree exactly.
+axis; the oracle tests require both to agree exactly. ``eplb_assign`` and
+``eplb_score`` share no code with the package.
+
+``staged_assign`` and ``staged_score`` compose the package's own stages with
+no memo, as ``EplbTask`` does with its memo: the unit tests read known
+instances from them, and the oracle tests check them against the
+per-profile code.
 
 ``brute_force_balance`` is the exact optimum the greedy placement is
 checked against.
@@ -15,6 +21,7 @@ import math
 
 import numpy as np
 
+from phasevolve.tasks import eplb
 from phasevolve.tasks.eplb import HeuristicDescriptor, Placement, SortMode, WorkloadProfile
 
 
@@ -109,6 +116,28 @@ def eplb_score(
         raise ValueError(f"op_count must be positive, got {op_count}")
     speed = min(c_ref / op_count, 1.0)
     return balancedness, speed, 0.5 * (balancedness + speed)
+
+
+def staged_assign(h: HeuristicDescriptor, w: WorkloadProfile) -> tuple[np.ndarray, int]:
+    """h's assignment and op count from the package's stages: place, then
+    h's rebalance passes, each on the rows the last one moved, until no row
+    is left."""
+    device, device_loads, ops = eplb.eplb_place(h.sort_mode, h.placement, w)
+    active = np.arange(w.num_profiles)
+    for _ in range(h.rebalance_passes):
+        if active.size == 0:
+            break
+        device, device_loads, active, ops = eplb.eplb_rebalance_pass(
+            w, h.swap_window, device, device_loads, active, ops
+        )
+    return device, ops
+
+
+def staged_score(
+    assignment: np.ndarray, w: WorkloadProfile, op_count: int, c_ref: float
+) -> tuple[float, float, float]:
+    """(balancedness, speed, score) from the package's scoring stages."""
+    return eplb._with_speed(eplb.eplb_balancedness(assignment, w), op_count, c_ref)
 
 
 BRUTE_FORCE_MAX_EXPERTS = 12

@@ -7,7 +7,8 @@ tables, sampling, entropy and the loss to agree with this code bit for bit.
 Its backward pass sums the same terms per table row instead of per token, so
 gradients agree to rtol 1e-12, atol 1e-13, and exactly where no token
 contributes. ``surrogate_loss`` is the stand-alone form of the loss inside
-``loss_and_gradient``.
+``loss_and_gradient``. ``random_params`` and ``copy_params`` build the
+parameters the tests start from and perturb.
 """
 
 from __future__ import annotations
@@ -19,12 +20,28 @@ from phasevolve.policy import (
     EmptyBatchError,
     InvalidTokenError,
     NumericFailureError,
+    PolicyDims,
     PolicyGradient,
     PolicyParams,
     TokenSequence,
     _clip_terms,
     _hidden,
 )
+
+
+def random_params(
+    dims: PolicyDims, rng: np.random.Generator, scale: float = 0.01
+) -> PolicyParams:
+    return PolicyParams(
+        w_ctx=scale * rng.standard_normal((dims.context_dim, dims.hidden_dim)),
+        w_emit=scale
+        * rng.standard_normal((dims.hidden_dim + dims.vocab_size, dims.vocab_size)),
+        max_tokens=dims.max_tokens,
+    )
+
+
+def copy_params(params: PolicyParams) -> PolicyParams:
+    return PolicyParams(params.w_ctx.copy(), params.w_emit.copy(), params.max_tokens)
 
 
 def zero_gradient(params: PolicyParams) -> PolicyGradient:

