@@ -11,11 +11,13 @@ positions, rebalance passes and swap candidates. Each profile sees the same
 float operations in the same order as when placed alone.
 
 The stages are functions a task can resume: ``eplb_place``, then one
-``eplb_rebalance_pass`` per rebalance pass, then ``eplb_balancedness``.
-``EplbTask`` is their one composition: it keeps each pass state and
-balancedness it computed, so a run computes each at most once (see its
-docstring). ``tests/reference_eplb.py`` composes the same stages with no
-memo, and holds the per-profile oracle both are checked against.
+``eplb_rebalance_windows`` per rebalance pass, which gives the pass's
+result under every swap window at once, then ``eplb_balancedness``.
+``EplbTask`` is their one composition: it analyses each pass state once for
+all windows, lets windows that move the same rows share one assignment,
+and scores each assignment once (see its docstring).
+``tests/reference_eplb.py`` composes the same stages with no memo, and
+holds the per-profile oracle both are checked against.
 """
 
 from __future__ import annotations
@@ -131,6 +133,9 @@ class WorkloadProfile:
                 fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
+SWAP_WINDOWS = 4  # a descriptor's swap window is 1 to SWAP_WINDOWS
+
+
 def eplb_decode(seq: TokenSequence) -> HeuristicDescriptor:
     """Positional decoding of the first four tokens.
 
@@ -143,7 +148,7 @@ def eplb_decode(seq: TokenSequence) -> HeuristicDescriptor:
         sort_mode=SortMode(visible[0] % 3),
         placement=Placement(visible[1] % 3),
         rebalance_passes=visible[2] % 4,
-        swap_window=1 + visible[3] % 4,
+        swap_window=1 + visible[3] % SWAP_WINDOWS,
     )
 
 
@@ -209,18 +214,23 @@ def eplb_place(
     return device, device_loads, row_ops * num_profiles
 
 
-def eplb_rebalance_pass(
-    w: WorkloadProfile, swap_window: int, device: np.ndarray, device_loads: np.ndarray,
-    active: np.ndarray, ops: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One rebalance pass on the rows in active.
+def eplb_rebalance_windows(
+    w: WorkloadProfile, device: np.ndarray, device_loads: np.ndarray, active: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """One rebalance pass on the rows in active, under every swap window.
 
-    Works on copies. Of the hottest device's swap_window heaviest residents,
-    the pass moves, in each row, the first whose move lowers the peak to the
-    coldest device. Returns the device index matrix, the device loads, the
-    rows that moved (the next pass's active rows) and ops plus the pass's
-    operation count. When no row moves, the returned arrays equal the given
-    ones. A row stops at its first pass that moves nothing.
+    Of the hottest device's swap_window heaviest residents, a pass moves, in
+    each row, the first whose move lowers the peak to the coldest device. A
+    row moves at most once per pass, so a row that has not moved still reads
+    the device loads it started with: the rank of its first peak-lowering
+    resident does not depend on the window, and window w moves the rows
+    whose rank is below w. One analysis finds every row's rank.
+
+    Returns, for windows 1 to SWAP_WINDOWS in order, the device index
+    matrix, the device loads, the rows that moved (the next pass's active
+    rows) and the pass's operation count. Windows that move the same rows
+    share one pair of new arrays; a window that moves nothing returns the
+    given ones. A row stops at its first pass that moves nothing.
 
     After DESCENDING_LOAD + GREEDY_LEAST_LOADED no pass moves an expert, so
     the passes only add ops: the hottest device's last expert, its lightest,
@@ -228,12 +238,10 @@ def eplb_rebalance_pass(
     minus coldest (monotone float sums keep this under rounding).
     """
     loads = w.loads
-    num_devices = w.num_devices
-    device, device_loads = device.copy(), device_loads.copy()
     active_loads = device_loads[active]
     hot = active_loads.argmax(axis=1)
     cold = active_loads.argmin(axis=1)
-    ops += 2 * num_devices * active.size
+    ops = 2 * w.num_devices * active.size
     differ = hot != cold
     active, hot, cold = active[differ], hot[differ], cold[differ]
     resident = device[active] == hot[:, None]
@@ -241,26 +249,30 @@ def eplb_rebalance_pass(
     ops += int(residents.sum())
     # Heaviest residents first, ties by expert index; others sort last.
     key = np.where(resident, -loads[active], np.inf)
-    candidates = np.argsort(key, axis=1, kind="stable")[:, :swap_window]
-    moved = np.zeros(active.size, dtype=bool)
-    for rank in range(candidates.shape[1]):
-        trying = ~moved & (rank < residents)
-        tries = int(trying.sum())
-        if tries == 0:  # stays 0 at later ranks
+    candidates = np.argsort(key, axis=1, kind="stable")[:, :SWAP_WINDOWS]
+    hot_load, cold_load = device_loads[active, hot], device_loads[active, cold]
+    first = np.full(active.size, SWAP_WINDOWS)  # each row's moving rank
+    tries = [0] * SWAP_WINDOWS  # rows that try each rank; never grows with it
+    for rank, expert in enumerate(candidates.T):
+        trying = (first == SWAP_WINDOWS) & (rank < residents)
+        tries[rank] = int(trying.sum())
+        if not tries[rank]:
             break
-        ops += 2 * tries
-        expert = candidates[:, rank]
         load = loads[active, expert]
-        hot_load = device_loads[active, hot]
-        new_peak = np.maximum(hot_load - load, device_loads[active, cold] + load)
-        move = trying & (new_peak < hot_load)
-        r, e, load = active[move], expert[move], load[move]
-        device[r, e] = cold[move]
-        device_loads[r, hot[move]] -= load
-        device_loads[r, cold[move]] += load
-        ops += int(move.sum())
-        moved |= move
-    return device, device_loads, active[moved], ops
+        first[trying & (np.maximum(hot_load - load, cold_load + load) < hot_load)] = rank
+    windows = []
+    next_device, next_loads, moved = device, device_loads, active[:0]
+    for window in range(1, SWAP_WINDOWS + 1):
+        ops += 2 * tries[window - 1]
+        move = first < window
+        if move.sum() > moved.size:  # the moved rows only grow with the window
+            moved, expert = active[move], candidates[move, first[move]]
+            next_device, next_loads = device.copy(), device_loads.copy()
+            next_device[moved, expert] = cold[move]
+            next_loads[moved, hot[move]] -= loads[moved, expert]
+            next_loads[moved, cold[move]] += loads[moved, expert]
+        windows.append((next_device, next_loads, moved, ops + moved.size))
+    return windows
 
 
 def eplb_balancedness(assignment: np.ndarray, w: WorkloadProfile) -> float:
@@ -283,7 +295,8 @@ def eplb_balancedness(assignment: np.ndarray, w: WorkloadProfile) -> float:
     idle = np.flatnonzero(peak <= 0)
     if idle.size:
         raise ValueError(f"profile {idle[0]} has zero max device load")
-    return float(np.mean(device_loads.mean(axis=1) / peak))
+    balance = np.add.reduce(device_loads, axis=1) / w.num_devices / peak
+    return float(np.add.reduce(balance) / balance.size)
 
 
 def _with_speed(balancedness: float, op_count: int, c_ref: float) -> tuple[float, float, float]:
@@ -297,11 +310,14 @@ def _with_speed(balancedness: float, op_count: int, c_ref: float) -> tuple[float
 
 @dataclass(eq=False, slots=True)
 class _Assignment:
-    """A pass state's read-only arrays and, once needed, their balancedness."""
+    """A pass state's read-only arrays and, once needed, their balancedness
+    and each swap window's (next assignment, or None where no row moved;
+    moved rows; pass ops) after one more pass."""
 
     device: np.ndarray
     device_loads: np.ndarray
     balancedness: float | None = None
+    windows: tuple | None = None
 
 
 class EplbTask:
@@ -321,12 +337,14 @@ class EplbTask:
     0-pass state is the placement, and the p-pass state is one rebalance
     pass on the (p - 1)-pass state under the same window. Zero passes never
     read the window, so the placement is kept under window 1 only: at most
-    9 + 9 * 4 * 3 = 117 states. A pass that moves nothing leaves the
-    assignment it started from, so its state shares that ``_Assignment``,
-    balancedness included, and only the op count grows; once no row is
-    active no pass runs. A pass that raises stores nothing. Each
-    ``_Assignment`` scores its balancedness the first time an outcome needs
-    it. The arrays are read-only.
+    9 + 9 * 4 * 3 = 117 states. The first time a state is passed on, one
+    ``eplb_rebalance_windows`` call gives its next state under every window,
+    kept with its ``_Assignment``; its op count adds the window's pass ops
+    to its own. Windows that move the same rows share one ``_Assignment``,
+    and a pass that moves nothing keeps the assignment it started from, so
+    each ``_Assignment`` scores its balancedness once, the first time an
+    outcome needs it. Once no row is active no pass runs. A call that raises
+    stores nothing. The arrays are read-only.
     """
 
     name = "eplb"
@@ -356,15 +374,27 @@ class EplbTask:
         else:
             placed, active, ops = self._state(h, passes - 1)
             if active.size:  # else every row has stopped: no pass, no ops
-                device, device_loads, active, ops = eplb_rebalance_pass(
-                    self.profile, window, placed.device, placed.device_loads, active, ops
-                )
-                if active.size:  # some row moved
-                    device.flags.writeable = device_loads.flags.writeable = False
-                    placed = _Assignment(device, device_loads)
+                if placed.windows is None:
+                    placed.windows = self._windows(placed, active)
+                moved_to, active, pass_ops = placed.windows[window - 1]
+                placed = placed if moved_to is None else moved_to
+                ops += pass_ops
         active.flags.writeable = False
         state = self._states[key] = (placed, active, ops)
         return state
+
+    def _windows(self, placed: _Assignment, active: np.ndarray) -> tuple:
+        """One pass on placed's active rows under every window, as ``_Assignment.windows``."""
+        windows, last = [], None
+        for device, device_loads, moved, pass_ops in eplb_rebalance_windows(
+            self.profile, placed.device, placed.device_loads, active
+        ):
+            if moved.size and (last is None or device is not last.device):
+                device.flags.writeable = device_loads.flags.writeable = False
+                last = _Assignment(device, device_loads)
+            moved.flags.writeable = False
+            windows.append((last if moved.size else None, moved, pass_ops))
+        return tuple(windows)
 
     def describe(self, seq: TokenSequence) -> dict:
         raw, h = self._last

@@ -7,9 +7,11 @@ axis; the oracle tests require both to agree exactly. ``eplb_assign`` and
 ``eplb_score`` share no code with the package.
 
 ``staged_assign`` and ``staged_score`` compose the package's own stages with
-no memo, as ``EplbTask`` does with its memo: the unit tests read known
-instances from them, and the oracle tests check them against the
-per-profile code.
+no memo, as ``EplbTask`` does with its memo: each rebalance pass takes the
+descriptor's window's entry of ``eplb_rebalance_windows``, which analyses a
+pass state once for every swap window. The unit tests read known instances
+from them, and the oracle tests check them, and so every window's entry,
+against the per-profile code, which runs each window's pass on its own.
 
 ``brute_force_balance`` is the exact optimum the greedy placement is
 checked against.
@@ -121,15 +123,16 @@ def eplb_score(
 def staged_assign(h: HeuristicDescriptor, w: WorkloadProfile) -> tuple[np.ndarray, int]:
     """h's assignment and op count from the package's stages: place, then
     h's rebalance passes, each on the rows the last one moved, until no row
-    is left."""
+    is left. Each pass takes h's window's entry of the pass's result under
+    every window."""
     device, device_loads, ops = eplb.eplb_place(h.sort_mode, h.placement, w)
     active = np.arange(w.num_profiles)
     for _ in range(h.rebalance_passes):
         if active.size == 0:
             break
-        device, device_loads, active, ops = eplb.eplb_rebalance_pass(
-            w, h.swap_window, device, device_loads, active, ops
-        )
+        windows = eplb.eplb_rebalance_windows(w, device, device_loads, active)
+        device, device_loads, active, pass_ops = windows[h.swap_window - 1]
+        ops += pass_ops
     return device, ops
 
 

@@ -9,11 +9,11 @@ and on loads with zero-load experts. The package's stages are composed with
 no memo by ``reference_eplb.staged_assign`` and ``staged_score``.
 
 ``EplbTask`` memoizes per instance: outcomes by descriptor, and pass states
-by (sort mode, placement rule, swap window, passes), each assignment's
-balancedness scored once. The memo tests below require each outcome to
-equal the per-profile oracle's (``reference_eplb.eplb_assign``, then
-``eplb_score``), which shares no code with the task, whatever was evaluated
-before it.
+by (sort mode, placement rule, swap window, passes), each state analysed
+once for every swap window and each assignment's balancedness scored once.
+The memo tests below require each outcome to equal the per-profile
+oracle's (``reference_eplb.eplb_assign``, then ``eplb_score``), which
+shares no code with the task, whatever was evaluated before it.
 """
 
 import itertools
@@ -159,6 +159,33 @@ def assert_same_outcome(got, want) -> None:
     assert got.metrics == want.metrics
 
 
+def assert_task_matches_reference(w: WorkloadProfile) -> None:
+    """The staged composition and the task, each window through its own
+    entry of the pass analysis, against the per-profile oracle."""
+    task, rng = EplbTask(w), np.random.default_rng(0)
+    for h in DESCRIPTORS:
+        assert_matches_reference(h, w)
+        assert_same_outcome(task.evaluate(seq_for(h), 0, rng), fresh_outcome(h, w))
+
+
+@pytest.mark.parametrize("experts, devices", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize("kind", LOAD_KINDS)
+def test_fewer_experts_than_swap_windows_match_reference(kind, experts, devices):
+    # A pass has fewer ranks to try than the widest window.
+    w = WorkloadProfile(
+        make_loads(kind, (5, experts), np.random.default_rng(experts)), num_devices=devices
+    )
+    assert_task_matches_reference(w)
+
+
+@pytest.mark.parametrize("devices", [2, 3, 4, 5])
+def test_equal_loads_match_reference(devices):
+    # All-equal rows place evenly on 2, 3 and 4 devices, so hot == cold and
+    # those rows leave the first pass; the heavy-tailed rows keep moving.
+    loads = np.vstack([np.ones((2, 12)), make_loads("pareto", (3, 12), np.random.default_rng(5))])
+    assert_task_matches_reference(WorkloadProfile(loads, num_devices=devices))
+
+
 def test_memoized_outcomes_equal_fresh_instances_in_any_order():
     w = memo_profile()
     want = {h: fresh_outcome(h, w) for h in DESCRIPTORS}
@@ -173,23 +200,30 @@ def test_memoized_outcomes_equal_fresh_instances_in_any_order():
 
 def test_each_stage_runs_once_per_key(monkeypatch):
     w = memo_profile()
-    # What a sweep of all 144 descriptors must run: each (pair, window) chain's
-    # passes up to depth 3, none after the first that moves nothing, and one
-    # balancedness per assignment, the placement's and each moving pass's.
-    passes = assignments = 0
-    for sort_mode, placement in itertools.product(SortMode, Placement):
-        device, device_loads, ops = eplb.eplb_place(sort_mode, placement, w)
-        assignments += 1
-        for window in range(1, 5):
-            state = (device, device_loads, np.arange(w.num_profiles), ops)
-            for _ in range(3):
-                if state[2].size == 0:
-                    break
-                state = eplb.eplb_rebalance_pass(w, window, *state)
-                passes += 1
-                assignments += state[2].size > 0
-    assert 0 < passes <= 108
-    calls = {"eplb_place": 0, "eplb_rebalance_pass": 0, "eplb_balancedness": 0}
+    # What a sweep of all 144 descriptors must run, enumerated from the
+    # per-profile oracle. Windows that move the same rows from one state share
+    # the next state, so a state is its pair plus the rows each pass moved on
+    # the way to it; a pass that moves none keeps the state it started from,
+    # and no later pass runs. One windows call per state a pass starts from
+    # (depth 0 to 2), and one balancedness per state.
+    expanded, states = set(), set()
+    for sort_mode, placement, window in itertools.product(SortMode, Placement, range(1, 5)):
+        devices = [
+            ref.eplb_assign(HeuristicDescriptor(sort_mode, placement, passes, window), w)[0]
+            for passes in range(4)
+        ]
+        state = (sort_mode, placement)
+        states.add(state)
+        for before, after in itertools.pairwise(devices):
+            expanded.add(state)
+            moved = tuple(np.flatnonzero((after != before).any(axis=1)))
+            if not moved:
+                break
+            state += (moved,)
+            states.add(state)
+    # Fewer windows calls than (pair, window, depth) passes: 9 serve depth 1.
+    assert 9 < len(expanded) < 108
+    calls = {"eplb_place": 0, "eplb_rebalance_windows": 0, "eplb_balancedness": 0}
 
     def counted(name):
         fn = getattr(eplb, name)
@@ -205,11 +239,52 @@ def test_each_stage_runs_once_per_key(monkeypatch):
     # Built under the counters: the reference cost's placement is one of the 9.
     task = EplbTask(w)
     rng = np.random.default_rng(0)
-    want = {"eplb_place": 9, "eplb_rebalance_pass": passes, "eplb_balancedness": assignments}
+    want = {
+        "eplb_place": 9, "eplb_rebalance_windows": len(expanded), "eplb_balancedness": len(states)
+    }
     for _ in range(2):  # the second sweep hits the outcome memo every time
         for h in DESCRIPTORS:
             task.evaluate(seq_for(h), 0, rng)
         assert calls == want
+
+
+@pytest.mark.parametrize("shape", ["memo", "eplb-wide"])
+def test_windows_that_move_the_same_rows_share_one_assignment(shape):
+    if shape == "memo":
+        w = memo_profile()
+    else:
+        w = WorkloadProfile.generate(num_profiles=16, num_experts=128, num_devices=16, seed=7)
+    balancedness = eplb.eplb_balancedness
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return balancedness(*args)
+
+    task = EplbTask(w)
+    rng = np.random.default_rng(0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eplb, "eplb_balancedness", counted)
+        for h in DESCRIPTORS:
+            task.evaluate(seq_for(h), 0, rng)
+    shared = 0
+    for sort_mode, placement, depth in itertools.product(SortMode, Placement, range(1, 4)):
+        for windows in itertools.combinations(range(1, 5), 2):
+            before = [
+                task._states[(sort_mode, placement, window if depth > 1 else 1, depth - 1)]
+                for window in windows
+            ]
+            if before[0][0] is not before[1][0] or not before[0][1].size:
+                continue  # not one state that a pass started from
+            (a, moved_a, _), (b, moved_b, _) = (
+                task._states[(sort_mode, placement, window, depth)] for window in windows
+            )
+            assert (a is b) == np.array_equal(moved_a, moved_b)
+            shared += a is b and moved_a.size > 0
+    assert shared > 0
+    # One balancedness per assignment object; objects that windows reached
+    # through different moves may still hold equal bytes.
+    assert len(calls) == len({id(placed) for placed, _, _ in task._states.values()})
 
 
 @pytest.mark.parametrize("placement", Placement)
@@ -248,7 +323,7 @@ def test_rebalance_moves_experts_on_the_memo_profile():
 def test_greedy_on_descending_loads_leaves_rebalance_nothing_to_move(
     kind, profiles, experts, devices, seed
 ):
-    # The reason is in eplb_rebalance_pass's docstring. The passes only add ops, so
+    # The reason is in eplb_rebalance_windows's docstring. The passes only add ops, so
     # these 12 descriptors score below the same pair with no passes.
     w = WorkloadProfile(
         make_loads(kind, (profiles, experts), np.random.default_rng(seed)),
@@ -343,16 +418,16 @@ def test_a_pass_that_raises_leaves_the_chain_resumable(monkeypatch):
     one = replace(h, rebalance_passes=1)
     want = {one: fresh_outcome(one, w), h: fresh_outcome(h, w)}
     task = EplbTask(w)
-    rebalance_pass = eplb.eplb_rebalance_pass
+    rebalance_windows = eplb.eplb_rebalance_windows
     calls = []
 
     def fails_at_depth_2(*args):
         calls.append(1)
         if len(calls) == 2:
             raise RuntimeError("pass crashed")
-        return rebalance_pass(*args)
+        return rebalance_windows(*args)
 
-    monkeypatch.setattr(eplb, "eplb_rebalance_pass", fails_at_depth_2)
+    monkeypatch.setattr(eplb, "eplb_rebalance_windows", fails_at_depth_2)
     rng = np.random.default_rng(0)
     with pytest.raises(RuntimeError, match="pass crashed"):
         task.evaluate(seq_for(h), 0, rng)
@@ -406,7 +481,7 @@ def test_every_pass_state_is_read_only():
 def test_greedy_on_descending_loads_scores_one_balancedness(
     kind, profiles, experts, devices, seed
 ):
-    # No pass moves an expert after this pair (see eplb_rebalance_pass's docstring),
+    # No pass moves an expert after this pair (see eplb_rebalance_windows's docstring),
     # so every pass's state shares the placement's assignment and balancedness.
     w = WorkloadProfile(
         make_loads(kind, (profiles, experts), np.random.default_rng(seed)),
