@@ -3,12 +3,12 @@
 A task turns a sampled token sequence into an evaluated candidate. Both
 bundled tasks compute pure functions of (tokens, iteration, rng) so groups can
 be evaluated in any order, or in parallel, without changing results. An
-``EplbTask`` memoizes its outcomes for the run it serves, and analyses each
-pass state at most once for it: one analysis gives the next state under
-every swap window, windows that move the same rows share that state, and
-each state's balancedness is scored once. Each task keeps
-a one-entry memo so ``describe`` reuses the quality or decoding ``evaluate``
-just computed for the same tokens; ``make_task`` builds a new task for each
+``EplbTask``'s outcomes, one per descriptor, are built with the task:
+each pass state is analysed once for every swap window, windows that move
+the same rows share that state, and each state's balancedness is scored
+once, so ``evaluate`` only reads the table. ``SyntheticTask`` keeps a
+one-entry memo so ``describe`` reuses the quality ``evaluate`` just
+computed for the same tokens; ``make_task`` builds a new task for each
 run, so nothing is kept between runs.
 """
 

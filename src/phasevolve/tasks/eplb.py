@@ -13,16 +13,18 @@ float operations in the same order as when placed alone.
 The stages are functions a task can resume: ``eplb_place``, then one
 ``eplb_rebalance_windows`` per rebalance pass, which gives the pass's
 result under every swap window at once, then ``eplb_balancedness``.
-``EplbTask`` is their one composition: it analyses each pass state once for
-all windows, lets windows that move the same rows share one assignment,
-and scores each assignment once (see its docstring).
-``tests/reference_eplb.py`` composes the same stages with no memo, and
-holds the per-profile oracle both are checked against.
+``EplbTask`` is their one composition: when built, it sweeps each
+(sort mode, placement rule) pair once into a table of all 144 outcomes,
+analysing each pass state once for all windows and scoring each
+assignment once; a pair whose sweep raises is swept again when evaluated
+(see its docstring). ``tests/reference_eplb.py`` composes the same stages
+with no memo, and holds the per-profile oracle both are checked against.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -115,10 +117,18 @@ class WorkloadProfile:
             if num_profiles < 1 or num_experts < 1:
                 raise ValueError(f"header needs E >= 1 and P >= 1, got {header}")
             rows = []
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(x) for x in line.split()])
+            for number, line in enumerate(fh, start=2):
+                fields = line.split()
+                if not fields:
+                    continue
+                if len(fields) != num_experts:
+                    raise ValueError(
+                        f"line {number}: expected E = {num_experts} loads, found {len(fields)}"
+                    )
+                try:
+                    rows.append([float(x) for x in fields])
+                except ValueError as exc:
+                    raise ValueError(f"line {number}: {exc}") from None
         loads = np.asarray(rows, dtype=np.float64)
         if loads.shape != (num_profiles, num_experts):
             raise ValueError(
@@ -136,20 +146,25 @@ class WorkloadProfile:
 SWAP_WINDOWS = 4  # a descriptor's swap window is 1 to SWAP_WINDOWS
 
 
+def _positions(seq: TokenSequence) -> tuple[int, int, int, int]:
+    """(sort mode, placement, passes, window - 1) of the first four tokens, missing ones 0."""
+    visible = seq.tokens.tolist()
+    visible += [0] * (4 - len(visible))
+    return visible[0] % 3, visible[1] % 3, visible[2] % 4, visible[3] % SWAP_WINDOWS
+
+
+_DECODED = {  # every descriptor, built once, keyed by its _positions
+    (s.value, p.value, n, w - 1): HeuristicDescriptor(s, p, n, w)
+    for s, p, n, w in itertools.product(SortMode, Placement, range(4), range(1, SWAP_WINDOWS + 1))
+}
+
+
 def eplb_decode(seq: TokenSequence) -> HeuristicDescriptor:
     """Positional decoding of the first four tokens.
 
-    Total on the vocabulary and surjective onto the descriptor space; missing
-    positions (sequences shorter than four) default to 0.
+    Total on the vocabulary and surjective onto the descriptor space.
     """
-    visible = seq.tokens.tolist()
-    visible += [0] * (4 - len(visible))
-    return HeuristicDescriptor(
-        sort_mode=SortMode(visible[0] % 3),
-        placement=Placement(visible[1] % 3),
-        rebalance_passes=visible[2] % 4,
-        swap_window=1 + visible[3] % SWAP_WINDOWS,
-    )
+    return _DECODED[_positions(seq)]
 
 
 def _device_loads(device: np.ndarray, loads: np.ndarray, num_devices: int) -> np.ndarray:
@@ -308,113 +323,98 @@ def _with_speed(balancedness: float, op_count: int, c_ref: float) -> tuple[float
     return balancedness, speed, 0.5 * (balancedness + speed)
 
 
-@dataclass(eq=False, slots=True)
-class _Assignment:
-    """A pass state's read-only arrays and, once needed, their balancedness
-    and each swap window's (next assignment, or None where no row moved;
-    moved rows; pass ops) after one more pass."""
-
-    device: np.ndarray
-    device_loads: np.ndarray
-    balancedness: float | None = None
-    windows: tuple | None = None
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 class EplbTask:
-    """Evaluator wiring: decode tokens, assign, score, report a Parsed outcome.
+    """Evaluator wiring: decode tokens, look the outcome up, report it.
 
     The speed term counts operations rather than timing them, so an outcome
-    depends only on the decoded descriptor and the read-only profiles. Each
-    instance therefore memoizes, for the run it serves, the outcome of every
-    descriptor, at most 144 entries, so nothing is evicted. Use one instance
-    per run. A one-entry memo, (token bytes, descriptor), lets ``describe``
-    reuse what ``evaluate`` just decoded for the same tokens; others are
-    decoded again.
+    depends only on the decoded descriptor and the read-only profiles. The
+    task computes the outcomes of all 144 descriptors when it is built and
+    keeps that table and nothing else: ``evaluate`` reads it and runs no
+    stage. Use one instance per run.
 
-    A descriptor that misses runs only the stages no earlier miss ran. The
-    task keeps one memo of pass states, (assignment, rows still active, op
-    count), keyed by (sort mode, placement rule, swap window, passes): the
-    0-pass state is the placement, and the p-pass state is one rebalance
-    pass on the (p - 1)-pass state under the same window. Zero passes never
-    read the window, so the placement is kept under window 1 only: at most
-    9 + 9 * 4 * 3 = 117 states. The first time a state is passed on, one
-    ``eplb_rebalance_windows`` call gives its next state under every window,
-    kept with its ``_Assignment``; its op count adds the window's pass ops
-    to its own. Windows that move the same rows share one ``_Assignment``,
-    and a pass that moves nothing keeps the assignment it started from, so
-    each ``_Assignment`` scores its balancedness once, the first time an
-    outcome needs it. Once no row is active no pass runs. A call that raises
-    stores nothing. The arrays are read-only.
+    One sweep per (sort mode, placement rule) pair fills its 16 entries over
+    pass depths 0 to 3. The placement, scored once, is the 0-pass state of
+    all four swap windows. At each depth one ``eplb_rebalance_windows`` call
+    per distinct state that still has active rows gives every window's next
+    state, whose op count adds the window's pass ops to its parent's.
+    Windows that move the same rows share one state, and a pass that moves
+    nothing keeps its assignment, so each assignment's balancedness is
+    scored once. Once no row is active no pass runs. The states are local to
+    the sweep; their arrays are read-only.
+
+    ``c_ref`` is the op count of the DESCENDING_LOAD + GREEDY_LEAST_LOADED
+    placement, taken before any outcome: no score exists without it, so it
+    is the one stage call whose error ends construction. A sweep that raises
+    stores nothing for its pair, and the next ``evaluate`` of one of the
+    pair's descriptors sweeps it again, so an error that persists reaches
+    every such call and one that passes heals.
     """
 
     name = "eplb"
 
     def __init__(self, profile: WorkloadProfile):
         self.profile = profile
-        self._outcomes: dict[HeuristicDescriptor, EvaluationOutcome] = {}
-        self._states: dict[tuple[SortMode, Placement, int, int], tuple] = {}
-        self._last = (b"", HeuristicDescriptor())  # the empty sequence's decoding
+        # Keyed by the four decoded positions, as ``_positions`` gives them.
+        self._outcomes: dict[tuple[int, int, int, int], EvaluationOutcome] = {}
         # Reference cost: the base heuristic (all-zero decoding) on these
         # profiles, so the base candidate scores speed exactly 1. Its zero
         # rebalance passes add no ops to its placement's.
-        self.c_ref = self._state(HeuristicDescriptor(), 0)[2]
+        base_pair = (SortMode.DESCENDING_LOAD, Placement.GREEDY_LEAST_LOADED)
+        base = eplb_place(*base_pair, profile)
+        self.c_ref = base[2]
+        for pair in itertools.product(SortMode, Placement):
+            try:
+                self._sweep(*pair, base if pair == base_pair else None)
+            except Exception:
+                pass  # this pair's entries stay empty; evaluate sweeps it again
 
-    def _state(self, h: HeuristicDescriptor, passes: int) -> tuple:
-        """(assignment, active rows, op count) after the first ``passes`` of h's passes."""
-        window = h.swap_window if passes else 1
-        key = (h.sort_mode, h.placement, window, passes)
-        state = self._states.get(key)
-        if state is not None:
-            return state
-        if passes == 0:
-            device, device_loads, ops = eplb_place(h.sort_mode, h.placement, self.profile)
-            active = np.arange(self.profile.num_profiles)
-            device.flags.writeable = device_loads.flags.writeable = False
-            placed = _Assignment(device, device_loads)
-        else:
-            placed, active, ops = self._state(h, passes - 1)
-            if active.size:  # else every row has stopped: no pass, no ops
-                if placed.windows is None:
-                    placed.windows = self._windows(placed, active)
-                moved_to, active, pass_ops = placed.windows[window - 1]
-                placed = placed if moved_to is None else moved_to
-                ops += pass_ops
-        active.flags.writeable = False
-        state = self._states[key] = (placed, active, ops)
-        return state
-
-    def _windows(self, placed: _Assignment, active: np.ndarray) -> tuple:
-        """One pass on placed's active rows under every window, as ``_Assignment.windows``."""
-        windows, last = [], None
-        for device, device_loads, moved, pass_ops in eplb_rebalance_windows(
-            self.profile, placed.device, placed.device_loads, active
-        ):
-            if moved.size and (last is None or device is not last.device):
-                device.flags.writeable = device_loads.flags.writeable = False
-                last = _Assignment(device, device_loads)
-            moved.flags.writeable = False
-            windows.append((last if moved.size else None, moved, pass_ops))
-        return tuple(windows)
+    def _sweep(self, sort_mode: SortMode, placement: Placement, placed: tuple | None = None):
+        """Store the outcomes of the pair's 16 descriptors, or none if a stage raises."""
+        w = self.profile
+        device, device_loads, ops = placed or eplb_place(sort_mode, placement, w)
+        active = np.arange(w.num_profiles)
+        root = (*_read_only(device, device_loads, active), eplb_balancedness(device, w))
+        states = [(root, ops)] * SWAP_WINDOWS  # each window's (state, op count)
+        outcomes = {}
+        for passes in range(4):
+            for window, ((*_, balancedness), ops) in enumerate(states):
+                balancedness, speed, score = _with_speed(balancedness, ops, self.c_ref)
+                metrics = {"balancedness": balancedness, "speed": speed, "op_count": float(ops)}
+                key = (sort_mode.value, placement.value, passes, window)
+                outcomes[key] = EvaluationOutcome.parsed(score, metrics=metrics)
+            if passes == 3:
+                break
+            for state in {id(state): state for state, _ in states}.values():
+                device, device_loads, active, balancedness = state
+                if not active.size:  # every row has stopped: no pass, no ops
+                    continue
+                shared = {}  # one next state per distinct moved rows
+                passed = eplb_rebalance_windows(w, device, device_loads, active)
+                for window, (next_device, next_loads, moved, pass_ops) in enumerate(passed):
+                    if states[window][0] is not state:
+                        continue
+                    arrays = id(next_device)  # the given ones where nothing moved
+                    if arrays not in shared:
+                        score = eplb_balancedness(next_device, w) if moved.size else balancedness
+                        shared[arrays] = (*_read_only(next_device, next_loads, moved), score)
+                    states[window] = (shared[arrays], states[window][1] + pass_ops)
+        self._outcomes.update(outcomes)
 
     def describe(self, seq: TokenSequence) -> dict:
-        raw, h = self._last
-        if seq.tokens.tobytes() != raw:
-            h = eplb_decode(seq)
-        return h.as_dict()
+        return eplb_decode(seq).as_dict()
 
     def evaluate(
         self, seq: TokenSequence, iteration: int, rng: np.random.Generator
     ) -> EvaluationOutcome:
-        h = eplb_decode(seq)
-        self._last = (seq.tokens.tobytes(), h)
-        if h in self._outcomes:
-            return self._outcomes[h]
-        placed, _, ops = self._state(h, h.rebalance_passes)
-        if placed.balancedness is None:
-            placed.balancedness = eplb_balancedness(placed.device, self.profile)
-        balancedness, speed, score = _with_speed(placed.balancedness, ops, self.c_ref)
-        outcome = self._outcomes[h] = EvaluationOutcome.parsed(
-            score,
-            metrics={"balancedness": balancedness, "speed": speed, "op_count": float(ops)},
-        )
+        key = _positions(seq)
+        outcome = self._outcomes.get(key)
+        if outcome is None:  # the pair's sweep raised: sweep it again
+            self._sweep(SortMode(key[0]), Placement(key[1]))
+            outcome = self._outcomes[key]
         return outcome

@@ -7,7 +7,7 @@ axis; the oracle tests require both to agree exactly. ``eplb_assign`` and
 ``eplb_score`` share no code with the package.
 
 ``staged_assign`` and ``staged_score`` compose the package's own stages with
-no memo, as ``EplbTask`` does with its memo: each rebalance pass takes the
+no memo, as ``EplbTask``'s sweep does with shared states: each pass takes the
 descriptor's window's entry of ``eplb_rebalance_windows``, which analyses a
 pass state once for every swap window. The unit tests read known instances
 from them, and the oracle tests check them, and so every window's entry,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -287,6 +288,22 @@ def test_profile_load_rejects_shape_mismatch(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3 2 2\n1 2 3\n")
     with pytest.raises(ValueError):
+        WorkloadProfile.load(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1 2 3\n1 2\n", "line 3: expected E = 3 loads, found 2"),
+        ("1 2 3 4\n1 2 3\n", "line 2: expected E = 3 loads, found 4"),
+        ("1 2 3\n\n1 x 3\n", "line 4: could not convert string to float: 'x'"),
+    ],
+    ids=["short", "long", "unparsable-after-blank-line"],
+)
+def test_profile_load_names_the_bad_line(tmp_path, rows, message):
+    path = tmp_path / "bad.txt"
+    path.write_text("3 2 2\n" + rows)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         WorkloadProfile.load(path)
 
 
