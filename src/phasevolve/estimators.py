@@ -128,7 +128,7 @@ def _kl_to_uniform(beta: float, rewards: np.ndarray) -> float:
     z = z - z.max()
     log_q = z - math.log(np.exp(z).sum())
     q = np.exp(log_q)
-    return float(np.dot(q, log_q) + math.log(rewards.size))
+    return float(np.einsum("i,i->", q, log_q) + math.log(rewards.size))
 
 
 def entropic_beta(

@@ -343,6 +343,11 @@ def training_step(
         return diag
     diag.loss = loss
     diag.grad_norm = policy.grad_norm(grad)
+    if not math.isfinite(diag.grad_norm):
+        # A finite gradient can still overflow its norm: reject the step as
+        # optimizer_step rejects a non-finite gradient.
+        diag.error = "non-finite gradient norm rejected"
+        return diag
     new_params, new_opt, applied = policy.optimizer_step(
         state.params,
         grad,

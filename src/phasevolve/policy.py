@@ -189,40 +189,6 @@ class PolicyParams:
             self._hashed = (content, digest)
         return digest
 
-    def save(self, path) -> None:
-        """Dump as an ASCII shape header plus raw little-endian float64 rows."""
-        with open(path, "wb") as fh:
-            fh.write(b"phasevolve-params 1\n")
-            fh.write(f"max_tokens {self.max_tokens}\n".encode())
-            for name in ("w_ctx", "w_emit"):
-                tensor = getattr(self, name)
-                dims = " ".join(str(d) for d in tensor.shape)
-                fh.write(f"{name} {dims}\n".encode())
-            fh.write(b"\n")
-            for name in ("w_ctx", "w_emit"):
-                fh.write(np.ascontiguousarray(getattr(self, name), dtype="<f8").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "PolicyParams":
-        with open(path, "rb") as fh:
-            magic = fh.readline().strip()
-            if magic != b"phasevolve-params 1":
-                raise ValueError(f"unrecognized parameter dump header: {magic!r}")
-            max_tokens = int(fh.readline().split()[1])
-            shapes: list[tuple[str, tuple[int, ...]]] = []
-            while True:
-                line = fh.readline().strip()
-                if not line:
-                    break
-                parts = line.split()
-                shapes.append((parts[0].decode(), tuple(int(p) for p in parts[1:])))
-            tensors = {}
-            for name, shape in shapes:
-                count = int(np.prod(shape))
-                data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-                tensors[name] = data.reshape(shape).astype(np.float64)
-        return cls(tensors["w_ctx"], tensors["w_emit"], max_tokens=max_tokens)
-
 
 @dataclass
 class PolicyGradient:
@@ -281,9 +247,9 @@ def _log_prob_table(params: PolicyParams, hidden: np.ndarray) -> tuple[np.ndarra
     table = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     table.flags.writeable = False
     p = np.exp(table)
-    # Stacked 1xV @ Vx1 products: one BLAS dot per row, as np.dot does.
-    dots = np.matmul(p[:, None, :], table[:, :, None])
-    rows = (table.tolist(), np.cumsum(p, axis=1).tolist(), dots.ravel().tolist())
+    # einsum, not a BLAS dot: its bits do not depend on the BLAS library.
+    dots = np.einsum("ij,ij->i", p, table)
+    rows = (table.tolist(), np.cumsum(p, axis=1).tolist(), dots.tolist())
     params._tabled = (key, table, rows)
     return table, rows
 
@@ -434,8 +400,9 @@ def loss_and_gradient(
 
 
 def grad_norm(grad: PolicyGradient) -> float:
-    """Global L2 norm across all parameter gradients."""
-    return float(np.sqrt(np.sum(grad.w_ctx**2) + np.sum(grad.w_emit**2)))
+    """Global L2 norm across all parameter gradients; inf where a square overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(grad.w_ctx**2) + np.sum(grad.w_emit**2)))
 
 
 def optimizer_step(

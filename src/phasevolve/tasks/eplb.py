@@ -112,10 +112,13 @@ class WorkloadProfile:
         with open(path) as fh:
             header = fh.readline().split()
             if len(header) != 3:
-                raise ValueError(f"expected header 'E D P', got {header}")
-            num_experts, num_devices, num_profiles = (int(x) for x in header)
+                raise ValueError(f"line 1: expected header 'E D P', got {header}")
+            try:
+                num_experts, num_devices, num_profiles = (int(x) for x in header)
+            except ValueError as exc:
+                raise ValueError(f"line 1: {exc}") from None
             if num_profiles < 1 or num_experts < 1:
-                raise ValueError(f"header needs E >= 1 and P >= 1, got {header}")
+                raise ValueError(f"line 1: header needs E >= 1 and P >= 1, got {header}")
             rows = []
             for number, line in enumerate(fh, start=2):
                 fields = line.split()
@@ -126,9 +129,16 @@ class WorkloadProfile:
                         f"line {number}: expected E = {num_experts} loads, found {len(fields)}"
                     )
                 try:
-                    rows.append([float(x) for x in fields])
+                    row = [float(x) for x in fields]
                 except ValueError as exc:
                     raise ValueError(f"line {number}: {exc}") from None
+                bad = [x for x in row if not 0.0 <= x < math.inf]  # nan fails both
+                if bad:
+                    raise ValueError(
+                        f"line {number}: profile {len(rows)} holds {bad[0]}; "
+                        "loads must be finite and nonnegative"
+                    )
+                rows.append(row)
         loads = np.asarray(rows, dtype=np.float64)
         if loads.shape != (num_profiles, num_experts):
             raise ValueError(

@@ -8,7 +8,8 @@ Its backward pass sums the same terms per table row instead of per token, so
 gradients agree to rtol 1e-12, atol 1e-13, and exactly where no token
 contributes. ``surrogate_loss`` is the stand-alone form of the loss inside
 ``loss_and_gradient``. ``random_params`` and ``copy_params`` build the
-parameters the tests start from and perturb.
+parameters the tests start from and perturb, and ``save_params`` and
+``load_params`` write and read them as a small binary dump.
 """
 
 from __future__ import annotations
@@ -42,6 +43,41 @@ def random_params(
 
 def copy_params(params: PolicyParams) -> PolicyParams:
     return PolicyParams(params.w_ctx.copy(), params.w_emit.copy(), params.max_tokens)
+
+
+def save_params(params: PolicyParams, path) -> None:
+    """Dump as an ASCII shape header plus raw little-endian float64 rows."""
+    with open(path, "wb") as fh:
+        fh.write(b"phasevolve-params 1\n")
+        fh.write(f"max_tokens {params.max_tokens}\n".encode())
+        for name in ("w_ctx", "w_emit"):
+            tensor = getattr(params, name)
+            dims = " ".join(str(d) for d in tensor.shape)
+            fh.write(f"{name} {dims}\n".encode())
+        fh.write(b"\n")
+        for name in ("w_ctx", "w_emit"):
+            fh.write(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes())
+
+
+def load_params(path) -> PolicyParams:
+    with open(path, "rb") as fh:
+        magic = fh.readline().strip()
+        if magic != b"phasevolve-params 1":
+            raise ValueError(f"unrecognized parameter dump header: {magic!r}")
+        max_tokens = int(fh.readline().split()[1])
+        shapes: list[tuple[str, tuple[int, ...]]] = []
+        while True:
+            line = fh.readline().strip()
+            if not line:
+                break
+            parts = line.split()
+            shapes.append((parts[0].decode(), tuple(int(p) for p in parts[1:])))
+        tensors = {}
+        for name, shape in shapes:
+            count = int(np.prod(shape))
+            data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+            tensors[name] = data.reshape(shape).astype(np.float64)
+    return PolicyParams(tensors["w_ctx"], tensors["w_emit"], max_tokens=max_tokens)
 
 
 def zero_gradient(params: PolicyParams) -> PolicyGradient:
@@ -105,7 +141,7 @@ def token_entropy(params: PolicyParams, ctx: np.ndarray, seq: TokenSequence) -> 
     prev: int | None = None
     for token in seq.tokens:
         log_p = log_softmax(step_logits(params, hidden, prev))
-        total -= float(np.dot(np.exp(log_p), log_p))
+        total -= float(np.einsum("i,i->", np.exp(log_p), log_p))
         prev = int(token)
     return total / len(seq) if len(seq) else 0.0
 

@@ -5,18 +5,23 @@ bytes. A refactor leaves these digests unchanged; a change that alters the
 trace on purpose updates them and names the cause in CHANGES.md.
 
 The last bits of a float64 result depend on more than the program: on the
-numpy version, on the SIMD kernels numpy picks for the CPU (exp and log
-differ between its AVX2 and AVX-512 kernels) and on the BLAS kernels. So
-the digests are recorded under one numpy version, once per set of kernels,
-and the set in use is identified by ``arithmetic_fingerprint``. Under
-another numpy version or an unrecorded kernel set the tests skip and say why.
+numpy version and on the SIMD kernels numpy picks for the CPU (exp and log
+differ between its AVX2 and AVX-512 kernels). They do not depend on the
+BLAS library: the loop's dot products are ``einsum`` reductions, and the
+only BLAS calls left multiply exact zeros. So the digests are
+recorded under one numpy version, once per exp/log kernel set, and the set
+in use is identified by ``arithmetic_fingerprint``. Under another numpy
+version or an unrecorded kernel set the tests skip and say why.
 
 Run as a script (``PYTHONPATH=src python tests/test_golden_trace.py``), the
 file re-runs itself once per kernel set in ``KERNEL_SETS``, each in a child
-process with that set's environment, and prints every fingerprint with the
-digest of every case in ``GOLDEN``'s layout, ready to paste when a change
-re-pins the digests. A kernel set this machine cannot produce gives the
-fingerprint of one printed before it, and is reported as such.
+process with that set's environment, and again with OpenBLAS's Haswell
+kernels added. It prints every fingerprint with the digest of every case in
+``GOLDEN``'s layout, ready to paste when a change re-pins the digests. If
+the Haswell BLAS kernels change a fingerprint or a digest, it prints no
+digests and exits 1: the trace has come to depend on the BLAS library. A
+kernel set this machine cannot produce gives the fingerprint of one printed
+before it, and is reported as such.
 """
 
 import hashlib
@@ -60,49 +65,27 @@ CASES = {
 
 # arithmetic_fingerprint() -> case name -> sha256 of trace.jsonl
 GOLDEN = {
-    # AVX-512 exp/log, SkylakeX BLAS kernels
-    "24937bbe441f55b4b9b07786f6aa6b4f491b32bd7a3b52582f644770ce9e0e8a": {
-        "synthetic": "d5484e93a6169f09c51f6a21339af85df5e7c92fdb893820ae8a869e71af9442",
-        "eplb": "0e08b239e29e9d550eb6d2b1d5ab029be1f0539c52f79397f80d534e7b77b356",
-        "synthetic-compressed": "674df99c3717807231d2f200e70723c981af453ce3a046b0c893c10c05223036",
-        "eplb-wide": "ec4d5c28cbaa889fb35d5cd3d73c9d9d45f4d4816c0d6e7bee2d25b71a56a686",
-        "synthetic-noisy": "a095e65c14423ccf18ebfe106a2e773cab5770509b405f501088c42756029a75",
-        "eplb-grpo": "619ac2f26b28253d37b03af51dbdb443bb4eea0bcd0989e41a5297dbf6e39949",
-        "eplb-entropic": "dfc54657941366bde868b9a046b9a4289e1d96ab97e9249b904fb595e9170b0d",
-        "eplb-maxk": "fe0860d72ec108fbbf0629be1b8cf34ba02f9de86ee5d7ae34b49038e672d1ab",
+    # AVX-512 exp/log
+    "ca2e00ffbb8bf5d2d9416ef84e4711cb42d028fa70d245ec17bd190c0aeb5796": {
+        "synthetic": "362ad8c84992558fe138e3b10697a8c8cfa7b80b8df635874509e9f14a705f49",
+        "eplb": "48bea7b9888b57a1883afa4bcf2019cd3be5cd6a75be4f459aad7b62b526bb09",
+        "synthetic-compressed": "dedc0579839273f2a117d99762ef768879b17bc21c7db45f29d1b7a4b18ca1c9",
+        "eplb-wide": "5226c79c56fffc117bcc6624b98cb7d08ce4963f135f7674156d5b5e3c5646d6",
+        "synthetic-noisy": "4bac6078bf92c2ab1d88650c837eeb81c72a834890e1c0ab411256292e4cae86",
+        "eplb-grpo": "5d701b9cf277c0a423453462d353064ee7e380b37ab865459e60e3de8f945b06",
+        "eplb-entropic": "5140238f21084c56e00eb4b7787711ca92154ff15c1626bc175ca1a28bd1bdfa",
+        "eplb-maxk": "421890658f4aba06bde336f610c4b273a1a8edbb1fc15ff6b049e12add88308d",
     },
-    # AVX-512 exp/log, Haswell BLAS kernels
-    "ee9231e713ee634660a79c03901ec10813ae3a3f45ce2e226c7c8e85d13aa243": {
-        "synthetic": "fd544a38a522196664ac57b3ae2c7e6e77de3c447949fe644b6c53d767523f9f",
-        "eplb": "ec6cc59bd3619ed04dcf0ada22244f633cc7bda2612650dbcf39ecdd0e62cbac",
-        "synthetic-compressed": "722ecfbca2f35704a0e1f7d2f10a2e6bd3c47739cd91282f3f60ca83d299328b",
-        "eplb-wide": "d5cfdf0a263bf3c3a153f4c34b083bbd79d812d128fff6e80a8848c680792f96",
-        "synthetic-noisy": "55e85ab0e5c09773cde75cf2eb03df06fde16ec9f2d615892fc5e066a2fa2d4d",
-        "eplb-grpo": "cba165ea9e6d8c65bf8a1f7c2798485aeacabc8ef79a524c2cd5b3e74e00e8d4",
-        "eplb-entropic": "f14605499a9e3a200961f59b3680937d2b49ad8ac1ae1bca81a096b6b1438328",
-        "eplb-maxk": "0a60e98b39544868d228eb0c23fe528c369a1729a12d79a0a533cf9291ae967d",
-    },
-    # AVX2 exp/log, SkylakeX BLAS kernels
-    "e20f2ac3d2a72a9bc7752d0ca1bb03dbf30b9a59829771fc617f7657198a2984": {
-        "synthetic": "f5a269647869eb397dc9c6a4b3698c2964e6dd13677401c694c8e3840b9d0f4d",
-        "eplb": "f70177461355464d4fb759ad6a40b0e21d75ab4262a27590c25531bf373f412f",
-        "synthetic-compressed": "03ef21731f1901f502b5275093fa0dd07d0c812c484eab54722fd9663d811028",
-        "eplb-wide": "07e9901df615870e033b0b2971d18c1bfe6ace44ab8cd46c16ef29944612850b",
-        "synthetic-noisy": "fe38f177ff7cef24b8cc6f3156474d1308ac4e126b9a40ec13d061aace17f0db",
-        "eplb-grpo": "e7533740308468bef5a7d6ceff3c5472d9c4af0000fd56eb3751afc7005a354e",
-        "eplb-entropic": "f10dfc6ef8748bce0b3574a8b9ab274ba62623c782b1f354b6e2c0d01725d1b5",
-        "eplb-maxk": "cefc3829c6c876f37b3ba14fd61daab14bc705adc5faeaefeb231a2190ffd200",
-    },
-    # AVX2 exp/log, Haswell BLAS kernels (an AVX2-only CPU)
-    "e07ce9d6895bd66c8b6ee4c106b6af27219c363d3ab5e2eda3340af80a21ed38": {
-        "synthetic": "36fa27166b258ebb09f446e94a3c4a54ca63488ff5f4aed3ec2a2ac9d65b43d8",
-        "eplb": "94ef474967ce2f717cc6d11a62a99b782d85cbd2723f33c9cb0d7fb2b567ace4",
-        "synthetic-compressed": "85bb39bcb8552a63ed93d8938a74bfd0d05d2d2b08989272523d95f61334117b",
-        "eplb-wide": "36e4f5bb5279cc7423576825f5e61b2884b9f448bf3d4e796d341096d831b998",
-        "synthetic-noisy": "c3efef175c9fe886625a87237475f30b14097e1dc3640407e9f904a31a8689a1",
-        "eplb-grpo": "46311b8bf7c63dd3faa6330768616d9e94ddda501cc423e945d800f02b4c2820",
-        "eplb-entropic": "4050061e9fdb83f1ada616d5f70c9caf8f647f6e02e7a1d482e4d90d9396d01c",
-        "eplb-maxk": "38b96218a02a495270ca3f21dc2b89fb08b6802afd14a65cc8f69d0d5e94343f",
+    # AVX2 exp/log
+    "083853c952ee32b1b19fca95cf8db250a772740acb29df6cabaedeea609bd2ba": {
+        "synthetic": "c7313dc46e21d14c6c0a67eb4a26688f57039e94917b45384753a187ad473863",
+        "eplb": "699ec8c3359d7136d8c48e33e75552550d484757b3c3ed47577def8cf1270aa8",
+        "synthetic-compressed": "a065e81891f81fd8eb27a2324fe892f28939c90b73011dd87db873536b206f83",
+        "eplb-wide": "48da21138ecb26d09c5c26d477f03631a26c50919a2a59188965e3d4f80d374e",
+        "synthetic-noisy": "9cafe4c346ca6924f0e4c73a9ad69958f45f95fac5e357435026975ed4971917",
+        "eplb-grpo": "f5be0beaa81bd97c14634d6735e7e7f0841b767d9beabe453333b67d8a6d0c2a",
+        "eplb-entropic": "4de9716fbf722495e6d0303ec3923ab6a09cf0ac2b26091f68d84ee4a5b91da1",
+        "eplb-maxk": "cf6ee3e94ebdc5023a7e444fc14ca5a3fe702ecb75d48060f1d82f67b3030fb5",
     },
 }
 
@@ -110,15 +93,14 @@ GOLDEN = {
 def arithmetic_fingerprint() -> str:
     """sha256 of a few float64 kernels at the sample configs' shapes.
 
-    Covers exp and log and BLAS dot, vector-matrix and matrix-vector
-    products; it changes when the kernels that compute them do.
+    Covers exp, log and the ``einsum`` reductions the loop computes its dot
+    products with, and no BLAS call; it changes when the kernels that
+    compute them do.
     """
     rng = np.random.default_rng(0)
     x = rng.normal(size=(25, 24))
-    w = rng.normal(size=(32, 24))
-    c = rng.normal(size=(8, 32))
-    parts = [np.exp(x), np.log(np.abs(x)), w[0] @ w.T @ w, w @ x[0], x[0, :8] @ c,
-             np.dot(x[0], x[1])]
+    parts = [np.exp(x), np.log(np.abs(x)), np.einsum("ij,ij->i", np.exp(x), x),
+             np.einsum("i,i->", x[0, :8], x[1, :8])]
     return hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest()
 
 
@@ -160,17 +142,17 @@ def test_compressed_case_covers_skipped_and_trained_steps(tmp_path):
     assert any(skipped) and not all(skipped)
 
 
-# The kernel sets CI checks the digests under, as environment settings of a
-# process: numpy's AVX2 exp/log kernels stand in for AVX-512 ones when
-# their names are disabled, and OpenBLAS takes the kernels it is told. The
-# default set runs without either setting, even where the caller has one.
+# The exp/log kernel sets CI checks the digests under, as environment
+# settings of a process: numpy's AVX2 exp/log kernels stand in for AVX-512
+# ones when their names are disabled. The default set runs without the
+# setting, even where the caller has one.
 AVX2_ONLY = "X86_V4 AVX512_ICL AVX512_SPR"
 KERNEL_SETS = {
-    "default kernels": {},
-    "OPENBLAS_CORETYPE=Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
-    f'NPY_DISABLE_CPU_FEATURES="{AVX2_ONLY}"': {"NPY_DISABLE_CPU_FEATURES": AVX2_ONLY},
-    "both": {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": AVX2_ONLY},
+    "AVX-512 exp/log": {},
+    "AVX2 exp/log": {"NPY_DISABLE_CPU_FEATURES": AVX2_ONLY},
 }
+# Added to each kernel set to check that the BLAS library moves no digest.
+HASWELL_BLAS = {"OPENBLAS_CORETYPE": "Haswell"}
 
 
 def print_digests() -> None:
@@ -183,20 +165,35 @@ def print_digests() -> None:
     print("    },")
 
 
-def main() -> None:
-    """Print the digests of every kernel set, each from its own child process."""
-    names = {name for settings in KERNEL_SETS.values() for name in settings}
+def main() -> int:
+    """Print the digests of every kernel set, each from its own child process.
+
+    Each set also runs under ``HASWELL_BLAS``; if that changes its output,
+    no digest is printed, stderr names the set, and the exit status is 1.
+    """
+    names = {name for settings in (*KERNEL_SETS.values(), HASWELL_BLAS) for name in settings}
     base = {k: v for k, v in os.environ.items() if k not in names}
     code = (
         f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
         "import test_golden_trace; test_golden_trace.print_digests()"
     )
-    seen: dict[str, str] = {}
-    for label, settings in KERNEL_SETS.items():
-        out = subprocess.run(
+
+    def digests(settings: dict[str, str]) -> str:
+        return subprocess.run(
             [sys.executable, "-c", code], env={**base, **settings},
             check=True, capture_output=True, text=True,
         ).stdout
+
+    outputs = {}
+    for label, settings in KERNEL_SETS.items():
+        outputs[label] = digests(settings)
+        if digests({**settings, **HASWELL_BLAS}) != outputs[label]:
+            print(f"{label}: OpenBLAS's Haswell kernels change the fingerprint or a digest, "
+                  "so the trace depends on the BLAS library; no digests printed",
+                  file=sys.stderr)
+            return 1
+    seen: dict[str, str] = {}
+    for label, out in outputs.items():
         fingerprint = out.split('"')[1]
         if fingerprint in seen:
             print(f"    # {label}: not produced here, same fingerprint as {seen[fingerprint]}")
@@ -204,7 +201,8 @@ def main() -> None:
         seen[fingerprint] = label
         print(f"    # {label}")
         print(out, end="")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

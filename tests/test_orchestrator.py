@@ -1,5 +1,7 @@
+import math
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -8,7 +10,7 @@ import reference_policy as ref
 from hypothesis import given, settings
 
 from phasevolve import cli, orchestrator
-from phasevolve.config import MODES, RunConfig
+from phasevolve.config import MODES, RunConfig, parse_config_text
 from phasevolve.estimators import standardize, group_relative_raw, sloo_weights
 from phasevolve.orchestrator import (
     Candidate,
@@ -445,6 +447,28 @@ def test_training_step_entropic_mode_records_beta():
     diag = training_step(state, batch, candidates)
     assert not diag.skipped
     assert diag.beta is not None and diag.beta >= 0.0
+
+
+def test_a_step_whose_gradient_norm_overflows_is_rejected(tmp_path):
+    # One tilted term underflows, so the entropic advantages reach about
+    # 1e300: the gradient is finite but its squares overflow. Runs under
+    # pytest's error::RuntimeWarning, so the norm must overflow silently.
+    text = (Path(__file__).resolve().parents[1] / "configs" / "synthetic.cfg").read_text()
+    text += (
+        "\nmode = entropic\nsamples_per_group = 2\ntop_k = 2\nestimator.eps_num = 1e-300\n"
+        "estimator.gamma = 50\nshaping.c = 1e12\niterations = 20\n"
+    )
+    config = parse_config_text(text)
+    trace_path = tmp_path / "trace.jsonl"
+    run_evolution(config, make_task(config), trace_path)
+    steps = [r for r in read_trace(trace_path) if r["kind"] == "step"]
+    assert len(steps) == 20
+    for rec in steps:
+        assert not rec["skipped"]
+        assert not math.isfinite(rec["grad_norm"])
+        assert rec["error"] == "non-finite gradient norm rejected"
+        assert rec["optimizer_steps"] == 0
+    assert steps[0]["params_hash_start"] == steps[-1]["params_hash_end"]
 
 
 def test_training_step_maxk_mode():

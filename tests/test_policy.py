@@ -378,8 +378,8 @@ def test_optimizer_rejects_nonfinite_gradient():
 def test_params_save_load_roundtrip(tmp_path):
     params = ref.random_params(DIMS, np.random.default_rng(8), scale=0.4)
     path = tmp_path / "params.bin"
-    params.save(path)
-    loaded = PolicyParams.load(path)
+    ref.save_params(params, path)
+    loaded = ref.load_params(path)
     assert np.array_equal(loaded.w_ctx, params.w_ctx)
     assert np.array_equal(loaded.w_emit, params.w_emit)
     assert loaded.max_tokens == params.max_tokens

@@ -297,12 +297,30 @@ def test_profile_load_rejects_shape_mismatch(tmp_path):
         ("1 2 3\n1 2\n", "line 3: expected E = 3 loads, found 2"),
         ("1 2 3 4\n1 2 3\n", "line 2: expected E = 3 loads, found 4"),
         ("1 2 3\n\n1 x 3\n", "line 4: could not convert string to float: 'x'"),
+        ("1 2 3\n\n1 nan 3\n", "line 4: profile 1 holds nan; loads must be finite and nonnegative"),
+        ("1 -2 3\n1 2 3\n", "line 2: profile 0 holds -2.0; loads must be finite and nonnegative"),
+        ("1 2 3\n1 2 inf\n", "line 3: profile 1 holds inf; loads must be finite and nonnegative"),
     ],
-    ids=["short", "long", "unparsable-after-blank-line"],
+    ids=["short", "long", "unparsable-after-blank-line", "nan", "negative", "infinite"],
 )
 def test_profile_load_names_the_bad_line(tmp_path, rows, message):
     path = tmp_path / "bad.txt"
     path.write_text("3 2 2\n" + rows)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WorkloadProfile.load(path)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("3 2 x", "line 1: invalid literal for int() with base 10: 'x'"),
+        ("3 2", "line 1: expected header 'E D P', got ['3', '2']"),
+    ],
+    ids=["not-an-integer", "two-fields"],
+)
+def test_profile_load_names_the_bad_header(tmp_path, header, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(header + "\n1 2 3\n1 2 3\n")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         WorkloadProfile.load(path)
 
