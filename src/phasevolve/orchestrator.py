@@ -362,7 +362,7 @@ def training_step(
         state.opt_state = new_opt
         diag.optimizer_steps = 1
     else:
-        diag.error = "non-finite gradient rejected by optimizer"
+        diag.error = "non-finite gradient or update rejected by optimizer"
     return diag
 
 

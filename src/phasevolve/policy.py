@@ -417,8 +417,9 @@ def optimizer_step(
 ) -> tuple[PolicyParams, AdamState, bool]:
     """One AdamW update with decoupled weight decay and bias correction.
 
-    A non-finite gradient rejects the step: the original params and state are
-    returned unchanged with ``applied`` False.
+    A non-finite gradient, or an update that overflows a parameter, rejects
+    the step: the original params and state are returned unchanged with
+    ``applied`` False.
     """
     if not grad.is_finite():
         return params, state, False
@@ -435,12 +436,16 @@ def optimizer_step(
         m = beta1 * getattr(state, f"m_{name}") + (1.0 - beta1) * g
         v = beta2 * getattr(state, f"v_{name}") + (1.0 - beta2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        new_tensors[name] = w - lr * update - lr * weight_decay * w
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_tensors[name] = w - lr * update - lr * weight_decay * w
         new_moments[name] = (m, v)
 
-    new_params = PolicyParams(
-        new_tensors["ctx"], new_tensors["emit"], max_tokens=params.max_tokens
-    )
+    try:
+        new_params = PolicyParams(
+            new_tensors["ctx"], new_tensors["emit"], max_tokens=params.max_tokens
+        )
+    except ValueError:  # the update overflowed a parameter
+        return params, state, False
     new_state = AdamState(
         step=step,
         m_ctx=new_moments["ctx"][0],

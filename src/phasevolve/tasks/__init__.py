@@ -3,13 +3,12 @@
 A task turns a sampled token sequence into an evaluated candidate. Both
 bundled tasks compute pure functions of (tokens, iteration, rng) so groups can
 be evaluated in any order, or in parallel, without changing results. An
-``EplbTask``'s outcomes, one per descriptor, are built with the task:
-each pass state is analysed once for every swap window, windows that move
-the same rows share that state, and each state's balancedness is scored
-once, so ``evaluate`` only reads the table. ``SyntheticTask`` keeps a
-one-entry memo so ``describe`` reuses the quality ``evaluate`` just
-computed for the same tokens; ``make_task`` builds a new task for each
-run, so nothing is kept between runs.
+``EplbTask``'s outcomes, one per descriptor, are built with the task, one
+rebalance pass per (sort mode, placement rule) pair and depth serving all
+four swap windows, so ``evaluate`` only reads the table. ``SyntheticTask``
+keeps a one-entry memo so ``describe`` reuses the quality ``evaluate``
+just computed for the same tokens; ``make_task`` builds a new task for
+each run, so nothing is kept between runs.
 """
 
 from __future__ import annotations

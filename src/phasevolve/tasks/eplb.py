@@ -11,14 +11,14 @@ positions, rebalance passes and swap candidates. Each profile sees the same
 float operations in the same order as when placed alone.
 
 The stages are functions a task can resume: ``eplb_place``, then one
-``eplb_rebalance_windows`` per rebalance pass, which gives the pass's
-result under every swap window at once, then ``eplb_balancedness``.
-``EplbTask`` is their one composition: when built, it sweeps each
-(sort mode, placement rule) pair once into a table of all 144 outcomes,
-analysing each pass state once for all windows and scoring each
-assignment once; a pair whose sweep raises is swept again when evaluated
-(see its docstring). ``tests/reference_eplb.py`` composes the same stages
-with no memo, and holds the per-profile oracle both are checked against.
+``eplb_rebalance_pass`` per rebalance pass, in which each row tries its own
+swap window, then ``eplb_balancedness``. ``EplbTask`` is their one
+composition: when built, it stacks the profiles once per swap window and
+sweeps each (sort mode, placement rule) pair once into a table of all 144
+outcomes, one pass per depth over the rows of all four windows; a pair
+whose sweep raises is swept again when evaluated (see its docstring).
+``tests/reference_eplb.py`` composes the same stages one descriptor at a
+time, and holds the per-profile oracle both are checked against.
 """
 
 from __future__ import annotations
@@ -119,6 +119,10 @@ class WorkloadProfile:
                 raise ValueError(f"line 1: {exc}") from None
             if num_profiles < 1 or num_experts < 1:
                 raise ValueError(f"line 1: header needs E >= 1 and P >= 1, got {header}")
+            if not 1 <= num_devices <= num_experts:
+                raise ValueError(
+                    f"line 1: need num_experts ({num_experts}) >= num_devices ({num_devices}) >= 1"
+                )
             rows = []
             for number, line in enumerate(fh, start=2):
                 fields = line.split()
@@ -138,6 +142,11 @@ class WorkloadProfile:
                         f"line {number}: profile {len(rows)} holds {bad[0]}; "
                         "loads must be finite and nonnegative"
                     )
+                if max(row) <= 0.0:
+                    raise ValueError(
+                        f"line {number}: profile {len(rows)} holds no positive load; "
+                        "every profile needs at least one"
+                    )
                 rows.append(row)
         loads = np.asarray(rows, dtype=np.float64)
         if loads.shape != (num_profiles, num_experts):
@@ -145,12 +154,6 @@ class WorkloadProfile:
                 f"header promises {num_profiles} x {num_experts}, file holds {loads.shape}"
             )
         return cls(loads=loads, num_devices=num_devices)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"{self.num_experts} {self.num_devices} {self.num_profiles}\n")
-            for row in self.loads:
-                fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
 SWAP_WINDOWS = 4  # a descriptor's swap window is 1 to SWAP_WINDOWS
@@ -239,23 +242,22 @@ def eplb_place(
     return device, device_loads, row_ops * num_profiles
 
 
-def eplb_rebalance_windows(
-    w: WorkloadProfile, device: np.ndarray, device_loads: np.ndarray, active: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """One rebalance pass on the rows in active, under every swap window.
+def eplb_rebalance_pass(
+    w: WorkloadProfile,
+    window: np.ndarray,
+    device: np.ndarray,
+    device_loads: np.ndarray,
+    active: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One rebalance pass on the rows in active.
 
-    Of the hottest device's swap_window heaviest residents, a pass moves, in
-    each row, the first whose move lowers the peak to the coldest device. A
-    row moves at most once per pass, so a row that has not moved still reads
-    the device loads it started with: the rank of its first peak-lowering
-    resident does not depend on the window, and window w moves the rows
-    whose rank is below w. One analysis finds every row's rank.
+    Of the hottest device's window[r] heaviest residents, row r moves the
+    first whose move lowers the peak to the coldest device. A row moves at
+    most once per pass, and stops at its first pass that moves nothing.
 
-    Returns, for windows 1 to SWAP_WINDOWS in order, the device index
-    matrix, the device loads, the rows that moved (the next pass's active
-    rows) and the pass's operation count. Windows that move the same rows
-    share one pair of new arrays; a window that moves nothing returns the
-    given ones. A row stops at its first pass that moves nothing.
+    Returns new device index and device load matrices, the rows that moved
+    (the next pass's active rows) and each row's operation count for the
+    pass, 0 outside active.
 
     After DESCENDING_LOAD + GREEDY_LEAST_LOADED no pass moves an expert, so
     the passes only add ops: the hottest device's last expert, its lightest,
@@ -263,45 +265,39 @@ def eplb_rebalance_windows(
     minus coldest (monotone float sums keep this under rounding).
     """
     loads = w.loads
+    row_ops = np.zeros(loads.shape[0], dtype=np.int64)
+    row_ops[active] = 2 * w.num_devices
     active_loads = device_loads[active]
     hot = active_loads.argmax(axis=1)
     cold = active_loads.argmin(axis=1)
-    ops = 2 * w.num_devices * active.size
     differ = hot != cold
     active, hot, cold = active[differ], hot[differ], cold[differ]
     resident = device[active] == hot[:, None]
     residents = resident.sum(axis=1)
-    ops += int(residents.sum())
+    tries = np.minimum(window[active], residents)  # the ranks each row may try
     # Heaviest residents first, ties by expert index; others sort last.
     key = np.where(resident, -loads[active], np.inf)
     candidates = np.argsort(key, axis=1, kind="stable")[:, :SWAP_WINDOWS]
     hot_load, cold_load = device_loads[active, hot], device_loads[active, cold]
-    first = np.full(active.size, SWAP_WINDOWS)  # each row's moving rank
-    tries = [0] * SWAP_WINDOWS  # rows that try each rank; never grows with it
+    first = tries.copy()  # each row's moving rank; tries where none moves
     for rank, expert in enumerate(candidates.T):
-        trying = (first == SWAP_WINDOWS) & (rank < residents)
-        tries[rank] = int(trying.sum())
-        if not tries[rank]:
+        trying = rank < first
+        if not trying.any():
             break
         load = loads[active, expert]
         first[trying & (np.maximum(hot_load - load, cold_load + load) < hot_load)] = rank
-    windows = []
-    next_device, next_loads, moved = device, device_loads, active[:0]
-    for window in range(1, SWAP_WINDOWS + 1):
-        ops += 2 * tries[window - 1]
-        move = first < window
-        if move.sum() > moved.size:  # the moved rows only grow with the window
-            moved, expert = active[move], candidates[move, first[move]]
-            next_device, next_loads = device.copy(), device_loads.copy()
-            next_device[moved, expert] = cold[move]
-            next_loads[moved, hot[move]] -= loads[moved, expert]
-            next_loads[moved, cold[move]] += loads[moved, expert]
-        windows.append((next_device, next_loads, moved, ops + moved.size))
-    return windows
+    move = first < tries
+    row_ops[active] += residents + 2 * np.minimum(first + 1, tries) + move
+    moved, expert = active[move], candidates[move, first[move]]
+    device, device_loads = device.copy(), device_loads.copy()
+    device[moved, expert] = cold[move]
+    device_loads[moved, hot[move]] -= loads[moved, expert]
+    device_loads[moved, cold[move]] += loads[moved, expert]
+    return device, device_loads, moved, row_ops
 
 
-def eplb_balancedness(assignment: np.ndarray, w: WorkloadProfile) -> float:
-    """Mean device load over max device load, averaged across profiles.
+def eplb_balancedness(assignment: np.ndarray, w: WorkloadProfile) -> np.ndarray:
+    """Each profile's mean device load over its max device load.
 
     The device loads are summed again from the assignment, in column order.
     """
@@ -320,23 +316,18 @@ def eplb_balancedness(assignment: np.ndarray, w: WorkloadProfile) -> float:
     idle = np.flatnonzero(peak <= 0)
     if idle.size:
         raise ValueError(f"profile {idle[0]} has zero max device load")
-    balance = np.add.reduce(device_loads, axis=1) / w.num_devices / peak
-    return float(np.add.reduce(balance) / balance.size)
+    return np.add.reduce(device_loads, axis=1) / w.num_devices / peak
 
 
-def _with_speed(balancedness: float, op_count: int, c_ref: float) -> tuple[float, float, float]:
-    """(balancedness, speed, score): speed is the reference op count c_ref
-    over op_count, clamped to 1, and the score is the mean of the two."""
+def _with_speed(balance: np.ndarray, op_count: int, c_ref: float) -> tuple[float, float, float]:
+    """(balancedness, speed, score): balancedness is the mean of the
+    profiles' balances, speed is the reference op count c_ref over op_count,
+    clamped to 1, and the score is the mean of the two."""
     if op_count <= 0:
         raise ValueError(f"op_count must be positive, got {op_count}")
+    balancedness = float(np.add.reduce(balance) / balance.size)
     speed = min(c_ref / op_count, 1.0)
     return balancedness, speed, 0.5 * (balancedness + speed)
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
 
 
 class EplbTask:
@@ -349,14 +340,14 @@ class EplbTask:
     stage. Use one instance per run.
 
     One sweep per (sort mode, placement rule) pair fills its 16 entries over
-    pass depths 0 to 3. The placement, scored once, is the 0-pass state of
-    all four swap windows. At each depth one ``eplb_rebalance_windows`` call
-    per distinct state that still has active rows gives every window's next
-    state, whose op count adds the window's pass ops to its parent's.
-    Windows that move the same rows share one state, and a pass that moves
-    nothing keeps its assignment, so each assignment's balancedness is
-    scored once. Once no row is active no pass runs. The states are local to
-    the sweep; their arrays are read-only.
+    pass depths 0 to 3. The task keeps the profiles stacked once per swap
+    window, so the sweep's rows are every (window, profile): it tiles the
+    pair's placement and, at each depth, records each window's outcome from
+    its block of rows and then runs one ``eplb_rebalance_pass`` on the rows
+    still active. A window's op count is the placement's plus its block's
+    pass ops. Once no row is active no pass runs, and a pass that moves no
+    row leaves the balances as they were, so they are scored again only
+    after a pass that moved a row.
 
     ``c_ref`` is the op count of the DESCENDING_LOAD + GREEDY_LEAST_LOADED
     placement, taken before any outcome: no score exists without it, so it
@@ -370,6 +361,10 @@ class EplbTask:
 
     def __init__(self, profile: WorkloadProfile):
         self.profile = profile
+        # Row r of the stacked profiles is profile r % P under window r // P + 1.
+        stacked = np.tile(profile.loads, (SWAP_WINDOWS, 1))
+        self._rows = WorkloadProfile(stacked, profile.num_devices)
+        self._window = np.repeat(np.arange(1, SWAP_WINDOWS + 1), profile.num_profiles)
         # Keyed by the four decoded positions, as ``_positions`` gives them.
         self._outcomes: dict[tuple[int, int, int, int], EvaluationOutcome] = {}
         # Reference cost: the base heuristic (all-zero decoding) on these
@@ -386,34 +381,28 @@ class EplbTask:
 
     def _sweep(self, sort_mode: SortMode, placement: Placement, placed: tuple | None = None):
         """Store the outcomes of the pair's 16 descriptors, or none if a stage raises."""
-        w = self.profile
-        device, device_loads, ops = placed or eplb_place(sort_mode, placement, w)
+        w = self._rows
+        device, device_loads, ops = placed or eplb_place(sort_mode, placement, self.profile)
+        device = np.tile(device, (SWAP_WINDOWS, 1))
+        device_loads = np.tile(device_loads, (SWAP_WINDOWS, 1))
+        ops = [ops] * SWAP_WINDOWS  # each window's op count
         active = np.arange(w.num_profiles)
-        root = (*_read_only(device, device_loads, active), eplb_balancedness(device, w))
-        states = [(root, ops)] * SWAP_WINDOWS  # each window's (state, op count)
+        balance = eplb_balancedness(device, w)
         outcomes = {}
         for passes in range(4):
-            for window, ((*_, balancedness), ops) in enumerate(states):
-                balancedness, speed, score = _with_speed(balancedness, ops, self.c_ref)
-                metrics = {"balancedness": balancedness, "speed": speed, "op_count": float(ops)}
+            for window, (block, n) in enumerate(zip(balance.reshape(SWAP_WINDOWS, -1), ops)):
+                balancedness, speed, score = _with_speed(block, n, self.c_ref)
+                metrics = {"balancedness": balancedness, "speed": speed, "op_count": float(n)}
                 key = (sort_mode.value, placement.value, passes, window)
                 outcomes[key] = EvaluationOutcome.parsed(score, metrics=metrics)
-            if passes == 3:
-                break
-            for state in {id(state): state for state, _ in states}.values():
-                device, device_loads, active, balancedness = state
-                if not active.size:  # every row has stopped: no pass, no ops
-                    continue
-                shared = {}  # one next state per distinct moved rows
-                passed = eplb_rebalance_windows(w, device, device_loads, active)
-                for window, (next_device, next_loads, moved, pass_ops) in enumerate(passed):
-                    if states[window][0] is not state:
-                        continue
-                    arrays = id(next_device)  # the given ones where nothing moved
-                    if arrays not in shared:
-                        score = eplb_balancedness(next_device, w) if moved.size else balancedness
-                        shared[arrays] = (*_read_only(next_device, next_loads, moved), score)
-                    states[window] = (shared[arrays], states[window][1] + pass_ops)
+            if passes < 3 and active.size:  # once every row has stopped: no pass, no ops
+                device, device_loads, active, row_ops = eplb_rebalance_pass(
+                    w, self._window, device, device_loads, active
+                )
+                pass_ops = row_ops.reshape(SWAP_WINDOWS, -1).sum(axis=1).tolist()
+                ops = [n + m for n, m in zip(ops, pass_ops)]
+                if active.size:  # some row moved
+                    balance = eplb_balancedness(device, w)
         self._outcomes.update(outcomes)
 
     def describe(self, seq: TokenSequence) -> dict:

@@ -6,12 +6,14 @@ and rebalanced on its own, and scored with one ``bincount`` per profile.
 axis; the oracle tests require both to agree exactly. ``eplb_assign`` and
 ``eplb_score`` share no code with the package.
 
-``staged_assign`` and ``staged_score`` compose the package's own stages with
-no memo, as ``EplbTask``'s sweep does with shared states: each pass takes the
-descriptor's window's entry of ``eplb_rebalance_windows``, which analyses a
-pass state once for every swap window. The unit tests read known instances
-from them, and the oracle tests check them, and so every window's entry,
-against the per-profile code, which runs each window's pass on its own.
+``staged_assign`` and ``staged_score`` compose the package's own stages
+for one descriptor at a time, every row under the descriptor's swap
+window, where ``EplbTask``'s sweep runs each pass once over the rows of
+all four windows. The unit tests read known instances from them, and the
+oracle tests check them against the per-profile code.
+
+``save_profile`` writes a profile in the format ``WorkloadProfile.load``
+reads.
 
 ``brute_force_balance`` is the exact optimum the greedy placement is
 checked against.
@@ -123,16 +125,17 @@ def eplb_score(
 def staged_assign(h: HeuristicDescriptor, w: WorkloadProfile) -> tuple[np.ndarray, int]:
     """h's assignment and op count from the package's stages: place, then
     h's rebalance passes, each on the rows the last one moved, until no row
-    is left. Each pass takes h's window's entry of the pass's result under
-    every window."""
+    is left. Every row tries h's swap window."""
     device, device_loads, ops = eplb.eplb_place(h.sort_mode, h.placement, w)
     active = np.arange(w.num_profiles)
+    window = np.full(w.num_profiles, h.swap_window)
     for _ in range(h.rebalance_passes):
         if active.size == 0:
             break
-        windows = eplb.eplb_rebalance_windows(w, device, device_loads, active)
-        device, device_loads, active, pass_ops = windows[h.swap_window - 1]
-        ops += pass_ops
+        device, device_loads, active, row_ops = eplb.eplb_rebalance_pass(
+            w, window, device, device_loads, active
+        )
+        ops += int(row_ops.sum())
     return device, ops
 
 
@@ -141,6 +144,14 @@ def staged_score(
 ) -> tuple[float, float, float]:
     """(balancedness, speed, score) from the package's scoring stages."""
     return eplb._with_speed(eplb.eplb_balancedness(assignment, w), op_count, c_ref)
+
+
+def save_profile(w: WorkloadProfile, path) -> None:
+    """Header "E D P", then one line of E loads per profile."""
+    with open(path, "w") as fh:
+        fh.write(f"{w.num_experts} {w.num_devices} {w.num_profiles}\n")
+        for row in w.loads:
+            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
 BRUTE_FORCE_MAX_EXPERTS = 12

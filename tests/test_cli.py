@@ -287,7 +287,7 @@ def test_run_bad_profiles_file_names_key_and_path(tmp_path, capsys):
     cfg = write_config(tmp_path, f"task = eplb\neplb.profiles_path = {profiles}\n")
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert f"eplb.profiles_path {profiles}: " in err
+    assert f"eplb.profiles_path {profiles}: line 1: " in err
     assert "num_devices (4)" in err
 
 
@@ -298,6 +298,15 @@ def test_run_bad_profile_row_names_its_line(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"eplb.profiles_path {profiles}: line 3: expected E = 3 loads, found 2" in err
+
+
+def test_run_profile_with_no_positive_load_names_its_line(tmp_path, capsys):
+    profiles = tmp_path / "profiles.txt"
+    profiles.write_text("3 2 2\n1 2 3\n0 0 0\n")
+    cfg = write_config(tmp_path, f"task = eplb\neplb.profiles_path = {profiles}\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"eplb.profiles_path {profiles}: line 3: profile 1 holds no positive load" in err
 
 
 def test_run_out_naming_a_file_exits_2(tmp_path, capsys):

@@ -5,18 +5,19 @@ once; ``reference_eplb`` does one profile at a time, expert by expert. The
 arithmetic and its order are the same, so assignments, op counts and scores
 must be equal exactly, for every descriptor, on heavy-tailed loads, on
 integer loads (ties in the sort, in argmin/argmax and in the rebalance rule)
-and on loads with zero-load experts. The package's stages are composed with
-no memo by ``reference_eplb.staged_assign`` and ``staged_score``.
+and on loads with zero-load experts. The package's stages are composed one
+descriptor at a time by ``reference_eplb.staged_assign`` and
+``staged_score``.
 
 ``EplbTask`` computes the outcomes of all 144 descriptors when it is built,
-in one sweep per (sort mode, placement rule) pair that analyses each pass
-state once for every swap window and scores each assignment's balancedness
-once. The table tests below require each outcome to equal the per-profile
+in one sweep per (sort mode, placement rule) pair over the profiles stacked
+once per swap window: one rebalance pass per depth, each row under its own
+window. The table tests below require each outcome to equal the per-profile
 oracle's (``reference_eplb.eplb_assign``, then ``eplb_score``), which
 shares no code with the task, in any order of evaluation. ``StageLog``
 watches the stages through recording wrappers, installed before the task is
-built: which states a sweep passes on, what it scores, and that a pair
-whose sweep raised is swept again, and nothing else, when it is evaluated.
+built: how many passes and scores a sweep runs, and that a pair whose sweep
+raised is swept again, and nothing else, when it is evaluated.
 """
 
 import itertools
@@ -164,8 +165,8 @@ def assert_same_outcome(got, want) -> None:
 
 
 def assert_task_matches_reference(w: WorkloadProfile) -> None:
-    """The staged composition and the task, each window through its own
-    entry of the pass analysis, against the per-profile oracle."""
+    """The staged composition and the task, which runs all four windows in
+    one pass, against the per-profile oracle."""
     task, rng = EplbTask(w), np.random.default_rng(0)
     for h in DESCRIPTORS:
         assert_matches_reference(h, w)
@@ -202,7 +203,7 @@ def test_memoized_outcomes_equal_fresh_instances_in_any_order():
         assert_same_outcome(forward.evaluate(seq_for(h), 0, rng), want[h])
 
 
-STAGES = ("eplb_place", "eplb_rebalance_windows", "eplb_balancedness")
+STAGES = ("eplb_place", "eplb_rebalance_pass", "eplb_balancedness")
 # A pair other than the reference one, whose placement construction needs.
 TARGET = (SortMode.ASCENDING_LOAD, Placement.BLOCKED)
 
@@ -210,36 +211,36 @@ TARGET = (SortMode.ASCENDING_LOAD, Placement.BLOCKED)
 class StageLog:
     """Records every call of the three EPLB stages while the patch holds.
 
-    Each event is [stage name, arguments, result or None if it raised]. The
-    log keeps the arrays, so their ids stay unique while it lives, and maps
-    every assignment to the (sort mode, placement rule) pair it came from.
+    Each event is [stage name, arguments, result or None if it raised]. A
+    sweep starts with its pair's placement (the reference pair's sweep takes
+    the reference cost's, made just before it), so ``sweeps`` splits the
+    events at each placement, and ``pair`` is the running sweep's pair.
     ``fail(name, args)``, if given, runs before each stage and may raise.
     """
 
     def __init__(self, patch: pytest.MonkeyPatch, fail=None):
         self.events: list[list] = []
-        self._pair: dict[int, tuple[SortMode, Placement]] = {}
+        self.sweeps: list[list[list]] = []
         for name in STAGES:
             patch.setattr(eplb, name, self._recorded(name, getattr(eplb, name), fail))
 
     def _recorded(self, name, stage, fail):
         def call(*args):
             event = [name, args, None]
+            if name == "eplb_place":
+                self.sweeps.append([])
             self.events.append(event)
+            self.sweeps[-1].append(event)
             if fail is not None:
                 fail(name, args)
             event[2] = result = stage(*args)
-            if name == "eplb_place":
-                self._pair[id(result[0])] = args[:2]
-            elif name == "eplb_rebalance_windows":
-                for device, *_ in result:
-                    self._pair[id(device)] = self._pair[id(args[1])]
             return result
 
         return call
 
-    def pair_of(self, assignment: np.ndarray) -> tuple[SortMode, Placement]:
-        return self._pair[id(assignment)]
+    @property
+    def pair(self) -> tuple[SortMode, Placement]:
+        return self.sweeps[-1][0][1][:2]
 
     def calls(self, name: str) -> list[tuple]:
         return [(args, result) for stage, args, result in self.events if stage == name]
@@ -261,79 +262,39 @@ def eplb_wide_profile() -> WorkloadProfile:
 def test_each_stage_runs_once_per_key(monkeypatch):
     w = memo_profile()
     # What a sweep of all 144 descriptors must run, enumerated from the
-    # per-profile oracle. Windows that move the same rows from one state share
-    # the next state, so a state is its pair plus the rows each pass moved on
-    # the way to it; a pass that moves none keeps the state it started from,
-    # and no later pass runs. One windows call per state a pass starts from
-    # (depth 0 to 2), and one balancedness per state.
-    expanded, states = set(), set()
-    for sort_mode, placement, window in itertools.product(SortMode, Placement, range(1, 5)):
-        devices = [
-            ref.eplb_assign(HeuristicDescriptor(sort_mode, placement, passes, window), w)[0]
-            for passes in range(4)
+    # per-profile oracle: one placement per pair, one pass per pair and
+    # depth 0 to 2 while some row is active, and one balancedness at depth 0
+    # and after each pass that moved a row. A pass moves a row exactly when
+    # some window's assignment changes with it; the rows it moved are the
+    # next pass's active rows, so no pass runs after one that moved none.
+    passes = scores = 0
+    for sort_mode, placement in itertools.product(SortMode, Placement):
+        devices = {
+            (depth, window): ref.eplb_assign(
+                HeuristicDescriptor(sort_mode, placement, depth, window), w
+            )[0]
+            for depth, window in itertools.product(range(4), range(1, 5))
+        }
+        moved = [
+            any(
+                not np.array_equal(devices[depth, window], devices[depth + 1, window])
+                for window in range(1, 5)
+            )
+            for depth in range(3)
         ]
-        state = (sort_mode, placement)
-        states.add(state)
-        for before, after in itertools.pairwise(devices):
-            expanded.add(state)
-            moved = tuple(np.flatnonzero((after != before).any(axis=1)))
-            if not moved:
-                break
-            state += (moved,)
-            states.add(state)
-    # Fewer windows calls than (pair, window, depth) passes: 9 serve depth 1.
-    assert 9 < len(expanded) < 108
+        passes += 1 + moved[0] + moved[1]
+        scores += 1 + sum(moved)
+    # Some pair moves a row and passes again; the reference pair moves none.
+    assert 9 < passes < 27
     log = StageLog(monkeypatch)
     # Built under the log: the reference cost's placement is one of the 9.
     task = EplbTask(w)
-    want = {
-        "eplb_place": 9, "eplb_rebalance_windows": len(expanded), "eplb_balancedness": len(states)
-    }
+    want = {"eplb_place": 9, "eplb_rebalance_pass": passes, "eplb_balancedness": scores}
     assert {name: len(log.calls(name)) for name in STAGES} == want
     rng = np.random.default_rng(0)
     for h in DESCRIPTORS:
         task.evaluate(seq_for(h), 0, rng)
     assert {name: len(log.calls(name)) for name in STAGES} == want
-
-
-@pytest.mark.parametrize("shape", ["memo", "eplb-wide"])
-def test_windows_that_move_the_same_rows_share_one_assignment(shape):
-    w = memo_profile() if shape == "memo" else eplb_wide_profile()
-    with pytest.MonkeyPatch.context() as patch:
-        log = StageLog(patch)
-        EplbTask(w)
-    placed = [device for _, (device, _, _) in log.calls("eplb_place")]
-    analysed = log.calls("eplb_rebalance_windows")
-    shared = 0
-    for _, windows in analysed:
-        for (a, _, moved_a, _), (b, _, moved_b, _) in itertools.combinations(windows, 2):
-            assert (a is b) == np.array_equal(moved_a, moved_b)
-            shared += a is b and moved_a.size > 0
-    assert shared > 0
-    # Each state is analysed once, with its active rows: a placement with
-    # every row, or a window's result with the rows that window moved.
-    moved_into = {
-        id(device): (device, moved)
-        for _, windows in analysed
-        for device, _, moved, _ in windows
-        if moved.size
-    }
-    passed_on = [args[1] for args, _ in analysed]
-    assert len({id(device) for device in passed_on}) == len(passed_on)
-    for (_, device, _, active), _ in analysed:
-        if id(device) in moved_into:
-            assert active is moved_into[id(device)][1]
-        else:
-            assert any(device is each for each in placed)
-            assert np.array_equal(active, np.arange(w.num_profiles))
-    # One balancedness per assignment object: each placement, each array a
-    # window moved rows into that a window's state took (never a copy), and
-    # every state passed on. Objects that windows reached through different
-    # moves may still hold equal bytes.
-    scored = [args[0] for args, _ in log.calls("eplb_balancedness")]
-    assert len({id(device) for device in scored}) == len(scored)
-    assert all(id(device) in moved_into or any(device is p for p in placed) for device in scored)
-    assert {id(device) for device in passed_on} <= {id(device) for device in scored}
 
 
 @pytest.mark.parametrize("placement", Placement)
@@ -362,6 +323,37 @@ def test_rebalance_moves_experts_on_the_memo_profile():
 
 
 @given(
+    st.sampled_from(list(itertools.product(SortMode, Placement))),
+    st.sampled_from(LOAD_KINDS),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_pass_runs_each_row_under_its_own_window(pair, kind, profiles, experts, devices, seed):
+    # One pass with a window per row gives each row what a pass with that
+    # window for every row gives it, and writes into none of its arguments.
+    rng = np.random.default_rng(seed)
+    w = WorkloadProfile(make_loads(kind, (profiles, experts), rng), min(devices, experts))
+    device, device_loads, _ = eplb.eplb_place(*pair, w)
+    active = np.flatnonzero(rng.random(profiles) < 0.8)
+    window = rng.integers(1, 5, size=profiles)
+    given_args = (device.copy(), device_loads.copy(), active.copy())
+    got = eplb.eplb_rebalance_pass(w, window, device, device_loads, active)
+    for given_arg, arg in zip(given_args, (device, device_loads, active)):
+        assert np.array_equal(given_arg, arg)
+    for r in range(profiles):
+        alone = eplb.eplb_rebalance_pass(
+            w, np.full(profiles, window[r]), device, device_loads, active
+        )
+        assert np.array_equal(got[0][r], alone[0][r])
+        assert np.array_equal(got[1][r], alone[1][r])
+        assert (r in got[2]) == (r in alone[2])
+        assert got[3][r] == alone[3][r]
+
+
+@given(
     st.sampled_from(LOAD_KINDS),
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=40),
@@ -372,7 +364,7 @@ def test_rebalance_moves_experts_on_the_memo_profile():
 def test_greedy_on_descending_loads_leaves_rebalance_nothing_to_move(
     kind, profiles, experts, devices, seed
 ):
-    # The reason is in eplb_rebalance_windows's docstring. The passes only add ops, so
+    # The reason is in eplb_rebalance_pass's docstring. The passes only add ops, so
     # these 12 descriptors score below the same pair with no passes.
     w = WorkloadProfile(
         make_loads(kind, (profiles, experts), np.random.default_rng(seed)),
@@ -388,19 +380,6 @@ def test_greedy_on_descending_loads_leaves_rebalance_nothing_to_move(
         assert ops > placed[2]
 
 
-def test_memoized_placement_is_read_only():
-    with pytest.MonkeyPatch.context() as patch:
-        log = StageLog(patch)
-        EplbTask(memo_profile())
-    placements = log.calls("eplb_place")
-    assert len(placements) == 9
-    for _, (device, device_loads, _) in placements:
-        with pytest.raises(ValueError):
-            device[0, 0] = 1
-        with pytest.raises(ValueError):
-            device_loads[0, 0] = 1.0
-
-
 def test_an_evaluation_that_raises_is_not_memoized(monkeypatch):
     # The scorer fails on the target pair's placement three times: while the
     # task is built and in the next two evaluations of the pair; then it heals.
@@ -408,7 +387,7 @@ def test_an_evaluation_that_raises_is_not_memoized(monkeypatch):
     failures = []
 
     def fail(name, args):
-        if name == "eplb_balancedness" and log.pair_of(args[0]) == TARGET and len(failures) < 3:
+        if name == "eplb_balancedness" and log.pair == TARGET and len(failures) < 3:
             failures.append(1)
             raise RuntimeError("scorer crashed")
 
@@ -458,7 +437,7 @@ def test_an_evaluation_that_raises_leaves_describe_correct(monkeypatch):
     h = HeuristicDescriptor(*TARGET, 2, 3)
 
     def fail(name, args):
-        if name == "eplb_balancedness" and log.pair_of(args[0]) == TARGET:
+        if name == "eplb_balancedness" and log.pair == TARGET:
             raise RuntimeError("scorer crashed")
 
     log = StageLog(monkeypatch, fail)
@@ -473,18 +452,18 @@ def test_an_evaluation_that_raises_leaves_describe_correct(monkeypatch):
 
 
 def test_a_pass_that_raises_leaves_the_chain_resumable(monkeypatch):
-    # The target pair's first pass from a state that a pass moved rows into
-    # (depth 2) fails while the task is built and in the next evaluation.
+    # The target pair's second pass (depth 1), which starts from the rows the
+    # first one moved, fails while the task is built and in the next evaluation.
     w = memo_profile()
     h = HeuristicDescriptor(*TARGET, 3, 3)
     one = replace(h, rebalance_passes=1)
     failures = []
 
     def fail(name, args):
-        if name != "eplb_rebalance_windows" or log.pair_of(args[1]) != TARGET:
+        if name != "eplb_rebalance_pass" or log.pair != TARGET:
             return
-        placed = [device for _, (device, _, _) in log.calls("eplb_place")]
-        if not any(args[1] is device for device in placed) and len(failures) < 2:
+        depth = sum(stage == "eplb_rebalance_pass" for stage, *_ in log.sweeps[-1]) - 1
+        if depth == 1 and len(failures) < 2:
             failures.append(1)
             raise RuntimeError("pass crashed")
 
@@ -528,19 +507,6 @@ def test_evaluations_after_construction_run_no_stage(order, monkeypatch):
         assert_same_outcome(task.evaluate(seq_for(h), 0, rng), fresh_outcome(h, w))
 
 
-def test_every_pass_state_is_read_only():
-    with pytest.MonkeyPatch.context() as patch:
-        log = StageLog(patch)
-        EplbTask(memo_profile())
-    analysed = log.calls("eplb_rebalance_windows")
-    assert len(analysed) > 9  # some state a pass moved rows into is passed on
-    for (_, device, device_loads, active), _ in analysed:
-        for array in (device, device_loads, active):
-            assert not array.flags.writeable
-    for (assignment, _), _ in log.calls("eplb_balancedness"):
-        assert not assignment.flags.writeable
-
-
 @given(
     st.sampled_from(LOAD_KINDS),
     st.integers(min_value=1, max_value=6),
@@ -552,21 +518,23 @@ def test_every_pass_state_is_read_only():
 def test_greedy_on_descending_loads_scores_one_balancedness(
     kind, profiles, experts, devices, seed
 ):
-    # No pass moves an expert after this pair (see eplb_rebalance_windows's docstring),
-    # so every pass's state shares the placement's assignment and balancedness.
+    # No pass moves an expert after this pair (see eplb_rebalance_pass's docstring),
+    # so its sweep runs one pass, which moves no row, and scores the placement alone.
     w = WorkloadProfile(
         make_loads(kind, (profiles, experts), np.random.default_rng(seed)),
         num_devices=min(devices, experts),
     )
-    base = (SortMode.DESCENDING_LOAD, Placement.GREEDY_LEAST_LOADED)
     with pytest.MonkeyPatch.context() as patch:
         log = StageLog(patch)
         EplbTask(w)
-    (placed, _, _), = [result for args, result in log.calls("eplb_place") if args[:2] == base]
-    scored = [args[0] for args, _ in log.calls("eplb_balancedness")]
-    assert [device for device in scored if log.pair_of(device) == base] == [placed]
-    analysed = [args[1] for args, _ in log.calls("eplb_rebalance_windows")]
-    assert all(device is placed for device in analysed if log.pair_of(device) == base)
+    # The reference cost's placement starts the first sweep, the base pair's.
+    place, score, rebalance = log.sweeps[0]
+    assert (place[0], place[1][:2]) == (
+        "eplb_place", (SortMode.DESCENDING_LOAD, Placement.GREEDY_LEAST_LOADED)
+    )
+    assert (score[0], rebalance[0]) == ("eplb_balancedness", "eplb_rebalance_pass")
+    moved = rebalance[2][2]
+    assert moved.size == 0
 
 
 def test_a_placement_that_always_raises_fails_only_its_candidates(tmp_path, monkeypatch):

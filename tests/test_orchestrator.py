@@ -471,6 +471,24 @@ def test_a_step_whose_gradient_norm_overflows_is_rejected(tmp_path):
     assert steps[0]["params_hash_start"] == steps[-1]["params_hash_end"]
 
 
+def test_a_step_whose_update_overflows_is_rejected(tmp_path):
+    # The first step moves the parameters by about the learning rate, 1e300;
+    # the second's weight decay would overflow them. Runs under pytest's
+    # error::RuntimeWarning, so the overflow must be silent.
+    config = small_config(iterations=3, learning_rate=1e300, weight_decay=0.1)
+    trace_path = tmp_path / "trace.jsonl"
+    run_evolution(config, TokenSumTask(), trace_path)
+    steps = [r for r in read_trace(trace_path) if r["kind"] == "step"]
+    rejected = [rec for rec in steps if rec["error"] is not None]
+    assert rejected
+    for rec in rejected:
+        assert rec["error"] == "non-finite gradient or update rejected by optimizer"
+        assert rec["optimizer_steps"] == 0
+    for step, next_step in zip(steps, steps[1:]):
+        if step["optimizer_steps"] == 0:
+            assert next_step["params_hash_start"] == step["params_hash_end"]
+
+
 def test_training_step_maxk_mode():
     state, batch, candidates = _state_with_batch(TokenSumTask(), mode="maxk")
     diag = training_step(state, batch, candidates)

@@ -360,6 +360,20 @@ def test_optimizer_decoupled_weight_decay():
     assert np.allclose(new_params.w_emit, params.w_emit * (1 - lr * wd))
 
 
+@pytest.mark.parametrize("tensor", ["w_ctx", "w_emit"])
+def test_optimizer_rejects_an_update_that_overflows(tensor):
+    # A finite gradient, but lr * weight_decay * w overflows one parameter.
+    # Runs under pytest's error::RuntimeWarning, so the overflow must be silent.
+    params = ref.random_params(DIMS, np.random.default_rng(2), scale=0.5)
+    getattr(params, tensor)[0, 0] = 1e300
+    state = AdamState.zeros(params)
+    grad = ref.zero_gradient(params)
+    new_params, new_state, applied = P.optimizer_step(params, grad, state, lr=1e300)
+    assert not applied
+    assert new_params is params
+    assert new_state is state
+
+
 def test_optimizer_rejects_nonfinite_gradient():
     params = ref.random_params(DIMS, np.random.default_rng(2), scale=0.5)
     state = AdamState.zeros(params)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import reference_synthetic
-from reference_eplb import brute_force_balance, staged_assign, staged_score
+from reference_eplb import brute_force_balance, save_profile, staged_assign, staged_score
 
 from phasevolve.policy import TokenSequence
 from phasevolve.tasks import eplb, synthetic
@@ -276,7 +276,7 @@ def test_profile_generate_deterministic():
 def test_profile_file_roundtrip(tmp_path):
     profile = WorkloadProfile.generate(num_profiles=2, num_experts=5, num_devices=2, seed=1)
     path = tmp_path / "profiles.txt"
-    profile.save(path)
+    save_profile(profile, path)
     first_line = path.read_text().splitlines()[0]
     assert first_line == "5 2 2"
     loaded = WorkloadProfile.load(path)
@@ -300,8 +300,19 @@ def test_profile_load_rejects_shape_mismatch(tmp_path):
         ("1 2 3\n\n1 nan 3\n", "line 4: profile 1 holds nan; loads must be finite and nonnegative"),
         ("1 -2 3\n1 2 3\n", "line 2: profile 0 holds -2.0; loads must be finite and nonnegative"),
         ("1 2 3\n1 2 inf\n", "line 3: profile 1 holds inf; loads must be finite and nonnegative"),
+        (
+            "1 2 3\n0 0 0\n",
+            "line 3: profile 1 holds no positive load; every profile needs at least one",
+        ),
+        (
+            "\n0 0 0\n1 2 3\n",
+            "line 3: profile 0 holds no positive load; every profile needs at least one",
+        ),
     ],
-    ids=["short", "long", "unparsable-after-blank-line", "nan", "negative", "infinite"],
+    ids=[
+        "short", "long", "unparsable-after-blank-line", "nan", "negative", "infinite",
+        "all-zero", "all-zero-after-blank-line",
+    ],
 )
 def test_profile_load_names_the_bad_line(tmp_path, rows, message):
     path = tmp_path / "bad.txt"
@@ -315,8 +326,10 @@ def test_profile_load_names_the_bad_line(tmp_path, rows, message):
     [
         ("3 2 x", "line 1: invalid literal for int() with base 10: 'x'"),
         ("3 2", "line 1: expected header 'E D P', got ['3', '2']"),
+        ("3 5 2", "line 1: need num_experts (3) >= num_devices (5) >= 1"),
+        ("3 0 2", "line 1: need num_experts (3) >= num_devices (0) >= 1"),
     ],
-    ids=["not-an-integer", "two-fields"],
+    ids=["not-an-integer", "two-fields", "more-devices-than-experts", "no-devices"],
 )
 def test_profile_load_names_the_bad_header(tmp_path, header, message):
     path = tmp_path / "bad.txt"
@@ -402,7 +415,7 @@ def test_make_task_loads_profiles_from_file(tmp_path):
 
     profile = WorkloadProfile.generate(num_profiles=2, num_experts=6, num_devices=3, seed=2)
     path = tmp_path / "profiles.txt"
-    profile.save(path)
+    save_profile(profile, path)
     config = RunConfig(task="eplb", eplb_profiles_path=str(path))
     task = make_task(config)
     assert np.array_equal(task.profile.loads, profile.loads)
