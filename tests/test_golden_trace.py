@@ -61,6 +61,8 @@ CASES = {
     "eplb-grpo": ("eplb.cfg", {"mode": "grpo", "iterations": 30}),
     "eplb-entropic": ("eplb.cfg", {"mode": "entropic", "iterations": 30}),
     "eplb-maxk": ("eplb.cfg", {"mode": "maxk", "iterations": 30}),
+    # AdamW's decoupled weight decay, which every other case sets to zero.
+    "synthetic-decay": ("synthetic.cfg", {"weight_decay": 0.1, "iterations": 60}),
 }
 
 # arithmetic_fingerprint() -> case name -> sha256 of trace.jsonl
@@ -75,6 +77,7 @@ GOLDEN = {
         "eplb-grpo": "5d701b9cf277c0a423453462d353064ee7e380b37ab865459e60e3de8f945b06",
         "eplb-entropic": "5140238f21084c56e00eb4b7787711ca92154ff15c1626bc175ca1a28bd1bdfa",
         "eplb-maxk": "421890658f4aba06bde336f610c4b273a1a8edbb1fc15ff6b049e12add88308d",
+        "synthetic-decay": "a047714cf4725c011fd142e74a81b8731ed39c92b90baf33e262fb64d9a11e12",
     },
     # AVX2 exp/log
     "083853c952ee32b1b19fca95cf8db250a772740acb29df6cabaedeea609bd2ba": {
@@ -86,6 +89,7 @@ GOLDEN = {
         "eplb-grpo": "f5be0beaa81bd97c14634d6735e7e7f0841b767d9beabe453333b67d8a6d0c2a",
         "eplb-entropic": "4de9716fbf722495e6d0303ec3923ab6a09cf0ac2b26091f68d84ee4a5b91da1",
         "eplb-maxk": "cf6ee3e94ebdc5023a7e444fc14ca5a3fe702ecb75d48060f1d82f67b3030fb5",
+        "synthetic-decay": "4ba77af7582eab18cd7030399fdb9708256b7b84b2bc593528371e6450ebb105",
     },
 }
 
