@@ -15,9 +15,11 @@ position after token j.
 
 A rollout group has one parent and so one context: ``context_table`` gives
 its table once per group, with the cumulative probabilities and per-row
-p . log p that sampling and entropy read from it. ``loss_and_gradient``
-looks up the same table from (params, ctx) and runs its forward half over
-the whole group.
+p . log p that sampling and entropy read from it. Every sequence in a group
+has the same length L, so ``loss_and_gradient`` takes the group as (n, L)
+arrays, looks up the same table from (params, ctx) and runs both halves over
+that block at once. ``optimizer_step`` runs AdamW over one flat vector of
+all parameters.
 
 Each ``PolicyParams`` keeps one table, and one fingerprint, per parameter
 content: a one-entry memo keyed by the exact bytes the value is computed
@@ -145,7 +147,7 @@ class PolicyParams:
             raise ValueError(
                 f"w_emit must have {h} + {v} rows, got {self.w_emit.shape[0]}"
             )
-        if not (np.all(np.isfinite(self.w_ctx)) and np.all(np.isfinite(self.w_emit))):
+        if not (np.isfinite(self.w_ctx).all() and np.isfinite(self.w_emit).all()):
             raise ValueError("policy parameters must be finite")
         # One-entry memos, each read and written as one tuple:
         # (hashed bytes, hex digest) and (table key, log-prob table, row lists).
@@ -196,26 +198,22 @@ class PolicyGradient:
     w_emit: np.ndarray
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.w_ctx)) and np.all(np.isfinite(self.w_emit)))
+        return bool(np.isfinite(self.w_ctx).all() and np.isfinite(self.w_emit).all())
 
 
 @dataclass
 class AdamState:
+    """AdamW's step count and its first and second moments, each one flat
+    vector: ``w_ctx``'s entries, then ``w_emit``'s, in row-major order."""
+
     step: int
-    m_ctx: np.ndarray
-    v_ctx: np.ndarray
-    m_emit: np.ndarray
-    v_emit: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def zeros(cls, params: PolicyParams) -> "AdamState":
-        return cls(
-            step=0,
-            m_ctx=np.zeros_like(params.w_ctx),
-            v_ctx=np.zeros_like(params.w_ctx),
-            m_emit=np.zeros_like(params.w_emit),
-            v_emit=np.zeros_like(params.w_emit),
-        )
+        size = params.w_ctx.size + params.w_emit.size
+        return cls(step=0, m=np.zeros(size), v=np.zeros(size))
 
 
 def _hidden(params: PolicyParams, ctx: np.ndarray) -> np.ndarray:
@@ -301,9 +299,10 @@ def token_entropy(table: ContextTable, seq: TokenSequence) -> float:
     return total / len(seq) if len(seq) else 0.0
 
 
-def broadcast_advantage(advantage: float, seq: TokenSequence) -> np.ndarray:
-    """Response-level scalar copied to every token."""
-    return np.full(len(seq), advantage, dtype=np.float64)
+def broadcast_advantage(advantages: np.ndarray, length: int) -> np.ndarray:
+    """Each sequence's response-level scalar copied to its ``length`` tokens:
+    the group's (n, length) advantage block."""
+    return np.repeat(advantages[:, None], length, axis=1)
 
 
 def _clip_terms(
@@ -329,33 +328,37 @@ def _clip_terms(
 def loss_and_gradient(
     params: PolicyParams,
     ctx: np.ndarray,
-    batch: list[tuple[TokenSequence, np.ndarray]],
+    tokens: np.ndarray,
+    old_logprobs: np.ndarray,
+    advantages: np.ndarray,
     clip: ClipConfig,
 ) -> tuple[float, PolicyGradient]:
     """Surrogate loss and its analytic gradient over one rollout group.
 
-    ``batch`` holds (sequence, per-token advantages) pairs, all sampled under
-    the group's one context vector ``ctx``; the mean runs over every token of
-    the whole batch. The context's table is the one the rollout built, kept
-    by ``_log_prob_table``, and the batch's tokens are checked, looked up and
-    clipped as one array. The backward pass sums each token's derivative into
-    its table row with one bincount and then works per row, never per token,
-    so a row that no token reads adds exactly zero.
+    ``tokens``, ``old_logprobs`` and per-token ``advantages`` are (n, L)
+    arrays, one row per sequence, all sampled under the group's one context
+    vector ``ctx``; the mean runs over all n * L tokens. The context's table
+    is the one the rollout built, kept by ``_log_prob_table``, and the block
+    is checked, looked up and clipped as one array. The backward pass sums
+    each token's derivative into its table row with one bincount and then
+    works per row, never per token, so a row that no token reads adds
+    exactly zero.
     """
-    seqs = [seq for seq, _ in batch]
-    lengths = [len(seq) for seq in seqs]
-    total = sum(lengths)
+    tokens = np.asarray(tokens, dtype=np.int64)
+    old_logprobs = np.asarray(old_logprobs, dtype=np.float64)
+    advantages = np.asarray(advantages, dtype=np.float64)
+    shapes = (tokens.shape, old_logprobs.shape, advantages.shape)
+    if tokens.ndim != 2 or len(set(shapes)) != 1:
+        raise ValueError(f"tokens, old_logprobs and advantages need one (n, L) shape, got {shapes}")
+    total = tokens.size
     if total == 0:
         raise EmptyBatchError("no tokens in the batch")
-
-    ends = np.cumsum(lengths)
-    starts = np.repeat(ends - lengths, lengths)  # each token's sequence start
-    tokens = np.concatenate([seq.tokens for seq in seqs])
+    length = tokens.shape[1]
     outside = (tokens < 0) | (tokens >= params.vocab_size)
     if outside.any():
         bad = int(np.argmax(outside))
         raise InvalidTokenError(
-            f"token {tokens[bad]} at position {bad - starts[bad]} "
+            f"token {tokens.flat[bad]} at position {bad % length} "
             f"outside vocabulary of {params.vocab_size}"
         )
 
@@ -363,27 +366,25 @@ def loss_and_gradient(
     table, _ = _log_prob_table(params, hidden)
     # Table row of each position: 1 + the previous token of its own
     # sequence, or 0 at a sequence start.
-    position = np.arange(len(tokens))
-    rows = np.where(position > starts, tokens[position - 1] + 1, 0)
+    rows = np.zeros_like(tokens)
+    rows[:, 1:] = tokens[:, :-1] + 1
 
-    objective, dobj = _clip_terms(
-        table[rows, tokens],
-        np.concatenate([seq.old_logprobs for seq in seqs]),
-        np.concatenate([adv_tok for _, adv_tok in batch]),
-        clip,
-    )
+    objective, dobj = _clip_terms(table[rows, tokens], old_logprobs, advantages, clip)
     nonfinite = ~np.isfinite(objective)
     if nonfinite.any():
         bad = int(np.argmax(nonfinite))
-        raise NumericFailureError(f"non-finite surrogate term at token index {bad - starts[bad]}")
+        raise NumericFailureError(f"non-finite surrogate term at token index {bad % length}")
+    # Row sums, subtracted in row order, have each sequence's own .sum() bits.
     loss_acc = 0.0
-    for start, end in zip(ends - lengths, ends):
-        loss_acc -= float(objective[start:end].sum())
+    for seq_sum in objective.sum(axis=1).tolist():
+        loss_acc -= seq_sum
     # dL/d new_logp_t, including the -1/M of the negated mean. A token adds
     # dlogp_t * (onehot(token) - p) to its row's dlogits, so each row's
     # dlogits are its weighted token counts C minus rowsum(C) * p.
     counts = np.bincount(
-        rows * params.vocab_size + tokens, weights=-dobj / total, minlength=table.size
+        (rows * params.vocab_size + tokens).ravel(),
+        weights=(-dobj / total).ravel(),
+        minlength=table.size,
     ).reshape(table.shape)
     dlogits = counts - counts.sum(axis=1, keepdims=True) * np.exp(table)
     # Every row of the table adds the base logits.
@@ -417,8 +418,10 @@ def optimizer_step(
 ) -> tuple[PolicyParams, AdamState, bool]:
     """One AdamW update with decoupled weight decay and bias correction.
 
-    A non-finite gradient, or an update that overflows a parameter, rejects
-    the step: the original params and state are returned unchanged with
+    Runs over one flat vector of all parameters, in ``AdamState``'s order;
+    the new ``w_ctx`` and ``w_emit`` are views of one new buffer. A
+    non-finite gradient, or an update that overflows a parameter, rejects the
+    step: the original params and state are returned unchanged with
     ``applied`` False.
     """
     if not grad.is_finite():
@@ -428,29 +431,21 @@ def optimizer_step(
     bc1 = 1.0 - beta1**step
     bc2 = 1.0 - beta2**step
 
-    new_tensors = {}
-    new_moments = {}
-    for name in ("ctx", "emit"):
-        w = getattr(params, f"w_{name}")
-        g = getattr(grad, f"w_{name}")
-        m = beta1 * getattr(state, f"m_{name}") + (1.0 - beta1) * g
-        v = beta2 * getattr(state, f"v_{name}") + (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        with np.errstate(over="ignore", invalid="ignore"):
-            new_tensors[name] = w - lr * update - lr * weight_decay * w
-        new_moments[name] = (m, v)
+    w = np.concatenate([params.w_ctx.ravel(), params.w_emit.ravel()])
+    g = np.concatenate([grad.w_ctx.ravel(), grad.w_emit.ravel()])
+    m = beta1 * state.m + (1.0 - beta1) * g
+    v = beta2 * state.v + (1.0 - beta2) * g * g
+    update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_w = w - lr * update - lr * weight_decay * w
 
+    split = params.w_ctx.size
     try:
         new_params = PolicyParams(
-            new_tensors["ctx"], new_tensors["emit"], max_tokens=params.max_tokens
+            new_w[:split].reshape(params.w_ctx.shape),
+            new_w[split:].reshape(params.w_emit.shape),
+            max_tokens=params.max_tokens,
         )
     except ValueError:  # the update overflowed a parameter
         return params, state, False
-    new_state = AdamState(
-        step=step,
-        m_ctx=new_moments["ctx"][0],
-        v_ctx=new_moments["ctx"][1],
-        m_emit=new_moments["emit"][0],
-        v_emit=new_moments["emit"][1],
-    )
-    return new_params, new_state, True
+    return new_params, AdamState(step=step, m=m, v=v), True

@@ -7,12 +7,19 @@ tables, sampling, entropy and the loss to agree with this code bit for bit.
 Its backward pass sums the same terms per table row instead of per token, so
 gradients agree to rtol 1e-12, atol 1e-13, and exactly where no token
 contributes. ``surrogate_loss`` is the stand-alone form of the loss inside
-``loss_and_gradient``. ``random_params`` and ``copy_params`` build the
-parameters the tests start from and perturb, and ``save_params`` and
-``load_params`` write and read them as a small binary dump.
+``loss_and_gradient``; it takes a ragged list of (context, sequence,
+advantages) triples, while the package's loss takes one group's (n, L)
+block, which ``stack_group`` builds from equal-length sequences.
+``optimizer_step`` is the two-tensor AdamW loop, with one pair of moments
+per tensor in ``TwoTensorAdamState``; the package's flat update must give
+the same bits. ``random_params`` and ``copy_params`` build the parameters
+the tests start from and perturb, and ``save_params`` and ``load_params``
+write and read them as a small binary dump.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,3 +214,85 @@ def loss_and_gradient(
     if not (np.isfinite(loss) and grad.is_finite()):
         raise NumericFailureError("non-finite loss or gradient")
     return loss, grad
+
+
+def stack_group(
+    batch: list[tuple[TokenSequence, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equal-length (sequence, per-token advantages) pairs as the (n, L)
+    tokens, old log-probs and advantages of ``policy.loss_and_gradient``."""
+    return (
+        np.array([seq.tokens for seq, _ in batch]),
+        np.array([seq.old_logprobs for seq, _ in batch]),
+        np.array([adv for _, adv in batch]),
+    )
+
+
+@dataclass
+class TwoTensorAdamState:
+    step: int
+    m_ctx: np.ndarray
+    v_ctx: np.ndarray
+    m_emit: np.ndarray
+    v_emit: np.ndarray
+
+    @classmethod
+    def zeros(cls, params: PolicyParams) -> "TwoTensorAdamState":
+        return cls(
+            step=0,
+            m_ctx=np.zeros_like(params.w_ctx),
+            v_ctx=np.zeros_like(params.w_ctx),
+            m_emit=np.zeros_like(params.w_emit),
+            v_emit=np.zeros_like(params.w_emit),
+        )
+
+
+def optimizer_step(
+    params: PolicyParams,
+    grad: PolicyGradient,
+    state: TwoTensorAdamState,
+    lr: float,
+    weight_decay: float = 0.1,
+    beta1: float = 0.9,
+    beta2: float = 0.98,
+    eps: float = 1e-8,
+) -> tuple[PolicyParams, TwoTensorAdamState, bool]:
+    """One AdamW update with decoupled weight decay and bias correction.
+
+    A non-finite gradient, or an update that overflows a parameter, rejects
+    the step: the original params and state are returned unchanged with
+    ``applied`` False.
+    """
+    if not grad.is_finite():
+        return params, state, False
+
+    step = state.step + 1
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - beta2**step
+
+    new_tensors = {}
+    new_moments = {}
+    for name in ("ctx", "emit"):
+        w = getattr(params, f"w_{name}")
+        g = getattr(grad, f"w_{name}")
+        m = beta1 * getattr(state, f"m_{name}") + (1.0 - beta1) * g
+        v = beta2 * getattr(state, f"v_{name}") + (1.0 - beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_tensors[name] = w - lr * update - lr * weight_decay * w
+        new_moments[name] = (m, v)
+
+    try:
+        new_params = PolicyParams(
+            new_tensors["ctx"], new_tensors["emit"], max_tokens=params.max_tokens
+        )
+    except ValueError:  # the update overflowed a parameter
+        return params, state, False
+    new_state = TwoTensorAdamState(
+        step=step,
+        m_ctx=new_moments["ctx"][0],
+        v_ctx=new_moments["ctx"][1],
+        m_emit=new_moments["emit"][0],
+        v_emit=new_moments["emit"][1],
+    )
+    return new_params, new_state, True

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from reference_eplb import brute_force_balance, staged_assign, staged_score
 from reference_estimators import sloo_weights_bruteforce
-from reference_policy import copy_params, random_params
+from reference_policy import copy_params, random_params, stack_group
 
 from phasevolve import estimators as est
 from phasevolve import policy as P
@@ -202,7 +202,7 @@ def test_criterion_5_gradient_check():
             for edge in (1 - clip.eps_lo, 1 + clip.eps_hi, 1.0):
                 offsets[np.abs(ratios - edge) < 5e-3] += 0.02
             seq.old_logprobs = seq.old_logprobs + offsets
-            adv = P.broadcast_advantage(float(rng.normal()), seq)
+            adv = np.full(5, float(rng.normal()))
             ratios = np.exp(-offsets)
             clipped_tokens_seen += int(
                 np.sum(
@@ -212,7 +212,8 @@ def test_criterion_5_gradient_check():
             )
             batch.append((seq, adv))
 
-        _, grad = P.loss_and_gradient(params, ctx, batch, clip)
+        block = stack_group(batch)
+        _, grad = P.loss_and_gradient(params, ctx, *block, clip)
         for name in ("w_ctx", "w_emit"):
             tensor = getattr(params, name)
             analytic = getattr(grad, name)
@@ -222,8 +223,8 @@ def test_criterion_5_gradient_check():
                 minus = copy_params(params)
                 getattr(minus, name)[idx] -= h
                 fd = (
-                    P.loss_and_gradient(plus, ctx, batch, clip)[0]
-                    - P.loss_and_gradient(minus, ctx, batch, clip)[0]
+                    P.loss_and_gradient(plus, ctx, *block, clip)[0]
+                    - P.loss_and_gradient(minus, ctx, *block, clip)[0]
                 ) / (2 * h)
                 if abs(analytic[idx]) > 1e-8:
                     worst = max(worst, abs(analytic[idx] - fd) / abs(analytic[idx]))

@@ -54,8 +54,7 @@ def random_setup(seed, n_seqs=3, length=5):
             bad = np.abs(ratios - edge) < 5e-3
             offsets[bad] += 0.02
         seq.old_logprobs = seq.old_logprobs + offsets
-        adv = P.broadcast_advantage(rng.normal(), seq)
-        batch.append((seq, adv))
+        batch.append((seq, np.full(length, rng.normal())))
     return params, ctx, batch
 
 
@@ -69,8 +68,8 @@ def finite_difference_gradient(params, ctx, batch, clip, h=1e-5):
             getattr(plus, name)[idx] += h
             minus = ref.copy_params(params)
             getattr(minus, name)[idx] -= h
-            f_plus, _ = P.loss_and_gradient(plus, ctx, batch, clip)
-            f_minus, _ = P.loss_and_gradient(minus, ctx, batch, clip)
+            f_plus, _ = P.loss_and_gradient(plus, ctx, *ref.stack_group(batch), clip)
+            f_minus, _ = P.loss_and_gradient(minus, ctx, *ref.stack_group(batch), clip)
             grad[idx] = (f_plus - f_minus) / (2 * h)
         grads[name] = grad
     return grads
@@ -156,9 +155,10 @@ def test_invalid_token_rejected():
 
 
 def test_broadcast_zero():
-    seq = make_seq([1, 2, 3, 4])
-    assert P.broadcast_advantage(0.0, seq) == pytest.approx([0, 0, 0, 0])
-    assert P.broadcast_advantage(-2.0, seq) == pytest.approx([-2, -2, -2, -2])
+    block = P.broadcast_advantage(np.array([0.0, -2.0]), 4)
+    assert block.shape == (2, 4)
+    assert block[0] == pytest.approx([0, 0, 0, 0])
+    assert block[1] == pytest.approx([-2, -2, -2, -2])
 
 
 # ------------------------------------------------------------ surrogate loss
@@ -194,7 +194,7 @@ def test_loss_needs_masked_in_tokens():
     params = PolicyParams.zeros(DIMS)
     empty = make_seq([])
     with pytest.raises(EmptyBatchError, match="no tokens"):
-        P.loss_and_gradient(params, make_ctx(), [(empty, z), (empty, z)], CLIP)
+        P.loss_and_gradient(params, make_ctx(), *ref.stack_group([(empty, z), (empty, z)]), CLIP)
     with pytest.raises(EmptyBatchError, match="no tokens"):
         ref.loss_and_gradient(params, [(make_ctx(), empty, z), (make_ctx(), empty, z)], CLIP)
 
@@ -219,7 +219,7 @@ def test_loss_clip_bound_per_token():
 def test_zero_advantage_zero_gradient():
     params, ctx, batch = random_setup(0)
     batch = [(seq, np.zeros_like(adv)) for seq, adv in batch]
-    loss, grad = P.loss_and_gradient(params, ctx, batch, CLIP)
+    loss, grad = P.loss_and_gradient(params, ctx, *ref.stack_group(batch), CLIP)
     assert loss == 0.0
     assert P.grad_norm(grad) == 0.0
 
@@ -229,9 +229,8 @@ def test_on_policy_gradient_matches_finite_differences():
     params = ref.random_params(DIMS, rng, scale=0.5)
     ctx = make_ctx(rng)
     seq = P.sample_sequence(P.context_table(params, ctx), rng, 5)
-    adv = P.broadcast_advantage(0.7, seq)
-    batch = [(seq, adv)]
-    _, grad = P.loss_and_gradient(params, ctx, batch, CLIP)
+    batch = [(seq, np.full(5, 0.7))]
+    _, grad = P.loss_and_gradient(params, ctx, *ref.stack_group(batch), CLIP)
     fd = finite_difference_gradient(params, ctx, batch, CLIP)
     for name in ("w_ctx", "w_emit"):
         assert np.allclose(getattr(grad, name), fd[name], rtol=1e-5, atol=1e-8)
@@ -242,7 +241,7 @@ def test_gradient_check_off_policy_with_clipping():
     for seed in range(6):
         params, ctx, batch = random_setup(seed)
         # make sure the draw actually contains clipped tokens somewhere
-        _, grad = P.loss_and_gradient(params, ctx, batch, CLIP)
+        _, grad = P.loss_and_gradient(params, ctx, *ref.stack_group(batch), CLIP)
         fd = finite_difference_gradient(params, ctx, batch, CLIP)
         for name in ("w_ctx", "w_emit"):
             a = getattr(grad, name)
@@ -261,14 +260,15 @@ def test_deep_clipped_token_contributes_no_gradient():
     seq = P.sample_sequence(P.context_table(params, ctx), rng, 4)
     # ratio = exp(new - old) >> 1 + eps_hi with positive advantage: clipped flat
     seq.old_logprobs = seq.old_logprobs - 2.0
-    _, grad = P.loss_and_gradient(params, ctx, [(seq, P.broadcast_advantage(1.0, seq))], CLIP)
+    _, grad = P.loss_and_gradient(params, ctx, *ref.stack_group([(seq, np.ones(4))]), CLIP)
     assert P.grad_norm(grad) == 0.0
 
 
 def test_empty_batch_rejected():
     params = PolicyParams.zeros(DIMS)
+    none = np.zeros((0, 4))
     with pytest.raises(EmptyBatchError):
-        P.loss_and_gradient(params, make_ctx(), [], CLIP)
+        P.loss_and_gradient(params, make_ctx(), none.astype(np.int64), none, none, CLIP)
 
 
 # ------------------------------------------------------------ entropy

@@ -2,14 +2,16 @@
 
 Tables, sampling, entropy and the loss are compared exactly (``np.array_equal``
 or ``==``): the table holds the same values a per-token log-softmax computes.
-A rollout group has one context: sampling and entropy read its one shared
-table, and the loss builds that table once. The reference takes (context,
-sequence, advantages) triples, so each comparison hands it the group's one
-context with every sequence. The gradient sums its terms per table row, not
+A rollout group has one context and one sequence length: sampling and
+entropy read its one shared table, and the loss takes the group as one
+(n, L) block and builds that table once. The reference takes a ragged list
+of (context, sequence, advantages) triples, so each comparison hands it the
+group's one context with every sequence. The gradient sums its terms per table row, not
 in the reference loop's token order, so two tests compare it within
 ``GRAD_TOL``.
 Zero gradients (zero advantages, a fully clipped batch, bigram rows of tokens
-nothing follows) are compared exactly.
+nothing follows) are compared exactly, and so is the flat AdamW update
+against the reference's two-tensor loop.
 """
 
 import math
@@ -22,10 +24,12 @@ from hypothesis import strategies as st
 
 from phasevolve import policy as P
 from phasevolve.policy import (
+    AdamState,
     ClipConfig,
     InvalidTokenError,
     NumericFailureError,
     PolicyDims,
+    PolicyGradient,
     PolicyParams,
     TokenSequence,
 )
@@ -43,8 +47,8 @@ def setups(draw, max_seqs=4):
     """Random params and one context, then a group of (sequence, per-token
     advantages) pairs sampled under it.
 
-    Sequence lengths are drawn from 1..max_tokens, so sequences of mixed
-    lengths share a batch.
+    One length is drawn from 1..max_tokens per group, and every sequence in
+    the group has it, as in the loop.
     """
     dims = PolicyDims(
         context_dim=draw(st.integers(1, 4)),
@@ -55,9 +59,9 @@ def setups(draw, max_seqs=4):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     params = ref.random_params(dims, rng, scale=draw(st.sampled_from([0.01, 0.5, 3.0])))
     ctx = rng.normal(size=dims.context_dim)
+    length = draw(st.integers(1, dims.max_tokens))
     batch = []
     for _ in range(draw(st.integers(1, max_seqs))):
-        length = draw(st.integers(1, dims.max_tokens))
         seq = TokenSequence(
             tokens=rng.integers(0, dims.vocab_size, size=length),
             old_logprobs=-rng.uniform(0.0, 3.0, size=length),
@@ -73,7 +77,7 @@ def triples(ctx, batch):
 
 def assert_same_loss_and_gradient(params, ctx, batch, rtol=0.0, atol=0.0):
     """Equal losses; gradients equal, or within the given tolerance."""
-    loss, grad = P.loss_and_gradient(params, ctx, batch, CLIP)
+    loss, grad = P.loss_and_gradient(params, ctx, *ref.stack_group(batch), CLIP)
     ref_loss, ref_grad = ref.loss_and_gradient(params, triples(ctx, batch), CLIP)
     assert loss == ref_loss
     np.testing.assert_allclose(grad.w_ctx, ref_grad.w_ctx, rtol=rtol, atol=atol)
@@ -106,7 +110,7 @@ def test_token_entropy_matches_reference(setup):
 @SETTINGS
 @given(setups(max_seqs=6))
 def test_loss_with_repeated_contexts_matches_reference(setup):
-    # One context repeated across 1-6 sequences of mixed lengths: the
+    # One context repeated across 1-6 sequences of one length: the
     # reference recomputes it per sequence, the loss builds its table once.
     params, ctx, batch = setup
     assert_same_loss_and_gradient(params, ctx, batch, **GRAD_TOL)
@@ -163,7 +167,7 @@ def test_rows_after_unfollowed_tokens_get_exactly_zero_gradient(setup):
     unfollowed = [
         params.hidden_dim + token for token in range(params.vocab_size) if token not in followed
     ]
-    _, grad = P.loss_and_gradient(params, ctx, batch, CLIP)
+    _, grad = P.loss_and_gradient(params, ctx, *ref.stack_group(batch), CLIP)
     _, ref_grad = ref.loss_and_gradient(params, triples(ctx, batch), CLIP)
     assert not grad.w_emit[unfollowed].any()
     assert not ref_grad.w_emit[unfollowed].any()
@@ -175,9 +179,9 @@ def two_sequence_batch():
     params = ref.random_params(dims, rng, scale=0.5)
     ctx = rng.normal(size=3)
     batch = []
-    for length in (4, 5):
-        seq = P.sample_sequence(P.context_table(params, ctx), rng, length)
-        batch.append((seq, P.broadcast_advantage(1.0, seq)))
+    for _ in range(2):
+        seq = P.sample_sequence(P.context_table(params, ctx), rng, 5)
+        batch.append((seq, np.ones(5)))
     return params, ctx, batch
 
 
@@ -185,7 +189,7 @@ def test_nonfinite_term_names_its_index_within_its_sequence():
     params, ctx, batch = two_sequence_batch()
     batch[1][0].old_logprobs[2] = np.nan
     with pytest.raises(NumericFailureError, match="at token index 2$"):
-        P.loss_and_gradient(params, ctx, batch, CLIP)
+        P.loss_and_gradient(params, ctx, *ref.stack_group(batch), CLIP)
     with pytest.raises(NumericFailureError, match="at token index 2$"):
         ref.loss_and_gradient(params, triples(ctx, batch), CLIP)
 
@@ -194,7 +198,69 @@ def test_invalid_token_names_its_position_within_its_sequence():
     params, ctx, batch = two_sequence_batch()
     batch[1][0].tokens[3] = params.vocab_size
     with pytest.raises(InvalidTokenError, match="token 5 at position 3 outside"):
-        P.loss_and_gradient(params, ctx, batch, CLIP)
+        P.loss_and_gradient(params, ctx, *ref.stack_group(batch), CLIP)
+
+
+@pytest.mark.parametrize(
+    "tokens, old_logprobs, advantages",
+    [
+        ([1, 2, 3], [-1.0, -1.0, -1.0], [0.5, 0.5, 0.5]),  # one sequence, 1-D
+        ([[1, 2, 3]], [[-1.0, -1.0]], [[0.5, 0.5, 0.5]]),  # log-probs too short
+        ([[1, 2, 3]], [[-1.0, -1.0, -1.0]], [[0.5], [0.5]]),  # advantages (2, 1)
+        ([[[1, 2]]], [[[-1.0, -1.0]]], [[[0.5, 0.5]]]),  # 3-D
+    ],
+)
+def test_loss_takes_only_one_n_by_L_block(tokens, old_logprobs, advantages):
+    params, ctx, _ = two_sequence_batch()
+    with pytest.raises(ValueError, match=r"need one \(n, L\) shape"):
+        P.loss_and_gradient(params, ctx, tokens, old_logprobs, advantages, CLIP)
+
+
+# ------------------------------------------------------------ optimizer
+
+# Large enough that a second step overflows a parameter whatever the weight
+# decay: the first moves each parameter by about lr, the second by about lr
+# again in the same direction, since the gradients keep their signs.
+OVERFLOW_LR = 1e308
+
+
+@SETTINGS
+@given(
+    setups(max_seqs=1),
+    st.sampled_from([0.0, 1e-3, 0.1]),
+    st.sampled_from([1e-3, 0.05, 1.0, OVERFLOW_LR]),
+    st.integers(2, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_flat_adamw_matches_the_two_tensor_reference(setup, weight_decay, lr, steps, seed):
+    params, _, _ = setup
+    state, ref_state = AdamState.zeros(params), ref.TwoTensorAdamState.zeros(params)
+    ref_params = params
+    rng = np.random.default_rng(seed)
+    # Each gradient entry keeps one sign over the steps, with magnitudes in [0.5, 2].
+    signs = [rng.choice([-1.0, 1.0], size=t.shape) for t in (params.w_ctx, params.w_emit)]
+    for _ in range(steps):
+        grad = PolicyGradient(*(s * rng.uniform(0.5, 2.0, size=s.shape) for s in signs))
+        new, new_state, applied = P.optimizer_step(
+            params, grad, state, lr=lr, weight_decay=weight_decay
+        )
+        ref_new, ref_new_state, ref_applied = ref.optimizer_step(
+            ref_params, grad, ref_state, lr=lr, weight_decay=weight_decay
+        )
+        assert applied == ref_applied
+        if not applied:
+            assert new is params and new_state is state
+            assert ref_new is ref_params and ref_new_state is ref_state
+            break
+        assert np.array_equal(new.w_ctx, ref_new.w_ctx)
+        assert np.array_equal(new.w_emit, ref_new.w_emit)
+        assert new.w_ctx.base is new.w_emit.base  # views of one buffer
+        assert new_state.step == ref_new_state.step
+        for flat, pair in (("m", ("m_ctx", "m_emit")), ("v", ("v_ctx", "v_emit"))):
+            expected = np.concatenate([getattr(ref_new_state, name).ravel() for name in pair])
+            assert np.array_equal(getattr(new_state, flat), expected)
+        params, state, ref_params, ref_state = new, new_state, ref_new, ref_new_state
+    assert applied == (lr != OVERFLOW_LR)
 
 
 # ------------------------------------------------------------ sampler
