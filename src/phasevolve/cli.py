@@ -125,7 +125,7 @@ def _cmd_run(args) -> int:
             "raw_score": cand.raw_score,
             "reward": cand.reward,
             "iteration_born": cand.iteration_born,
-            "tokens": cand.tokens.tokens.tolist(),
+            "tokens": list(cand.tokens.tokens),
             "descriptor": cand.descriptor,
         }
         for cand in result.archive.entries

@@ -11,10 +11,12 @@ Implemented signals:
 * ``sloo_weights`` -- leave-one-out marginal contribution to the best-of-k
   frontier.
 
-  Both best-of-k weights sort the group once and take one pass of running
-  sums, O(N log N). Their subset counts enter only as float ratios to
-  C(N, k), so they stay finite at any group size. The subset-enumeration
-  oracles they are tested against live in ``tests/reference_estimators.py``.
+  Both best-of-k weights order the group with one Python sort, take one
+  pass of running sums over Python floats, and put the weights back at
+  their positions, O(N log N). Their subset counts enter only as float
+  ratios to C(N, k), kept per group shape, so they stay finite at any group
+  size. The subset-enumeration oracles they are tested against, and their
+  earlier numpy argsort forms, live in ``tests/reference_estimators.py``.
 * ``entropic_beta`` / ``entropic_advantage`` -- exponentially tilted
   leave-one-out credit with a KL budget.
 * ``standardize`` + ``mix_advantages`` + ``phase_alpha`` -- the per-group
@@ -28,6 +30,7 @@ call it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -96,7 +99,7 @@ def _as_group(rewards) -> np.ndarray:
         raise InvalidGroupError(f"reward vector must be 1-d, got shape {values.shape}")
     if values.size < 2:
         raise InvalidGroupError(f"group size {values.size} below minimum 2")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise InvalidGroupError(
             "non-finite rewards must be mapped to the failure reward upstream"
         )
@@ -192,17 +195,39 @@ def entropic_advantage(rewards, beta: float, eps_num: float) -> np.ndarray:
     return tilted / (z_loo + eps_num) - 1.0
 
 
-def _scaled_binomials(first: float, top: int, r: int, length: int) -> list[float]:
+@functools.lru_cache(maxsize=64)
+def _scaled_binomials(first: float, top: int, r: int, length: int) -> tuple[float, ...]:
     """``first * C(top - j, r) / C(top, r)`` for j = 0 .. length-1, as floats.
 
     Each term steps down from the one before with C(m-1, r) / C(m, r) =
     (m - r) / m, so no big integer is formed: terms past m = r are exactly 0
-    and tiny ones underflow to 0.
+    and tiny ones underflow to 0. Kept per argument tuple: a run asks for the
+    same few group shapes every iteration.
     """
     out = [first]
     for m in range(top, top - length + 1, -1):
         out.append(out[-1] * (m - r) / m if m > r else 0.0)
-    return out
+    return tuple(out)
+
+
+def _best_first(values: np.ndarray) -> tuple[list[int], list[float]]:
+    """The group's positions best first, ties in position order, and their
+    values as Python floats.
+
+    ``sorted`` is stable under ``reverse``, so this is the order of
+    ``np.argsort(-values, kind="stable")``, with -0.0 and 0.0 tied.
+    """
+    vals = values.tolist()
+    order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+    return order, [vals[i] for i in order]
+
+
+def _scatter(order: list[int], weights_sorted: list[float]) -> np.ndarray:
+    """Weights given in ``order`` put back at their positions."""
+    weights = [0.0] * len(order)
+    for i, weight in zip(order, weights_sorted):
+        weights[i] = weight
+    return np.array(weights)
 
 
 def pkpo_weights(rewards, k: int) -> np.ndarray:
@@ -219,13 +244,13 @@ def pkpo_weights(rewards, k: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise InvalidSubsetSizeError(f"k={k} outside [1, {n}]")
 
-    order = np.argsort(-values, kind="stable")
+    order, ranked = _best_first(values)
     own = _scaled_binomials(k / n, n - 1, k - 1, n)
     better = _scaled_binomials(k * (k - 1) / (n * (n - 1)), n - 2, k - 2, n - 1)
     weights_sorted = []
     prefix = 0.0
     previous = None
-    for m, value in enumerate(values[order].tolist()):
+    for m, value in enumerate(ranked):
         # Tied elements have equal weights; they get the same float too.
         if value != previous:
             weight = value * own[m] + prefix
@@ -233,10 +258,7 @@ def pkpo_weights(rewards, k: int) -> np.ndarray:
         weights_sorted.append(weight)
         if m < n - 1:
             prefix += better[m] * value
-
-    weights = np.empty(n)
-    weights[order] = weights_sorted
-    return weights
+    return _scatter(order, weights_sorted)
 
 
 def sloo_weights(rewards, k: int) -> np.ndarray:
@@ -255,8 +277,9 @@ def sloo_weights(rewards, k: int) -> np.ndarray:
     if not 2 <= k <= n:
         raise InvalidSubsetSizeError(f"k={k} outside [2, {n}]")
 
-    order = np.argsort(-values, kind="stable")
-    centered = (values[order] - values[order[0]]).tolist()
+    order, ranked = _best_first(values)
+    top = ranked[0]
+    centered = [value - top for value in ranked]
     coef = _scaled_binomials(k * (k - 1) / (n * (n - k + 1)), n - 1, k - 2, n)
     weights_sorted = [0.0] * n
     suffix_c = suffix_cv = 0.0
@@ -273,10 +296,7 @@ def sloo_weights(rewards, k: int) -> np.ndarray:
         weights_sorted[m] = weight
         suffix_c += coef[m]
         suffix_cv += coef[m] * value
-
-    weights = np.empty(n)
-    weights[order] = weights_sorted
-    return weights
+    return _scatter(order, weights_sorted)
 
 
 def standardize(branch, eps_num: float, eps_skip: float) -> BranchOutcome:

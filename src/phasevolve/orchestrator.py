@@ -329,9 +329,9 @@ def training_step(
         return diag
 
     diag.advantages = advantages.tolist()
-    # Equal lengths make the group one (n, L) block; np.array stacks it faster than np.stack.
-    tokens = np.array([c.tokens.tokens for c in candidates])
-    old_logprobs = np.array([c.tokens.old_logprobs for c in candidates])
+    # Equal lengths make the group's tuples one (n, L) int64 and float64 block.
+    tokens = np.array([c.tokens.tokens for c in candidates], dtype=np.int64)
+    old_logprobs = np.array([c.tokens.old_logprobs for c in candidates], dtype=np.float64)
     try:
         loss, grad = policy.loss_and_gradient(
             state.params,

@@ -15,10 +15,13 @@ position after token j.
 
 A rollout group has one parent and so one context: ``context_table`` gives
 its table once per group, with the cumulative probabilities and per-row
-p . log p that sampling and entropy read from it. Every sequence in a group
-has the same length L, so ``loss_and_gradient`` takes the group as (n, L)
-arrays, looks up the same table from (params, ctx) and runs both halves over
-that block at once. ``optimizer_step`` runs AdamW over one flat vector of
+p . log p that sampling and entropy read from it. A sampled
+``TokenSequence`` holds plain tuples of Python ints and floats, which the
+evaluators and the entropy read as they are. Every sequence in a group has
+the same length L, so the training step stacks the group's tuples into
+(n, L) arrays with one ``np.array`` each; ``loss_and_gradient`` takes those,
+looks up the same table from (params, ctx) and runs both halves over that
+block at once. ``optimizer_step`` runs AdamW over one flat vector of
 all parameters.
 
 Each ``PolicyParams`` keeps one table, and one fingerprint, per parameter
@@ -117,14 +120,40 @@ class RolloutContext:
 
 @dataclass
 class TokenSequence:
-    tokens: np.ndarray
-    old_logprobs: np.ndarray
+    """One sampled candidate: its tokens and the log-probabilities they were
+    sampled with, as tuples of Python ints and floats.
+
+    The constructor converts any 1-d input once, through an int64 and a
+    float64 array, and raises ``ValueError`` for tokens that are not 1-d
+    integers, log-probabilities that are not 1-d, or unequal lengths.
+    ``sample_sequence`` builds its tuples itself and skips that check.
+    """
+
+    tokens: tuple[int, ...]
+    old_logprobs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        self.tokens = np.asarray(self.tokens, dtype=np.int64)
-        self.old_logprobs = np.asarray(self.old_logprobs, dtype=np.float64)
-        if len(self.tokens) != len(self.old_logprobs):
+        tokens = np.asarray(self.tokens)
+        old_logprobs = np.asarray(self.old_logprobs, dtype=np.float64)
+        if tokens.ndim != 1 or old_logprobs.ndim != 1:
+            raise ValueError(
+                f"tokens and old_logprobs must be 1-d, got shapes "
+                f"{tokens.shape} and {old_logprobs.shape}"
+            )
+        if tokens.size and tokens.dtype.kind not in "iu":
+            raise ValueError(f"tokens must be integers, got dtype {tokens.dtype}")
+        if tokens.size != old_logprobs.size:
             raise ValueError("tokens and old_logprobs must have equal length")
+        self.tokens = tuple(np.asarray(tokens, dtype=np.int64).tolist())
+        self.old_logprobs = tuple(old_logprobs.tolist())
+
+    @classmethod
+    def _trusted(cls, tokens: tuple[int, ...], old_logprobs: tuple[float, ...]) -> "TokenSequence":
+        """A sequence of tuples already in the constructor's form, unchecked."""
+        seq = object.__new__(cls)
+        seq.tokens = tokens
+        seq.old_logprobs = old_logprobs
+        return seq
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -278,23 +307,27 @@ def sample_sequence(table: ContextTable, rng: np.random.Generator, length: int) 
     """
     if not 1 <= length <= table.max_tokens:
         raise ValueError(f"length {length} outside [1, {table.max_tokens}]")
-    last = len(table.log_p_rows[0]) - 1
+    cdf_rows, log_p_rows = table.cdf_rows, table.log_p_rows
+    last = len(log_p_rows[0]) - 1
     tokens, logprobs = [], []
     row = 0
     for u in rng.random(length).tolist():
         # Same index as np.searchsorted(cdf_row, u, side="right").
-        token = min(bisect.bisect_right(table.cdf_rows[row], u), last)
+        token = bisect.bisect_right(cdf_rows[row], u)
+        if token > last:
+            token = last
         tokens.append(token)
-        logprobs.append(table.log_p_rows[row][token])
+        logprobs.append(log_p_rows[row][token])
         row = token + 1
-    return TokenSequence(tokens=tokens, old_logprobs=logprobs)
+    return TokenSequence._trusted(tuple(tokens), tuple(logprobs))
 
 
 def token_entropy(table: ContextTable, seq: TokenSequence) -> float:
     """Mean per-position categorical entropy (nats); 0.0 for no tokens."""
+    row_dots = table.row_dots
     total, row = 0.0, 0
-    for token in seq.tokens.tolist():
-        total -= table.row_dots[row]
+    for token in seq.tokens:
+        total -= row_dots[row]
         row = token + 1
     return total / len(seq) if len(seq) else 0.0
 

@@ -161,8 +161,7 @@ SWAP_WINDOWS = 4  # a descriptor's swap window is 1 to SWAP_WINDOWS
 
 def _positions(seq: TokenSequence) -> tuple[int, int, int, int]:
     """(sort mode, placement, passes, window - 1) of the first four tokens, missing ones 0."""
-    visible = seq.tokens.tolist()
-    visible += [0] * (4 - len(visible))
+    visible = seq.tokens + (0,) * (4 - len(seq.tokens))
     return visible[0] % 3, visible[1] % 3, visible[2] % 4, visible[3] % SWAP_WINDOWS
 
 

@@ -7,7 +7,8 @@ the skip rule must take over.
 
 The latent quality ``q`` mixes a learnable structural part (hits on a target
 token, repeated-token runs) with a tiny hash-based tiebreaker so that rollout
-groups almost never have exactly constant rewards.
+groups almost never have exactly constant rewards. Both read the sequence's
+token tuple; the tiebreaker hashes it packed as little-endian int64s.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +52,11 @@ class SyntheticLandscape:
 
 
 def latent_quality(seq: TokenSequence, land: SyntheticLandscape) -> float:
-    """Deterministic q(tokens) in [0, 1] over the sequence's tokens."""
-    visible = seq.tokens.tolist()
+    """Deterministic q(tokens) in [0, 1] over the sequence's tokens.
+
+    The tie-breaker hashes the tokens as little-endian int64s.
+    """
+    visible = seq.tokens
     if not visible:
         return 0.0
     hits = visible.count(land.target_token) / len(visible)
@@ -60,7 +65,7 @@ def latent_quality(seq: TokenSequence, land: SyntheticLandscape) -> float:
     else:
         repeats = 0.0
     structural = 0.6 * hits + 0.4 * repeats
-    digest = hashlib.sha256(seq.tokens.astype("<i8", copy=False).tobytes()).digest()
+    digest = hashlib.sha256(struct.pack(f"<{len(visible)}q", *visible)).digest()
     tie = int.from_bytes(digest[:8], "little") / 2.0**64
     return (1.0 - land.tie_weight) * structural + land.tie_weight * tie
 
@@ -80,7 +85,7 @@ def synthetic_eval(
 
 
 class SyntheticTask:
-    """Evaluator wiring. A one-entry memo, (token bytes, quality), lets
+    """Evaluator wiring. A one-entry memo, (token tuple, quality), lets
     ``describe`` reuse the quality ``evaluate`` just computed for the same
     tokens; any other sequence is recomputed."""
 
@@ -88,17 +93,17 @@ class SyntheticTask:
 
     def __init__(self, landscape: SyntheticLandscape | None = None):
         self.landscape = landscape or SyntheticLandscape()
-        self._last = (b"", 0.0)  # the empty sequence's quality
+        self._last: tuple[tuple[int, ...], float] = ((), 0.0)  # the empty sequence's quality
 
     def describe(self, seq: TokenSequence) -> dict:
-        raw, quality = self._last
-        if seq.tokens.tobytes() != raw:
+        tokens, quality = self._last
+        if seq.tokens != tokens:
             quality = latent_quality(seq, self.landscape)
-        return {"tokens": seq.tokens.tolist(), "quality": quality}
+        return {"tokens": list(seq.tokens), "quality": quality}
 
     def evaluate(
         self, seq: TokenSequence, iteration: int, rng: np.random.Generator
     ) -> EvaluationOutcome:
         outcome = synthetic_eval(seq, iteration, self.landscape, rng)
-        self._last = (seq.tokens.tobytes(), outcome.metrics["quality"])
+        self._last = (seq.tokens, outcome.metrics["quality"])
         return outcome

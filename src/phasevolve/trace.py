@@ -58,8 +58,11 @@ class TraceWriter:
     def write_candidate(
         self, iteration, candidate_id, parent_id, status, raw_score, reward, error
     ) -> None:
-        values = (candidate_id, error, iteration, parent_id, raw_score, reward, status)
-        self._fh.write(_CANDIDATE % tuple(map(_json_value, values)))
+        j = _json_value
+        self._fh.write(_CANDIDATE % (
+            j(candidate_id), j(error), j(iteration), j(parent_id), j(raw_score), j(reward),
+            j(status),
+        ))
 
     def write_step(self, record: dict) -> None:
         self._write({"kind": "step", **record})

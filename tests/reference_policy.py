@@ -127,10 +127,11 @@ def sample_sequence(
 
 
 def sequence_logprobs(params: PolicyParams, ctx: np.ndarray, seq: TokenSequence) -> np.ndarray:
-    if np.any(seq.tokens < 0) or np.any(seq.tokens >= params.vocab_size):
-        bad = int(np.argmax((seq.tokens < 0) | (seq.tokens >= params.vocab_size)))
+    tokens = np.asarray(seq.tokens, dtype=np.int64)
+    if np.any(tokens < 0) or np.any(tokens >= params.vocab_size):
+        bad = int(np.argmax((tokens < 0) | (tokens >= params.vocab_size)))
         raise InvalidTokenError(
-            f"token {seq.tokens[bad]} at position {bad} outside vocabulary of {params.vocab_size}"
+            f"token {tokens[bad]} at position {bad} outside vocabulary of {params.vocab_size}"
         )
     hidden = _hidden(params, ctx)
     out = np.empty(len(seq))

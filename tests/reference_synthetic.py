@@ -2,9 +2,10 @@
 
 This is the tuple-and-generator form: hits and repeats are counted one token
 at a time and the tie-breaker hashes a fresh ``<i8`` array built from the
-token tuple. ``phasevolve.tasks.synthetic.latent_quality`` counts with list
-methods and hashes the sequence's own int64 buffer; the integers, the hashed
-bytes and the float expressions are the same, so both must agree exactly.
+token tuple. ``phasevolve.tasks.synthetic.latent_quality`` counts with tuple
+methods and hashes the tokens packed with ``struct``; the integers, the
+hashed bytes and the float expressions are the same, so both must agree
+exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def hash_unit(tokens: tuple[int, ...]) -> float:
 
 
 def latent_quality(seq: TokenSequence, land: SyntheticLandscape) -> float:
-    visible = tuple(seq.tokens.tolist())
+    visible = tuple(seq.tokens)
     if not visible:
         return 0.0
     hits = sum(1 for t in visible if t == land.target_token) / len(visible)

@@ -141,6 +141,25 @@ def test_estimate_sloo_known_values(tmp_path, capsys):
     assert out == ["1.0", "0.3333333333333333", "0.0"]
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--mode", "sloo", "--k", "2"], ["1.0", "0.3333333333333333", "0.0"]),
+        (["--mode", "grpo", "--eps-num", "0"], ["1.224744871391589", "0.0", "-1.224744871391589"]),
+        (
+            ["--mode", "phase", "--alpha", "0.5"],
+            ["1.3194791943823425", "-0.3535533830932739", "-0.9659258112890685"],
+        ),
+    ],
+    ids=["sloo", "grpo", "phase"],
+)
+def test_estimate_prints_the_readme_examples_lines(tmp_path, capsys, argv, expected):
+    # The README's three examples on its rewards file, digit for digit.
+    path = write_rewards(tmp_path, ["3", "2", "1"])
+    assert cli.main(["estimate", "--file", path, *argv]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_estimate_grpo_two_point(tmp_path, capsys):
     path = write_rewards(tmp_path, ["0", "1"])
     assert cli.main(["estimate", "--file", path, "--mode", "grpo", "--eps-num", "0"]) == 0

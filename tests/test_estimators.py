@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given
 from reference_estimators import (
     EnumerationGuardError,
+    pkpo_weights_argsort,
     pkpo_weights_bruteforce,
+    sloo_weights_argsort,
     sloo_weights_bruteforce,
 )
 
@@ -24,6 +26,11 @@ reward_lists = st.lists(finite_floats, min_size=2, max_size=10)
 # Drawn from a pool of at most three values, so most lists hold ties.
 tied_lists = st.lists(finite_floats, min_size=1, max_size=3).flatmap(
     lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=9)
+)
+# The same with groups of 2 to 64, from a pool that may hold 0.0 and -0.0.
+signed_zero_pools = st.lists(finite_floats | st.sampled_from([0.0, -0.0]), min_size=1, max_size=3)
+tied_groups = signed_zero_pools.flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=64)
 )
 
 
@@ -303,6 +310,25 @@ def test_best_of_k_weights_finite_at_any_group_size(n, data):
     rewards = np.random.default_rng(n).normal(size=n)
     assert np.all(np.isfinite(est.sloo_weights(rewards, k)))
     assert np.all(np.isfinite(est.pkpo_weights(rewards, k)))
+
+
+@given(tied_lists | tied_groups, st.data())
+def test_best_of_k_weights_equal_the_argsort_forms_bit_for_bit(rewards, data):
+    # The list sort orders ties, -0.0 and 0.0 included, as a stable argsort
+    # of the negated rewards does, so every weight is the same float.
+    k = data.draw(st.integers(min_value=1, max_value=len(rewards)))
+    pairs = [(est.pkpo_weights(rewards, k), pkpo_weights_argsort(rewards, k))]
+    if k >= 2:
+        pairs.append((est.sloo_weights(rewards, k), sloo_weights_argsort(rewards, k)))
+    for got, want in pairs:
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_scaled_binomials_are_cached_tuples():
+    first = est._scaled_binomials(0.25, 7, 1, 8)
+    assert type(first) is tuple and len(first) == 8
+    assert est._scaled_binomials(0.25, 7, 1, 8) is first
 
 
 @pytest.mark.parametrize("k", [2, 2048, 4096])

@@ -78,10 +78,10 @@ class TokenSumTask:
     name = "token_sum"
 
     def describe(self, seq):
-        return {"sum": int(seq.tokens.sum())}
+        return {"sum": sum(seq.tokens)}
 
     def evaluate(self, seq, iteration, rng):
-        return EvaluationOutcome.parsed(float(seq.tokens.sum()) / (11.0 * len(seq)))
+        return EvaluationOutcome.parsed(float(sum(seq.tokens)) / (11.0 * len(seq)))
 
 
 def make_candidate(cid, score, reward=None, status="ok"):
@@ -314,7 +314,7 @@ def test_rollout_group_deterministic():
         config = small_config()
         state = init_run_state(config, TokenSumTask())
         batch, candidates = rollout_group(state, state.task, 4)
-        return batch, [c.tokens.tokens.copy() for c in candidates]
+        return batch, [c.tokens.tokens for c in candidates]
 
     batch_a, toks_a = collect()
     batch_b, toks_b = collect()
@@ -426,6 +426,27 @@ def test_training_step_updates_params_once():
     assert state.params.fingerprint() != before
     assert state.opt_state.step == 1
     assert diag.grad_norm > 0.0
+
+
+def test_training_step_stacks_the_group_as_the_old_array_block(monkeypatch):
+    # The tuples of a group give the (n, L) blocks np.stack gave of arrays.
+    state = init_run_state(small_config(), TokenSumTask())
+    batch, candidates = rollout_group(state, state.task, state.config.samples_per_group)
+    seen = []
+    loss_and_gradient = orchestrator.policy.loss_and_gradient
+
+    def recorded(params, ctx, tokens, old_logprobs, advantages, clip):
+        seen.append((tokens, old_logprobs))
+        return loss_and_gradient(params, ctx, tokens, old_logprobs, advantages, clip)
+
+    monkeypatch.setattr(orchestrator.policy, "loss_and_gradient", recorded)
+    training_step(state, batch, candidates)
+    [(tokens, old_logprobs)] = seen
+    want_tokens = np.stack([np.asarray(c.tokens.tokens, dtype=np.int64) for c in candidates])
+    want_logprobs = np.stack([np.asarray(c.tokens.old_logprobs) for c in candidates])
+    assert tokens.dtype == np.int64 and old_logprobs.dtype == np.float64
+    assert np.array_equal(tokens, want_tokens)
+    assert old_logprobs.tobytes() == want_logprobs.tobytes()
 
 
 def test_training_step_grpo_mode_never_skips_on_constant():

@@ -38,6 +38,45 @@ def make_seq(tokens):
     return TokenSequence(tokens=tokens, old_logprobs=np.full(len(tokens), uniform))
 
 
+# ----------------------------------------------------------- TokenSequence
+
+
+def test_token_sequence_holds_python_tuples_whatever_it_was_built_from():
+    for tokens in ([3, 0, 2], (3, 0, 2), np.array([3, 0, 2], dtype=np.int32)):
+        seq = TokenSequence(tokens, np.array([-1.5, -0.25, -2.0]))
+        assert seq.tokens == (3, 0, 2)
+        assert seq.old_logprobs == (-1.5, -0.25, -2.0)
+        assert {type(t) for t in seq.tokens} == {int}
+        assert {type(x) for x in seq.old_logprobs} == {float}
+
+
+def test_token_sequence_rejects_2d_tokens():
+    # Two rows of two tokens have length 2, as the log-probs do.
+    with pytest.raises(ValueError, match="1-d"):
+        TokenSequence([[1, 2], [3, 4]], [0.0, 0.0])
+
+
+def test_token_sequence_rejects_non_integer_tokens():
+    with pytest.raises(ValueError, match="integers"):
+        TokenSequence([1.7, 2.2], [0.0, 0.0])
+
+
+def test_token_sequence_rejects_a_scalar():
+    with pytest.raises(ValueError, match="1-d"):
+        TokenSequence(5, [0.0])
+
+
+@pytest.mark.parametrize("old_logprobs", [-1.0, [[-1.0, -2.0]]], ids=["scalar", "2-d"])
+def test_token_sequence_rejects_logprobs_that_are_not_1d(old_logprobs):
+    with pytest.raises(ValueError, match="1-d"):
+        TokenSequence([1, 2], old_logprobs)
+
+
+def test_token_sequence_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        TokenSequence([1, 2, 3], [0.0, 0.0])
+
+
 def random_setup(seed, n_seqs=3, length=5):
     """Params, one context and resampled sequences with off-policy old logprobs."""
     rng = np.random.default_rng(seed)
@@ -103,7 +142,7 @@ def test_saturated_logit_always_sampled():
     params.w_ctx[0, 0] = 1.0
     params.w_emit[0, 4] = 1e6
     seq = P.sample_sequence(P.context_table(params, make_ctx()), np.random.default_rng(5), 6)
-    assert np.all(seq.tokens == 4)
+    assert seq.tokens == (4,) * 6
 
 
 def test_sample_length_guard():
@@ -259,7 +298,7 @@ def test_deep_clipped_token_contributes_no_gradient():
     ctx = make_ctx(rng)
     seq = P.sample_sequence(P.context_table(params, ctx), rng, 4)
     # ratio = exp(new - old) >> 1 + eps_hi with positive advantage: clipped flat
-    seq.old_logprobs = seq.old_logprobs - 2.0
+    seq = P.TokenSequence(seq.tokens, np.subtract(seq.old_logprobs, 2.0))
     _, grad = P.loss_and_gradient(params, ctx, *ref.stack_group([(seq, np.ones(4))]), CLIP)
     assert P.grad_norm(grad) == 0.0
 

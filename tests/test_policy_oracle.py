@@ -187,7 +187,10 @@ def two_sequence_batch():
 
 def test_nonfinite_term_names_its_index_within_its_sequence():
     params, ctx, batch = two_sequence_batch()
-    batch[1][0].old_logprobs[2] = np.nan
+    seq, adv = batch[1]
+    old_logprobs = list(seq.old_logprobs)
+    old_logprobs[2] = np.nan
+    batch[1] = (P.TokenSequence(seq.tokens, old_logprobs), adv)
     with pytest.raises(NumericFailureError, match="at token index 2$"):
         P.loss_and_gradient(params, ctx, *ref.stack_group(batch), CLIP)
     with pytest.raises(NumericFailureError, match="at token index 2$"):
@@ -196,7 +199,10 @@ def test_nonfinite_term_names_its_index_within_its_sequence():
 
 def test_invalid_token_names_its_position_within_its_sequence():
     params, ctx, batch = two_sequence_batch()
-    batch[1][0].tokens[3] = params.vocab_size
+    seq, adv = batch[1]
+    tokens = list(seq.tokens)
+    tokens[3] = params.vocab_size
+    batch[1] = (P.TokenSequence(tokens, seq.old_logprobs), adv)
     with pytest.raises(InvalidTokenError, match="token 5 at position 3 outside"):
         P.loss_and_gradient(params, ctx, *ref.stack_group(batch), CLIP)
 
@@ -306,7 +312,7 @@ def test_sampler_clamps_a_draw_above_the_last_cdf_value():
     uniforms = [top, 0.3, top, 0.0]
     seq = P.sample_sequence(P.context_table(params, ctx), FixedUniforms(uniforms), 4)
     ref_seq = ref.sample_sequence(params, ctx, FixedUniforms(uniforms), 4)
-    assert seq.tokens.tolist() == [8, 2, 8, 0]
+    assert seq.tokens == (8, 2, 8, 0)
     assert np.array_equal(seq.tokens, ref_seq.tokens)
     assert np.array_equal(seq.old_logprobs, ref_seq.old_logprobs)
     assert seq.old_logprobs == pytest.approx([-math.log(9)] * 4)
@@ -323,6 +329,6 @@ def test_sampler_draw_equal_to_a_cdf_value_takes_the_next_token(vocab, token):
     assert table.cdf_rows[0][token - 1] == 0.5
     seq = P.sample_sequence(table, FixedUniforms([0.5] * 3), 3)
     ref_seq = ref.sample_sequence(params, ctx, FixedUniforms([0.5] * 3), 3)
-    assert seq.tokens.tolist() == [token] * 3
+    assert seq.tokens == (token,) * 3
     assert np.array_equal(seq.tokens, ref_seq.tokens)
     assert np.array_equal(seq.old_logprobs, ref_seq.old_logprobs)

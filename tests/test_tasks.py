@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import math
 import re
+import types
 
 import hypothesis.strategies as st
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 import reference_synthetic
 from reference_eplb import brute_force_balance, save_profile, staged_assign, staged_score
 
-from phasevolve.policy import TokenSequence
+from phasevolve.policy import PolicyParams, TokenSequence, context_table, sample_sequence
 from phasevolve.tasks import eplb, synthetic
 from phasevolve.tasks.eplb import (
     EplbTask,
@@ -486,7 +488,7 @@ def test_describe_reuses_the_evaluation_of_the_same_tokens(kind, module, name, m
     fn = getattr(module, name)
 
     def counted(*args):
-        calls.append(args[0].tokens.tolist())
+        calls.append(list(args[0].tokens))
         return fn(*args)
 
     monkeypatch.setattr(module, name, counted)
@@ -515,3 +517,42 @@ def test_run_archive_descriptors_equal_a_fresh_describe(case):
     assert len(result.archive) > 1
     for entry in result.archive.entries:
         assert entry.descriptor == make_task(config).describe(entry.tokens)
+
+
+# ------------------------------------------------- one sequence, however built
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_TASKS))
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), length=st.integers(1, 8))
+@settings(deadline=None)
+def test_a_sampled_sequence_and_its_arrays_give_the_same_outcomes(kind, seed, length):
+    rng = np.random.default_rng(seed)
+    params = PolicyParams(rng.normal(size=(2, 3)), rng.normal(size=(3 + 24, 24)), max_tokens=8)
+    sampled = sample_sequence(context_table(params, rng.normal(size=2)), rng, length)
+    rebuilt = TokenSequence(
+        np.array(sampled.tokens, dtype=np.int64), np.array(sampled.old_logprobs)
+    )
+    assert rebuilt == sampled
+    views = []
+    for seq in (sampled, rebuilt):
+        task = MEMO_TASKS[kind]()
+        first = task.describe(seq)
+        outcome = task.evaluate(seq, 3, np.random.default_rng(0))
+        views.append((first, task.describe(seq), outcome.value, outcome.metrics))
+    assert views[0] == views[1]
+    assert views[0][0] == views[0][1]
+
+
+@pytest.mark.parametrize(
+    "tokens", [[0], [3, 3, 1, 2], [23] * 8, [-1, 2**63 - 1, -(2**63)]], ids=str
+)
+def test_the_tie_break_hashes_the_tokens_as_little_endian_int64(tokens, monkeypatch):
+    hashed = []
+
+    def recording(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(synthetic, "hashlib", types.SimpleNamespace(sha256=recording))
+    latent_quality(seq_of(tokens), SyntheticLandscape())
+    assert hashed == [np.asarray(tokens, dtype="<i8").tobytes()]
