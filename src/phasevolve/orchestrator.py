@@ -4,8 +4,8 @@ Each iteration: pick a parent from the frontier archive, sample a rollout
 group under frozen policy parameters, evaluate and shape every candidate,
 fold survivors into the archive, then take (at most) one clipped
 policy-gradient step with the advantages that ``estimators.advantages`` gives
-for the configured estimator mode. Parameters only ever change inside
-``training_step``, so the rollout boundary is a hard synchronization barrier;
+for the configured estimator mode. Parameters are read-only and only
+``training_step`` rebinds them, so the rollout boundary is a hard barrier;
 the parameter fingerprints recorded at group start and group end make that
 checkable from the trace alone.
 """
@@ -53,7 +53,7 @@ class Candidate:
 @dataclass
 class RewardBatch:
     """One rollout group: shaped rewards and the context table every candidate
-    was sampled from (valid until the parameters change)."""
+    was sampled from, under the parameters of the rollout."""
 
     rewards: np.ndarray
     table: policy.ContextTable
@@ -352,7 +352,7 @@ def training_step(
         # optimizer_step rejects a non-finite gradient.
         diag.error = "non-finite gradient norm rejected"
         return diag
-    new_params, new_opt, applied = policy.optimizer_step(
+    state.params, state.opt_state, applied = policy.optimizer_step(
         state.params,
         grad,
         state.opt_state,
@@ -362,8 +362,6 @@ def training_step(
         beta2=cfg.adam_beta2,
     )
     if applied:
-        state.params = new_params
-        state.opt_state = new_opt
         diag.optimizer_steps = 1
     else:
         diag.error = "non-finite gradient or update rejected by optimizer"

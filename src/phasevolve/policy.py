@@ -24,15 +24,14 @@ looks up the same table from (params, ctx) and runs both halves over that
 block at once. ``optimizer_step`` runs AdamW over one flat vector of
 all parameters.
 
-Each ``PolicyParams`` keeps one table, and one fingerprint, per parameter
-content: a one-entry memo keyed by the exact bytes the value is computed
-from, never by the object, so an in-place edit recomputes. The table's
-entry is filled in one place, ``_log_prob_table``, with the table and its
-row lists together; the loss reads the table the rollout just built. The
-table also repeats across iterations:
-``w_ctx`` and ``w_emit[:H]`` start at zero and get exactly zero gradient, so
-the hidden vector is the zero vector whatever the context, and a skipped
-step leaves the parameters, and so the table, as they were.
+``PolicyParams``, ``AdamState`` and ``TokenSequence`` are frozen, their arrays
+read-only copies, and ``optimizer_step`` returns new objects. So a
+``PolicyParams`` hashes itself once, and keeps one table with its row lists,
+keyed by the bytes of the hidden vector: with ``w_emit`` fixed, the table
+depends on nothing else. The loss reads the table the rollout just built.
+The table also repeats across iterations: ``w_ctx`` and ``w_emit[:H]`` start
+at zero and get exactly zero gradient, so the hidden vector is zero whatever
+the context, and a skipped step keeps the parameters, and so the table.
 
 Everything is float64 and hand-differentiated; ``loss_and_gradient`` is the
 only code path that produces gradients, and it is checked against central
@@ -118,7 +117,7 @@ class RolloutContext:
         return vec
 
 
-@dataclass
+@dataclass(frozen=True)
 class TokenSequence:
     """One sampled candidate: its tokens and the log-probabilities they were
     sampled with, as tuples of Python ints and floats.
@@ -144,44 +143,48 @@ class TokenSequence:
             raise ValueError(f"tokens must be integers, got dtype {tokens.dtype}")
         if tokens.size != old_logprobs.size:
             raise ValueError("tokens and old_logprobs must have equal length")
-        self.tokens = tuple(np.asarray(tokens, dtype=np.int64).tolist())
-        self.old_logprobs = tuple(old_logprobs.tolist())
+        object.__setattr__(self, "tokens", tuple(np.asarray(tokens, dtype=np.int64).tolist()))
+        object.__setattr__(self, "old_logprobs", tuple(old_logprobs.tolist()))
 
     @classmethod
     def _trusted(cls, tokens: tuple[int, ...], old_logprobs: tuple[float, ...]) -> "TokenSequence":
         """A sequence of tuples already in the constructor's form, unchecked."""
         seq = object.__new__(cls)
-        seq.tokens = tokens
-        seq.old_logprobs = old_logprobs
+        fields = seq.__dict__  # a frozen instance's fields, written once here
+        fields["tokens"] = tokens
+        fields["old_logprobs"] = old_logprobs
         return seq
 
     def __len__(self) -> int:
         return len(self.tokens)
 
 
-@dataclass
+def _read_only(array) -> np.ndarray:
+    """A float64 copy of ``array`` that no one can write into."""
+    out = np.array(array, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class PolicyParams:
-    """Float64 policy parameters: context projection + per-step emission."""
+    """Read-only float64 policy parameters: context projection + per-step emission."""
 
     w_ctx: np.ndarray
     w_emit: np.ndarray
     max_tokens: int = 8
 
     def __post_init__(self) -> None:
-        self.w_ctx = np.asarray(self.w_ctx, dtype=np.float64)
-        self.w_emit = np.asarray(self.w_emit, dtype=np.float64)
-        h = self.w_ctx.shape[1]
-        v = self.w_emit.shape[1]
+        object.__setattr__(self, "w_ctx", _read_only(self.w_ctx))
+        object.__setattr__(self, "w_emit", _read_only(self.w_emit))
+        h, v = self.hidden_dim, self.vocab_size
         if self.w_emit.shape[0] != h + v:
-            raise ValueError(
-                f"w_emit must have {h} + {v} rows, got {self.w_emit.shape[0]}"
-            )
+            raise ValueError(f"w_emit must have {h} + {v} rows, got {self.w_emit.shape[0]}")
         if not (np.isfinite(self.w_ctx).all() and np.isfinite(self.w_emit).all()):
             raise ValueError("policy parameters must be finite")
-        # One-entry memos, each read and written as one tuple:
-        # (hashed bytes, hex digest) and (table key, log-prob table, row lists).
-        self._hashed: tuple[bytes, str] = (b"", "")
-        self._tabled: tuple[bytes, np.ndarray | None, tuple | None] = (b"", None, None)
+        # The digest once hashed; one table entry: (hidden bytes, table, row lists).
+        object.__setattr__(self, "_digest", None)
+        object.__setattr__(self, "_tabled", (b"", None, None))
 
     @property
     def context_dim(self) -> int:
@@ -206,19 +209,15 @@ class PolicyParams:
     def fingerprint(self) -> str:
         """Stable content hash, used by the rollout-barrier checks.
 
-        Hashes each tensor's shape and little-endian float64 bytes; the digest
-        of bytes equal to the last ones hashed is reused.
+        Hashes each tensor's shape and little-endian float64 bytes, on the
+        first call only: the tensors cannot change.
         """
-        content = b"".join(
-            struct.pack("<2q", *tensor.shape)
-            + np.ascontiguousarray(tensor, dtype="<f8").tobytes()
-            for tensor in (self.w_ctx, self.w_emit)
-        )
-        hashed, digest = self._hashed
-        if content != hashed:
-            digest = hashlib.sha256(content).hexdigest()
-            self._hashed = (content, digest)
-        return digest
+        if self._digest is None:
+            digest = hashlib.sha256()
+            for tensor in (self.w_ctx, self.w_emit):
+                digest.update(struct.pack("<2q", *tensor.shape) + tensor.astype("<f8").tobytes())
+            object.__setattr__(self, "_digest", digest.hexdigest())
+        return self._digest
 
 
 @dataclass
@@ -230,14 +229,18 @@ class PolicyGradient:
         return bool(np.isfinite(self.w_ctx).all() and np.isfinite(self.w_emit).all())
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AdamState:
     """AdamW's step count and its first and second moments, each one flat
-    vector: ``w_ctx``'s entries, then ``w_emit``'s, in row-major order."""
+    read-only vector: ``w_ctx``'s entries, then ``w_emit``'s, in row-major order."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _read_only(self.m))
+        object.__setattr__(self, "v", _read_only(self.v))
 
     @classmethod
     def zeros(cls, params: PolicyParams) -> "AdamState":
@@ -258,14 +261,13 @@ def _log_prob_table(params: PolicyParams, hidden: np.ndarray) -> tuple[np.ndarra
     and each row's p . log p.
 
     Row 0 is position 0 (no previous token); row 1 + j follows token j.
-    Both are kept on ``params`` under the bytes of ``hidden`` and ``w_emit``
-    (hidden's length fixes w_emit's shape), and returned again while both
-    are unchanged.
+    Both are kept on ``params`` under the bytes of ``hidden`` and returned
+    again for a hidden vector with the same bytes: ``params.w_emit``, the
+    table's other input, is fixed.
     """
-    key = hidden.tobytes() + params.w_emit.tobytes()
-    kept, table, rows = params._tabled
-    if key == kept:
-        return table, rows
+    key = hidden.tobytes()
+    if params._tabled[0] == key:
+        return params._tabled[1:]
     base = hidden @ params.w_emit[: params.hidden_dim]
     logits = np.empty((params.vocab_size + 1, params.vocab_size))
     logits[0] = base
@@ -277,14 +279,14 @@ def _log_prob_table(params: PolicyParams, hidden: np.ndarray) -> tuple[np.ndarra
     # einsum, not a BLAS dot: its bits do not depend on the BLAS library.
     dots = np.einsum("ij,ij->i", p, table)
     rows = (table.tolist(), np.cumsum(p, axis=1).tolist(), dots.tolist())
-    params._tabled = (key, table, rows)
+    object.__setattr__(params, "_tabled", (key, table, rows))
     return table, rows
 
 
 @dataclass(frozen=True)
 class ContextTable:
     """One context's (V + 1, V) table as row lists, with each row's cumulative
-    probabilities and p . log p. Valid only while the parameters are unchanged."""
+    probabilities and p . log p, under one ``PolicyParams``."""
 
     ctx: np.ndarray
     log_p_rows: list[list[float]]
@@ -451,11 +453,10 @@ def optimizer_step(
 ) -> tuple[PolicyParams, AdamState, bool]:
     """One AdamW update with decoupled weight decay and bias correction.
 
-    Runs over one flat vector of all parameters, in ``AdamState``'s order;
-    the new ``w_ctx`` and ``w_emit`` are views of one new buffer. A
-    non-finite gradient, or an update that overflows a parameter, rejects the
-    step: the original params and state are returned unchanged with
-    ``applied`` False.
+    Runs over one flat vector of all parameters, in ``AdamState``'s order,
+    and returns new params and state. A non-finite gradient, or an update
+    that overflows a parameter, rejects the step: the original params and
+    state are returned with ``applied`` False.
     """
     if not grad.is_finite():
         return params, state, False

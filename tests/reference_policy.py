@@ -12,9 +12,9 @@ advantages) triples, while the package's loss takes one group's (n, L)
 block, which ``stack_group`` builds from equal-length sequences.
 ``optimizer_step`` is the two-tensor AdamW loop, with one pair of moments
 per tensor in ``TwoTensorAdamState``; the package's flat update must give
-the same bits. ``random_params`` and ``copy_params`` build the parameters
-the tests start from and perturb, and ``save_params`` and ``load_params``
-write and read them as a small binary dump.
+the same bits. ``random_params`` builds the parameters the tests start
+from, ``with_entry`` a copy with one entry changed, and ``save_params`` and
+``load_params`` write and read them as a small binary dump.
 """
 
 from __future__ import annotations
@@ -48,8 +48,12 @@ def random_params(
     )
 
 
-def copy_params(params: PolicyParams) -> PolicyParams:
-    return PolicyParams(params.w_ctx.copy(), params.w_emit.copy(), params.max_tokens)
+def with_entry(params: PolicyParams, name: str, idx: tuple, value: float) -> PolicyParams:
+    """A copy of ``params`` whose tensor ``name`` holds ``value`` at ``idx``;
+    parameters are read-only, so a perturbation builds a new object."""
+    tensors = {"w_ctx": params.w_ctx.copy(), "w_emit": params.w_emit.copy()}
+    tensors[name][idx] = value
+    return PolicyParams(**tensors, max_tokens=params.max_tokens)
 
 
 def save_params(params: PolicyParams, path) -> None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from reference_eplb import brute_force_balance, staged_assign, staged_score
 from reference_estimators import sloo_weights_bruteforce
-from reference_policy import copy_params, random_params, stack_group
+from reference_policy import random_params, stack_group, with_entry
 
 from phasevolve import estimators as est
 from phasevolve import policy as P
@@ -201,7 +201,7 @@ def test_criterion_5_gradient_check():
             ratios = np.exp(-offsets)
             for edge in (1 - clip.eps_lo, 1 + clip.eps_hi, 1.0):
                 offsets[np.abs(ratios - edge) < 5e-3] += 0.02
-            seq.old_logprobs = seq.old_logprobs + offsets
+            seq = P.TokenSequence(seq.tokens, np.add(seq.old_logprobs, offsets))
             adv = np.full(5, float(rng.normal()))
             ratios = np.exp(-offsets)
             clipped_tokens_seen += int(
@@ -218,10 +218,8 @@ def test_criterion_5_gradient_check():
             tensor = getattr(params, name)
             analytic = getattr(grad, name)
             for idx in np.ndindex(tensor.shape):
-                plus = copy_params(params)
-                getattr(plus, name)[idx] += h
-                minus = copy_params(params)
-                getattr(minus, name)[idx] -= h
+                plus = with_entry(params, name, idx, tensor[idx] + h)
+                minus = with_entry(params, name, idx, tensor[idx] - h)
                 fd = (
                     P.loss_and_gradient(plus, ctx, *block, clip)[0]
                     - P.loss_and_gradient(minus, ctx, *block, clip)[0]

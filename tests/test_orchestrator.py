@@ -128,6 +128,30 @@ def test_update_frontier_first_candidate():
     assert archive.cumulative_max == 0.7
 
 
+def test_update_frontier_a_tie_is_not_a_gain():
+    archive = FrontierArchive(4)
+    assert update_frontier(archive, make_candidate(1, 0.7))
+    assert not update_frontier(archive, make_candidate(2, 0.7))
+    assert archive.cumulative_max == 0.7
+
+
+def test_best_iteration_is_the_first_that_reaches_the_best_score(tmp_path):
+    # EPLB scores tie often, so later candidates reach the best score again.
+    text = (Path(__file__).resolve().parents[1] / "configs" / "eplb.cfg").read_text()
+    config = parse_config_text(text + "\niterations = 40\n")
+    trace_path = tmp_path / "trace.jsonl"
+    result = run_evolution(config, make_task(config), trace_path)
+    records = read_trace(trace_path)
+    best = [rec for rec in records if rec["kind"] == "step"][-1]["cumulative_max"]
+    reached = [
+        rec["iteration"]
+        for rec in records
+        if rec["kind"] == "candidate" and rec["raw_score"] == best
+    ]
+    assert reached[-1] > reached[0], "the run must tie its best score later"
+    assert result.best_iteration == reached[0]
+
+
 def test_update_frontier_below_min_full_archive():
     archive = FrontierArchive(2)
     update_frontier(archive, make_candidate(1, 0.9))
@@ -584,6 +608,29 @@ def test_run_cumulative_max_non_decreasing_and_replayable(tmp_path):
     for rec in records:
         if rec["kind"] == "step":
             assert rec["cumulative_max"] == by_iteration[rec["iteration"]]
+
+
+def test_a_rollout_that_rebinds_the_parameters_shows_in_the_barrier_hashes(
+    tmp_path, monkeypatch
+):
+    # Parameters are read-only, so a rollout can change them only by
+    # rebinding state.params; the step's hash pair must still differ.
+    rollout = orchestrator.rollout_group
+
+    def rebinding_rollout(state, task, n):
+        out = rollout(state, task, n)
+        if state.iteration == 3:
+            state.params = ref.with_entry(state.params, "w_emit", (0, 0), 0.5)
+        return out
+
+    monkeypatch.setattr(orchestrator, "rollout_group", rebinding_rollout)
+    config = small_config(iterations=6)
+    trace_path = tmp_path / "trace.jsonl"
+    run_evolution(config, make_task(config), trace_path=trace_path)
+    steps = [r for r in read_trace(trace_path) if r["kind"] == "step"]
+    assert [rec["params_hash_start"] != rec["params_hash_end"] for rec in steps] == [
+        t == 3 for t in range(6)
+    ]
 
 
 def test_run_barrier_hashes_and_step_cardinality(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -92,7 +93,7 @@ def random_setup(seed, n_seqs=3, length=5):
         for edge in (1 - CLIP.eps_lo, 1 + CLIP.eps_hi, 1.0):
             bad = np.abs(ratios - edge) < 5e-3
             offsets[bad] += 0.02
-        seq.old_logprobs = seq.old_logprobs + offsets
+        seq = TokenSequence(seq.tokens, np.add(seq.old_logprobs, offsets))
         batch.append((seq, np.full(length, rng.normal())))
     return params, ctx, batch
 
@@ -103,10 +104,8 @@ def finite_difference_gradient(params, ctx, batch, clip, h=1e-5):
         tensor = getattr(params, name)
         grad = np.zeros_like(tensor)
         for idx in np.ndindex(tensor.shape):
-            plus = ref.copy_params(params)
-            getattr(plus, name)[idx] += h
-            minus = ref.copy_params(params)
-            getattr(minus, name)[idx] -= h
+            plus = ref.with_entry(params, name, idx, tensor[idx] + h)
+            minus = ref.with_entry(params, name, idx, tensor[idx] - h)
             f_plus, _ = P.loss_and_gradient(plus, ctx, *ref.stack_group(batch), clip)
             f_minus, _ = P.loss_and_gradient(minus, ctx, *ref.stack_group(batch), clip)
             grad[idx] = (f_plus - f_minus) / (2 * h)
@@ -134,13 +133,15 @@ def test_sampling_deterministic_under_seed():
     assert np.array_equal(a.old_logprobs, b.old_logprobs)
 
 
+def saturated_params(token):
+    """Zero parameters but for a huge bias toward ``token`` regardless of
+    context, via the hidden path."""
+    params = ref.with_entry(PolicyParams.zeros(DIMS), "w_ctx", (0, 0), 1.0)
+    return ref.with_entry(params, "w_emit", (0, token), 1e6)
+
+
 def test_saturated_logit_always_sampled():
-    params = PolicyParams.zeros(DIMS)
-    params.w_emit[DIMS.hidden_dim :, 4] = 0.0
-    params.w_ctx[0, :] = 0.0
-    # Huge bias toward token 4 regardless of context, via the hidden path.
-    params.w_ctx[0, 0] = 1.0
-    params.w_emit[0, 4] = 1e6
+    params = saturated_params(4)
     seq = P.sample_sequence(P.context_table(params, make_ctx()), np.random.default_rng(5), 6)
     assert seq.tokens == (4,) * 6
 
@@ -321,9 +322,7 @@ def test_entropy_uniform_is_log_vocab():
 
 
 def test_entropy_saturated_is_zero():
-    params = PolicyParams.zeros(DIMS)
-    params.w_ctx[0, 0] = 1.0
-    params.w_emit[0, 2] = 1e6
+    params = saturated_params(2)
     seq = make_seq([2, 2, 2])
     out = P.token_entropy(P.context_table(params, make_ctx()), seq)
     assert out == pytest.approx(0.0, abs=1e-9)
@@ -404,7 +403,7 @@ def test_optimizer_rejects_an_update_that_overflows(tensor):
     # A finite gradient, but lr * weight_decay * w overflows one parameter.
     # Runs under pytest's error::RuntimeWarning, so the overflow must be silent.
     params = ref.random_params(DIMS, np.random.default_rng(2), scale=0.5)
-    getattr(params, tensor)[0, 0] = 1e300
+    params = ref.with_entry(params, tensor, (0, 0), 1e300)
     state = AdamState.zeros(params)
     grad = ref.zero_gradient(params)
     new_params, new_state, applied = P.optimizer_step(params, grad, state, lr=1e300)
@@ -438,15 +437,7 @@ def test_params_save_load_roundtrip(tmp_path):
     assert loaded.max_tokens == params.max_tokens
 
 
-def test_fingerprint_tracks_content():
-    params = PolicyParams.zeros(DIMS)
-    before = params.fingerprint()
-    assert before == PolicyParams.zeros(DIMS).fingerprint()
-    params.w_ctx[0, 0] = 1e-12
-    assert params.fingerprint() != before
-
-
-# ------------------------------------------------------------------ memos
+# ------------------------------------------------------------ immutability
 
 
 def hashed_fresh(params):
@@ -462,32 +453,125 @@ def table_of(params, ctx):
     return P._log_prob_table(params, P._hidden(params, ctx))[0]
 
 
-@pytest.mark.parametrize("name", ["w_ctx", "w_emit"])
-def test_an_in_place_edit_of_any_element_misses_both_memos(name):
-    params, ctx, _ = random_setup(0)
-    for idx in np.ndindex(getattr(params, name).shape):
-        hash_before, table_before = params.fingerprint(), table_of(params, ctx)
-        getattr(params, name)[idx] += 0.25
-        fresh = ref.copy_params(params)
-        assert params.fingerprint() != hash_before
-        assert params.fingerprint() == fresh.fingerprint() == hashed_fresh(params)
+def applied_step(seed):
+    """Random params, fresh AdamW state, and one applied step from them."""
+    params = ref.random_params(DIMS, np.random.default_rng(seed), scale=0.5)
+    state = AdamState.zeros(params)
+    grad = P.PolicyGradient(np.full(params.w_ctx.shape, 0.5), np.full(params.w_emit.shape, -0.25))
+    new_params, new_state, applied = P.optimizer_step(params, grad, state, lr=0.01)
+    assert applied
+    return params, state, new_params, new_state
+
+
+def arrays_of(params, state):
+    return [a.tobytes() for a in (params.w_ctx, params.w_emit, state.m, state.v)]
+
+
+@pytest.mark.parametrize("name", ["w_ctx", "w_emit", "m", "v"])
+def test_an_element_write_raises(name):
+    # Built by the constructor and by optimizer_step alike.
+    for obj in applied_step(0):
+        if not hasattr(obj, name):
+            continue
+        array = getattr(obj, name)
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1.0
+        assert np.array_equal(array, before)
+
+
+def test_the_constructor_keeps_a_copy_of_what_it_is_given():
+    w_ctx = np.zeros((DIMS.context_dim, DIMS.hidden_dim))
+    w_emit = np.zeros((DIMS.hidden_dim + DIMS.vocab_size, DIMS.vocab_size))
+    params = PolicyParams(w_ctx, w_emit, DIMS.max_tokens)
+    state = AdamState(0, np.zeros(w_ctx.size + w_emit.size), np.zeros(w_ctx.size + w_emit.size))
+    digest = params.fingerprint()
+    w_ctx[0, 0] = w_emit[0, 0] = 1.0  # the caller's arrays stay writable
+    assert not params.w_ctx.any() and not params.w_emit.any()
+    assert params.fingerprint() == digest == hashed_fresh(params)
+    assert not state.m.flags.writeable and not state.v.flags.writeable
+
+
+FROZEN = {
+    "PolicyParams": lambda: PolicyParams.zeros(DIMS),
+    "AdamState": lambda: AdamState.zeros(PolicyParams.zeros(DIMS)),
+    "TokenSequence": lambda: TokenSequence([1, 2], [0.0, 0.0]),
+    "sampled": lambda: P.sample_sequence(
+        P.context_table(PolicyParams.zeros(DIMS), make_ctx()), np.random.default_rng(0), 3
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,field",
+    [
+        ("PolicyParams", "w_ctx"),
+        ("PolicyParams", "w_emit"),
+        ("PolicyParams", "max_tokens"),
+        ("AdamState", "step"),
+        ("AdamState", "m"),
+        ("AdamState", "v"),
+        ("TokenSequence", "old_logprobs"),
+        ("sampled", "tokens"),
+    ],
+)
+def test_assigning_a_field_raises(kind, field):
+    obj = FROZEN[kind]()
+    before = getattr(obj, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, before)
+    assert getattr(obj, field) is before
+
+
+def test_the_fingerprint_is_the_hash_of_the_content():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        params = ref.random_params(DIMS, rng, scale=float(rng.uniform(0.01, 3.0)))
+        assert params.fingerprint() == hashed_fresh(params)
+        assert params.fingerprint() == hashed_fresh(params)  # the kept digest
+    params, _, new_params, _ = applied_step(1)
+    assert new_params.fingerprint() == hashed_fresh(new_params) != params.fingerprint()
+    # One entry of 1e-12 in place of zero moves the digest.
+    zeros = PolicyParams.zeros(DIMS)
+    for name in ("w_ctx", "w_emit"):
+        changed = ref.with_entry(zeros, name, (0, 0), 1e-12)
+        assert changed.fingerprint() == hashed_fresh(changed) != zeros.fingerprint()
+
+
+def test_optimizer_step_leaves_its_inputs_unchanged():
+    params, state, new_params, new_state = applied_step(2)
+    nan_grad = ref.zero_gradient(params)
+    nan_grad.w_ctx[0, 0] = float("nan")
+    huge = ref.with_entry(params, "w_emit", (0, 0), 1e300)
+    cases = [
+        (params, state, ref.zero_gradient(params), 0.01, True),  # applied
+        (new_params, new_state, ref.zero_gradient(params), 0.01, True),  # applied
+        (params, state, nan_grad, 0.01, False),  # a non-finite gradient
+        (huge, state, ref.zero_gradient(params), 1e300, False),  # an overflow
+    ]
+    for p, s, grad, lr, applied in cases:
+        before, digest = arrays_of(p, s), p.fingerprint()
+        out_params, out_state, was_applied = P.optimizer_step(p, grad, s, lr=lr)
+        assert was_applied == applied
+        assert arrays_of(p, s) == before
+        assert p.fingerprint() == digest == hashed_fresh(p)
+        assert (out_params is p, out_state is s) == (not applied, not applied)
+
+
+def test_the_table_memo_keys_on_the_hidden_vector():
+    params = ref.random_params(DIMS, np.random.default_rng(3), scale=0.5)
+    fresh = PolicyParams(params.w_ctx, params.w_emit, params.max_tokens)
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        ctx = make_ctx(rng)
         table = table_of(params, ctx)
-        assert not np.array_equal(table, table_before)
+        assert table_of(params, ctx) is table
         assert np.array_equal(table, table_of(fresh, ctx))
-        assert P.context_table(params, ctx).log_p_rows == table.tolist()
-
-
-def test_reassigning_w_emit_misses_unless_the_values_are_equal():
-    params, ctx, _ = random_setup(1)
-    hash_before, table_before = params.fingerprint(), table_of(params, ctx)
-    params.w_emit = params.w_emit.copy()  # another object, the same bytes
-    assert params.fingerprint() == hash_before
-    assert table_of(params, ctx) is table_before
-    params.w_emit = params.w_emit * 2.0
-    fresh = ref.copy_params(params)
-    assert params.fingerprint() == fresh.fingerprint() != hash_before
-    assert np.array_equal(table_of(params, ctx), table_of(fresh, ctx))
-    assert not np.array_equal(table_of(params, ctx), table_before)
+    # Zero parameters: every context has the zero hidden vector, so one table.
+    zeros = PolicyParams.zeros(DIMS)
+    assert table_of(zeros, make_ctx(rng)) is table_of(zeros, make_ctx(rng))
 
 
 def test_the_memoized_table_is_read_only():

@@ -150,8 +150,7 @@ def test_deep_clipped_batch_gives_zero_gradient(setup):
         # the clipped branch is strictly smaller, so no token has a derivative.
         sign = np.where(np.arange(len(seq)) % 2 == 0, 1.0, -1.0)
         new = ref.sequence_logprobs(params, ctx, seq)
-        seq.old_logprobs = new - 2.0 * sign
-        clipped.append((seq, sign))
+        clipped.append((P.TokenSequence(seq.tokens, new - 2.0 * sign), sign))
     _, grad = assert_same_loss_and_gradient(params, ctx, clipped)
     assert not grad.w_ctx.any() and not grad.w_emit.any()
 
