@@ -49,9 +49,8 @@ def main() -> None:
     print(f"base score:  {base.value:.6f} {base.metrics}")
     print(f"best score:  {result.best_score:.6f} (iteration {result.best_iteration})")
     print(f"skip steps:  {result.skip_steps}")
-    best = result.archive.entries[0]
-    print(f"descriptor:  {best.descriptor}")
-    print(f"metrics:     {best.outcome.metrics}")
+    print(f"descriptor:  {result.descriptors[0]}")
+    print(f"metrics:     {result.archive.entries[0].outcome.metrics}")
 
 
 if __name__ == "__main__":

@@ -126,9 +126,9 @@ def _cmd_run(args) -> int:
             "reward": cand.reward,
             "iteration_born": cand.iteration_born,
             "tokens": list(cand.tokens.tokens),
-            "descriptor": cand.descriptor,
+            "descriptor": descriptor,
         }
-        for cand in result.archive.entries
+        for cand, descriptor in zip(result.archive.entries, result.descriptors)
     ]
     _write_json_atomic(out_dir / "archive.json", archive_dump)
 

@@ -99,6 +99,11 @@ class RunConfig:
                 fail(name, f"must be positive, got {getattr(self, name)}")
         if self.samples_per_group < 2:
             fail("samples_per_group", f"need >= 2, got {self.samples_per_group}")
+        # Shaped rewards lie in [-1, shaping.c]; the estimators sum a group's
+        # squared deviations, which must stay finite.
+        spread = self.shaping_multiplier + 1.0
+        if not math.isfinite(self.samples_per_group * spread * spread):
+            fail("shaping_multiplier", f"{self.shaping_multiplier} too large: squares overflow")
         if not 2 <= self.top_k <= self.samples_per_group:
             fail("top_k", f"{self.top_k} outside [2, samples_per_group={self.samples_per_group}]")
         if self.eps_lo >= 1.0:

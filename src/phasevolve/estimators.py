@@ -113,12 +113,20 @@ def group_relative_raw(rewards) -> np.ndarray:
 
 
 def grpo_advantage(rewards, eps_num: float) -> np.ndarray:
-    """Group z-score (R_i - mean) / (population std + eps_num)."""
+    """Group z-score (R_i - mean) / (population std + eps_num).
+
+    Raises ``InvalidGroupError`` when the std overflows: dividing by it
+    would silently give all-zero advantages.
+    """
     if eps_num < 0:
         raise ValueError(f"eps_num must be >= 0, got {eps_num}")
     values = _as_group(rewards)
-    centered = values - values.mean()
-    denom = values.std() + eps_num
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = values - values.mean()
+        std = values.std()
+    if not math.isfinite(std):
+        raise InvalidGroupError("reward std overflows: rewards too large to standardize")
+    denom = std + eps_num
     if denom == 0.0:
         # Constant group with eps_num == 0: numerator is identically zero.
         return np.zeros_like(centered)

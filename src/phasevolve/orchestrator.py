@@ -38,7 +38,6 @@ from .trace import TraceWriter
 class Candidate:
     id: int
     tokens: TokenSequence
-    descriptor: dict
     outcome: EvaluationOutcome
     reward: float
     iteration_born: int
@@ -48,15 +47,6 @@ class Candidate:
 
     def __post_init__(self) -> None:
         self.raw_score = self.outcome.value if self.outcome.ok else None
-
-
-@dataclass
-class RewardBatch:
-    """One rollout group: shaped rewards and the context table every candidate
-    was sampled from, under the parameters of the rollout."""
-
-    rewards: np.ndarray
-    table: policy.ContextTable
 
 
 class FrontierArchive:
@@ -176,7 +166,6 @@ def init_run_state(config: RunConfig, task) -> RunState:
         context_dim=config.context_dim,
         hidden_dim=config.hidden_dim,
         vocab_size=config.vocab_size,
-        max_tokens=config.seq_length,
     )
     params = PolicyParams.zeros(dims)
     shaping = ShapingConfig(
@@ -208,7 +197,6 @@ def init_run_state(config: RunConfig, task) -> RunState:
     seed_cand = Candidate(
         id=0,
         tokens=seed_seq,
-        descriptor=task.describe(seed_seq),
         outcome=outcome,
         reward=shape_reward(outcome, shaping),
         iteration_born=-1,
@@ -237,13 +225,10 @@ def build_context(state: RunState, parent: Candidate) -> RolloutContext:
     )
 
 
-def rollout_group(
-    state: RunState, task, n: int
-) -> tuple[RewardBatch, list[Candidate]]:
-    """Sample, evaluate and shape one group of n candidates under frozen
-    parameters, all from one parent and so from one context table."""
-    if n < 2:
-        raise ValueError(f"group size must be >= 2, got {n}")
+def rollout_group(state: RunState) -> tuple[policy.ContextTable, list[Candidate]]:
+    """Sample, evaluate and shape one group of ``samples_per_group`` candidates
+    under frozen parameters, all from one parent and so from one context
+    table, which is returned with them."""
     cfg = state.config
     parent = select_parent(
         state.archive, state.rng, cfg.select_temperature, state.seed_candidate
@@ -251,14 +236,13 @@ def rollout_group(
     ctx = build_context(state, parent).features(cfg.context_dim)
     table = policy.context_table(state.params, ctx)
     candidates: list[Candidate] = []
-    for _ in range(n):
+    for _ in range(cfg.samples_per_group):
         seq = policy.sample_sequence(table, state.rng, cfg.seq_length)
-        outcome = _safe_evaluate(task, seq, state.iteration, state.rng)
+        outcome = _safe_evaluate(state.task, seq, state.iteration, state.rng)
         candidates.append(
             Candidate(
                 id=state.next_id,
                 tokens=seq,
-                descriptor=task.describe(seq),
                 outcome=outcome,
                 reward=shape_reward(outcome, state.shaping),
                 iteration_born=state.iteration,
@@ -266,9 +250,7 @@ def rollout_group(
             )
         )
         state.next_id += 1
-
-    batch = RewardBatch(rewards=np.array([c.reward for c in candidates]), table=table)
-    return batch, candidates
+    return table, candidates
 
 
 @dataclass
@@ -294,19 +276,18 @@ class StepDiagnostics:
 
 
 def training_step(
-    state: RunState, batch: RewardBatch, candidates: list[Candidate]
+    state: RunState, table: policy.ContextTable, candidates: list[Candidate]
 ) -> StepDiagnostics:
-    """One phase-adaptive policy update (or a recorded skip) for a group."""
-    if batch.rewards.size < 2:
-        raise ValueError("training step needs a group of at least 2 rewards")
+    """One phase-adaptive policy update (or a recorded skip) for a group
+    sampled from ``table``."""
     cfg = state.config
     alpha = state.schedule.alpha(state.iteration)
     # Parameters have not changed since the rollout, so its table still holds.
-    entropies = [policy.token_entropy(batch.table, c.tokens) for c in candidates]
+    entropies = [policy.token_entropy(table, c.tokens) for c in candidates]
     entropy = float(np.add.reduce(entropies) / len(entropies))  # np.mean's sum and division
     advantages, info = estimators.advantages(
         cfg.mode,
-        batch.rewards,
+        np.array([c.reward for c in candidates]),
         alpha,
         k=cfg.top_k,
         eps_num=cfg.eps_num,
@@ -335,7 +316,7 @@ def training_step(
     try:
         loss, grad = policy.loss_and_gradient(
             state.params,
-            batch.table.ctx,
+            table.ctx,
             tokens,
             old_logprobs,
             policy.broadcast_advantage(advantages, tokens.shape[1]),
@@ -370,12 +351,18 @@ def training_step(
 
 @dataclass
 class RunResult:
+    """What a run leaves: the final archive, one diagnostics record per step,
+    the cumulative max after each step, and ``descriptors``, the task's
+    ``describe`` of each archive entry, in archive order. The loop never
+    reads a descriptor, so they are computed once, when the last step ends."""
+
     archive: FrontierArchive
     steps: list[StepDiagnostics]
     cumulative_max: list[float | None]
     best_score: float | None
     best_iteration: int | None
     skip_steps: int
+    descriptors: list[dict]
 
 
 def run_evolution(config: RunConfig, task, trace_path=None) -> RunResult:
@@ -383,7 +370,8 @@ def run_evolution(config: RunConfig, task, trace_path=None) -> RunResult:
 
     Per group: rollout under frozen params, archive updates, one training
     step, then the barrier (parameters redistributed implicitly by the next
-    group's sampling). Writes one trace record per candidate and per step.
+    group's sampling). Writes one trace record per candidate and per step;
+    once the last step ends, describes each final archive entry once.
     """
     config.validate()
     state = init_run_state(config, task)
@@ -397,7 +385,7 @@ def run_evolution(config: RunConfig, task, trace_path=None) -> RunResult:
             writer.write_header(config_to_dict(config))
         for t in range(config.iterations):
             hash_start = state.params.fingerprint()
-            batch, candidates = rollout_group(state, task, config.samples_per_group)
+            table, candidates = rollout_group(state)
             for cand in candidates:
                 improved = update_frontier(state.archive, cand)
                 state.recent_gains.append(1.0 if improved else 0.0)
@@ -414,7 +402,7 @@ def run_evolution(config: RunConfig, task, trace_path=None) -> RunResult:
                         cand.outcome.error,
                     )
             hash_end = state.params.fingerprint()
-            diag = training_step(state, batch, candidates)
+            diag = training_step(state, table, candidates)
             steps.append(diag)
             cumulative.append(state.archive.cumulative_max)
             if diag.skipped:
@@ -439,6 +427,7 @@ def run_evolution(config: RunConfig, task, trace_path=None) -> RunResult:
         best_score=state.archive.cumulative_max,
         best_iteration=best_iteration,
         skip_steps=skip_steps,
+        descriptors=[task.describe(c.tokens) for c in state.archive.entries],
     )
 
 

@@ -71,10 +71,9 @@ class PolicyDims:
     context_dim: int = 8
     hidden_dim: int = 32
     vocab_size: int = 24
-    max_tokens: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("context_dim", "hidden_dim", "vocab_size", "max_tokens"):
+        for name in ("context_dim", "hidden_dim", "vocab_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -172,7 +171,6 @@ class PolicyParams:
 
     w_ctx: np.ndarray
     w_emit: np.ndarray
-    max_tokens: int = 8
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "w_ctx", _read_only(self.w_ctx))
@@ -203,7 +201,6 @@ class PolicyParams:
         return cls(
             w_ctx=np.zeros((dims.context_dim, dims.hidden_dim)),
             w_emit=np.zeros((dims.hidden_dim + dims.vocab_size, dims.vocab_size)),
-            max_tokens=dims.max_tokens,
         )
 
     def fingerprint(self) -> str:
@@ -292,14 +289,13 @@ class ContextTable:
     log_p_rows: list[list[float]]
     cdf_rows: list[list[float]]
     row_dots: list[float]
-    max_tokens: int
 
 
 def context_table(params: PolicyParams, ctx: np.ndarray) -> ContextTable:
     """The table of context vector ``ctx`` under ``params``; a table that
     repeats shares its row lists too."""
     _, rows = _log_prob_table(params, _hidden(params, ctx))
-    return ContextTable(np.asarray(ctx, dtype=np.float64), *rows, params.max_tokens)
+    return ContextTable(np.asarray(ctx, dtype=np.float64), *rows)
 
 
 def sample_sequence(table: ContextTable, rng: np.random.Generator, length: int) -> TokenSequence:
@@ -307,8 +303,8 @@ def sample_sequence(table: ContextTable, rng: np.random.Generator, length: int) 
 
     Draws exactly ``length`` uniforms from ``rng``, one per token in order.
     """
-    if not 1 <= length <= table.max_tokens:
-        raise ValueError(f"length {length} outside [1, {table.max_tokens}]")
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
     cdf_rows, log_p_rows = table.cdf_rows, table.log_p_rows
     last = len(log_p_rows[0]) - 1
     tokens, logprobs = [], []
@@ -478,7 +474,6 @@ def optimizer_step(
         new_params = PolicyParams(
             new_w[:split].reshape(params.w_ctx.shape),
             new_w[split:].reshape(params.w_emit.shape),
-            max_tokens=params.max_tokens,
         )
     except ValueError:  # the update overflowed a parameter
         return params, state, False

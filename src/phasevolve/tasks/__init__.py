@@ -5,10 +5,11 @@ bundled tasks compute pure functions of (tokens, iteration, rng) so groups can
 be evaluated in any order, or in parallel, without changing results. An
 ``EplbTask``'s outcomes, one per descriptor, are built with the task, one
 rebalance pass per (sort mode, placement rule) pair and depth serving all
-four swap windows, so ``evaluate`` only reads the table. ``SyntheticTask``
-keeps a one-entry memo so ``describe`` reuses the quality ``evaluate``
-just computed for the same tokens; ``make_task`` builds a new task for
-each run, so nothing is kept between runs.
+four swap windows, so ``evaluate`` only reads the table. ``describe``
+turns a sequence into its JSON descriptor from the tokens alone; the loop
+never reads one, so a run describes each final archive entry once, when its
+last step ends. ``make_task`` builds a new task for each run, so nothing is
+kept between runs.
 """
 
 from __future__ import annotations

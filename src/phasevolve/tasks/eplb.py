@@ -165,18 +165,13 @@ def _positions(seq: TokenSequence) -> tuple[int, int, int, int]:
     return visible[0] % 3, visible[1] % 3, visible[2] % 4, visible[3] % SWAP_WINDOWS
 
 
-_DECODED = {  # every descriptor, built once, keyed by its _positions
-    (s.value, p.value, n, w - 1): HeuristicDescriptor(s, p, n, w)
-    for s, p, n, w in itertools.product(SortMode, Placement, range(4), range(1, SWAP_WINDOWS + 1))
-}
-
-
 def eplb_decode(seq: TokenSequence) -> HeuristicDescriptor:
     """Positional decoding of the first four tokens.
 
     Total on the vocabulary and surjective onto the descriptor space.
     """
-    return _DECODED[_positions(seq)]
+    sort_mode, placement, passes, window = _positions(seq)
+    return HeuristicDescriptor(SortMode(sort_mode), Placement(placement), passes, window + 1)
 
 
 def _device_loads(device: np.ndarray, loads: np.ndarray, num_devices: int) -> np.ndarray:

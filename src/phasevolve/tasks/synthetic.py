@@ -85,25 +85,19 @@ def synthetic_eval(
 
 
 class SyntheticTask:
-    """Evaluator wiring. A one-entry memo, (token tuple, quality), lets
-    ``describe`` reuse the quality ``evaluate`` just computed for the same
-    tokens; any other sequence is recomputed."""
+    """Evaluator wiring. Holds only its landscape: ``describe`` computes the
+    sequence's quality from its tokens, so neither method depends on what
+    the task saw before."""
 
     name = "synthetic"
 
     def __init__(self, landscape: SyntheticLandscape | None = None):
         self.landscape = landscape or SyntheticLandscape()
-        self._last: tuple[tuple[int, ...], float] = ((), 0.0)  # the empty sequence's quality
 
     def describe(self, seq: TokenSequence) -> dict:
-        tokens, quality = self._last
-        if seq.tokens != tokens:
-            quality = latent_quality(seq, self.landscape)
-        return {"tokens": list(seq.tokens), "quality": quality}
+        return {"tokens": list(seq.tokens), "quality": latent_quality(seq, self.landscape)}
 
     def evaluate(
         self, seq: TokenSequence, iteration: int, rng: np.random.Generator
     ) -> EvaluationOutcome:
-        outcome = synthetic_eval(seq, iteration, self.landscape, rng)
-        self._last = (seq.tokens, outcome.metrics["quality"])
-        return outcome
+        return synthetic_eval(seq, iteration, self.landscape, rng)

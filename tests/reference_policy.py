@@ -44,7 +44,6 @@ def random_params(
         w_ctx=scale * rng.standard_normal((dims.context_dim, dims.hidden_dim)),
         w_emit=scale
         * rng.standard_normal((dims.hidden_dim + dims.vocab_size, dims.vocab_size)),
-        max_tokens=dims.max_tokens,
     )
 
 
@@ -53,14 +52,13 @@ def with_entry(params: PolicyParams, name: str, idx: tuple, value: float) -> Pol
     parameters are read-only, so a perturbation builds a new object."""
     tensors = {"w_ctx": params.w_ctx.copy(), "w_emit": params.w_emit.copy()}
     tensors[name][idx] = value
-    return PolicyParams(**tensors, max_tokens=params.max_tokens)
+    return PolicyParams(**tensors)
 
 
 def save_params(params: PolicyParams, path) -> None:
     """Dump as an ASCII shape header plus raw little-endian float64 rows."""
     with open(path, "wb") as fh:
         fh.write(b"phasevolve-params 1\n")
-        fh.write(f"max_tokens {params.max_tokens}\n".encode())
         for name in ("w_ctx", "w_emit"):
             tensor = getattr(params, name)
             dims = " ".join(str(d) for d in tensor.shape)
@@ -75,7 +73,6 @@ def load_params(path) -> PolicyParams:
         magic = fh.readline().strip()
         if magic != b"phasevolve-params 1":
             raise ValueError(f"unrecognized parameter dump header: {magic!r}")
-        max_tokens = int(fh.readline().split()[1])
         shapes: list[tuple[str, tuple[int, ...]]] = []
         while True:
             line = fh.readline().strip()
@@ -88,7 +85,7 @@ def load_params(path) -> PolicyParams:
             count = int(np.prod(shape))
             data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
             tensors[name] = data.reshape(shape).astype(np.float64)
-    return PolicyParams(tensors["w_ctx"], tensors["w_emit"], max_tokens=max_tokens)
+    return PolicyParams(tensors["w_ctx"], tensors["w_emit"])
 
 
 def zero_gradient(params: PolicyParams) -> PolicyGradient:
@@ -113,8 +110,8 @@ def sample_sequence(
     params: PolicyParams, ctx: np.ndarray, rng: np.random.Generator, length: int
 ) -> TokenSequence:
     """Autoregressively sample ``length`` tokens, one uniform draw per token."""
-    if not 1 <= length <= params.max_tokens:
-        raise ValueError(f"length {length} outside [1, {params.max_tokens}]")
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
     hidden = _hidden(params, ctx)
     tokens = np.empty(length, dtype=np.int64)
     logprobs = np.empty(length)
@@ -288,9 +285,7 @@ def optimizer_step(
         new_moments[name] = (m, v)
 
     try:
-        new_params = PolicyParams(
-            new_tensors["ctx"], new_tensors["emit"], max_tokens=params.max_tokens
-        )
+        new_params = PolicyParams(new_tensors["ctx"], new_tensors["emit"])
     except ValueError:  # the update overflowed a parameter
         return params, state, False
     new_state = TwoTensorAdamState(

@@ -181,7 +181,7 @@ def test_criterion_4_reward_shaping_table():
 
 def test_criterion_5_gradient_check():
     started = time.monotonic()
-    dims = P.PolicyDims(context_dim=3, hidden_dim=5, vocab_size=7, max_tokens=6)
+    dims = P.PolicyDims(context_dim=3, hidden_dim=5, vocab_size=7)
     clip = P.ClipConfig()
     h = 1e-5
     worst = 0.0

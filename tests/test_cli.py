@@ -13,6 +13,8 @@ from phasevolve.config import (
     load_config,
     parse_config_text,
 )
+from phasevolve.policy import TokenSequence
+from phasevolve.tasks import make_task
 from phasevolve.trace import read_trace
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -112,6 +114,21 @@ def test_every_float_key_must_be_finite(key):
             parse_config_text(f"{key} = {raw}")
 
 
+@pytest.mark.parametrize(
+    "group, c, ok",
+    [(8, 1e150, True), (8, 9e153, False), (2, 9e153, True), (2, 1e200, False), (2, 1e307, False)],
+)
+def test_shaping_multiplier_bound_keeps_the_squared_spread_finite(group, c, ok):
+    # Shaped rewards lie in [-1, shaping.c]: samples_per_group of them,
+    # squared about their mean, must sum to a finite value.
+    text = f"samples_per_group = {group}\ntop_k = 2\nshaping.c = {c!r}"
+    if ok:
+        assert parse_config_text(text).shaping_multiplier == c
+    else:
+        with pytest.raises(ConfigError, match=r"^shaping\.c: .* too large"):
+            parse_config_text(text)
+
+
 def test_target_token_bound_follows_vocab_size():
     config = parse_config_text("policy.vocab_size = 100\nsynthetic.target_token = 99")
     assert config.synthetic_target_token == 99
@@ -178,6 +195,16 @@ def test_estimate_non_numeric_line_reports_lineno(tmp_path, capsys):
     path = write_rewards(tmp_path, ["1.0", "oops", "2.0"])
     assert cli.main(["estimate", "--file", path, "--mode", "grpo"]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_estimate_grpo_rejects_an_overflowing_std(tmp_path, capsys):
+    # The squares of +-1e308 overflow, so the std does too: dividing by it
+    # would print 0.0 and -0.0.
+    path = write_rewards(tmp_path, ["1e308", "-1e308"])
+    assert cli.main(["estimate", "--file", path, "--mode", "grpo"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reward std overflows" in captured.err
 
 
 def test_estimate_needs_two_values(tmp_path, capsys):
@@ -387,6 +414,20 @@ def test_run_seed_override_and_byte_identical_reruns(tmp_path, capsys):
         assert cli.main(["run", "--config", cfg, "--seed", "9", "--out", str(out_b)]) == 0
         assert (out_a / "trace.jsonl").read_bytes() == (out_b / "trace.jsonl").read_bytes()
         assert (out_a / "archive.json").read_bytes() == (out_b / "archive.json").read_bytes()
+
+
+def test_run_archive_descriptors_equal_a_fresh_describe(tmp_path, capsys):
+    eplb_cfg = (CONFIGS / "eplb.cfg").read_text() + "iterations = 5\n"
+    for name, text in (("synthetic", RUN_CFG), ("eplb", eplb_cfg)):
+        cfg = write_config(tmp_path, text)
+        out_dir = tmp_path / name
+        assert cli.main(["run", "--config", cfg, "--out", str(out_dir)]) == 0
+        task = make_task(load_config(cfg))
+        archive = json.loads((out_dir / "archive.json").read_text())
+        assert len(archive) > 1
+        for entry in archive:
+            seq = TokenSequence(entry["tokens"], [0.0] * len(entry["tokens"]))
+            assert entry["descriptor"] == task.describe(seq)
 
 
 def test_run_negative_seed_override_exits_2(tmp_path, capsys):

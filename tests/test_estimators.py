@@ -70,6 +70,14 @@ def test_grpo_rejects_nonfinite():
         est.grpo_advantage([1.0, float("nan")], 1e-8)
 
 
+@pytest.mark.parametrize("rewards", [[1e308, -1e308], [1e308, 1e308, 0.0], [-1.0, 1e200] * 4])
+def test_grpo_rejects_an_overflowing_std(rewards):
+    # Finite rewards whose squared deviations overflow: dividing by the
+    # infinite std would give all-zero advantages.
+    with pytest.raises(InvalidGroupError, match="reward std overflows"):
+        est.grpo_advantage(rewards, 1e-8)
+
+
 def test_group_relative_raw_constant():
     assert est.group_relative_raw([5, 5, 5]) == pytest.approx([0, 0, 0])
 

@@ -10,12 +10,16 @@ import reference_policy as ref
 from hypothesis import given, settings
 
 from phasevolve import cli, orchestrator
-from phasevolve.config import MODES, RunConfig, parse_config_text
-from phasevolve.estimators import standardize, group_relative_raw, sloo_weights
+from phasevolve.config import MODES, ConfigError, RunConfig, parse_config_text
+from phasevolve.estimators import (
+    InvalidGroupError,
+    group_relative_raw,
+    sloo_weights,
+    standardize,
+)
 from phasevolve.orchestrator import (
     Candidate,
     FrontierArchive,
-    RewardBatch,
     StepDiagnostics,
     init_run_state,
     random_search_best,
@@ -93,7 +97,6 @@ def make_candidate(cid, score, reward=None, status="ok"):
     return Candidate(
         id=cid,
         tokens=seq,
-        descriptor={},
         outcome=outcome,
         reward=reward if reward is not None else (score if status == "ok" else -1.0),
         iteration_born=0,
@@ -333,25 +336,29 @@ def test_a_tiny_temperature_selects_greedily(tmp_path):
 # ------------------------------------------------------------ rollout_group
 
 
+def rewards_of(candidates):
+    return [c.reward for c in candidates]
+
+
 def test_rollout_group_deterministic():
     def collect():
         config = small_config()
         state = init_run_state(config, TokenSumTask())
-        batch, candidates = rollout_group(state, state.task, 4)
-        return batch, [c.tokens.tokens for c in candidates]
+        return rollout_group(state)
 
-    batch_a, toks_a = collect()
-    batch_b, toks_b = collect()
-    assert np.array_equal(batch_a.rewards, batch_b.rewards)
-    for a, b in zip(toks_a, toks_b):
-        assert np.array_equal(a, b)
+    table_a, cands_a = collect()
+    table_b, cands_b = collect()
+    assert len(cands_a) == small_config().samples_per_group
+    assert rewards_of(cands_a) == rewards_of(cands_b)
+    assert [c.tokens for c in cands_a] == [c.tokens for c in cands_b]
+    assert np.array_equal(table_a.ctx, table_b.ctx)
 
 
 def test_rollout_group_all_timeouts():
     config = small_config()
     state = init_run_state(config, TimeoutTask())
-    batch, candidates = rollout_group(state, state.task, 4)
-    assert batch.rewards == pytest.approx([-1.0] * 4)
+    _, candidates = rollout_group(state)
+    assert rewards_of(candidates) == [-1.0] * 4
     assert all(not c.outcome.ok for c in candidates)
     assert all(c.raw_score is None for c in candidates)
 
@@ -359,8 +366,8 @@ def test_rollout_group_all_timeouts():
 def test_rollout_group_evaluator_panic_becomes_error_reward():
     config = small_config()
     state = init_run_state(config, PanicTask())
-    batch, candidates = rollout_group(state, state.task, 4)
-    assert batch.rewards == pytest.approx([-1.0] * 4)
+    _, candidates = rollout_group(state)
+    assert rewards_of(candidates) == [-1.0] * 4
     assert all(c.outcome.status.value == "evaluator_error" for c in candidates)
 
 
@@ -378,31 +385,37 @@ def test_rollout_group_empty_archive_parent_is_seed():
     config = small_config()
     state = init_run_state(config, TimeoutTask())
     assert len(state.archive) == 0  # seed evaluation timed out, never archived
-    _, candidates = rollout_group(state, state.task, 4)
+    _, candidates = rollout_group(state)
     assert all(c.parent_id == state.seed_candidate.id for c in candidates)
 
 
-def test_rollout_group_rejects_tiny_group():
-    config = small_config()
+def test_a_group_of_one_is_rejected():
+    # The config refuses it before a run starts; a step handed one anyway
+    # fails in the estimators, which check every group they are given.
+    config = small_config(samples_per_group=1, top_k=1)
+    with pytest.raises(ConfigError, match="^samples_per_group: need >= 2"):
+        run_evolution(config, TokenSumTask())
     state = init_run_state(config, TokenSumTask())
-    with pytest.raises(ValueError):
-        rollout_group(state, state.task, 1)
+    table, candidates = rollout_group(state)
+    assert len(candidates) == 1
+    with pytest.raises(InvalidGroupError, match="group size 1 below minimum 2"):
+        training_step(state, table, candidates)
 
 
 # ------------------------------------------------------------ training_step
 
 
-def _state_with_batch(task, mode="phase", **overrides):
+def _state_with_group(task, mode="phase", **overrides):
     config = small_config(mode=mode, **overrides)
     state = init_run_state(config, task)
-    batch, candidates = rollout_group(state, state.task, config.samples_per_group)
-    return state, batch, candidates
+    table, candidates = rollout_group(state)
+    return state, table, candidates
 
 
 def test_training_step_constant_batch_skips_and_freezes_params():
-    state, batch, candidates = _state_with_batch(ConstantTask())
+    state, table, candidates = _state_with_group(ConstantTask())
     before = state.params.fingerprint()
-    diag = training_step(state, batch, candidates)
+    diag = training_step(state, table, candidates)
     assert diag.skipped
     assert diag.g_skipped and diag.k_skipped
     assert diag.optimizer_steps == 0
@@ -412,22 +425,22 @@ def test_training_step_constant_batch_skips_and_freezes_params():
 
 
 def test_training_step_alpha_zero_uses_group_branch():
-    state, batch, candidates = _state_with_batch(TokenSumTask())
+    state, table, candidates = _state_with_group(TokenSumTask())
     state.iteration = 0
-    diag = training_step(state, batch, candidates)
+    diag = training_step(state, table, candidates)
     expected = standardize(
-        group_relative_raw(batch.rewards), state.config.eps_num, state.config.eps_skip
+        group_relative_raw(rewards_of(candidates)), state.config.eps_num, state.config.eps_skip
     )
     assert diag.alpha == 0.0
     assert diag.advantages == pytest.approx(expected.values, abs=0)
 
 
 def test_training_step_alpha_one_uses_topk_branch():
-    state, batch, candidates = _state_with_batch(TokenSumTask())
+    state, table, candidates = _state_with_group(TokenSumTask())
     state.iteration = state.config.iterations  # the t = T endpoint
-    diag = training_step(state, batch, candidates)
+    diag = training_step(state, table, candidates)
     expected = standardize(
-        sloo_weights(batch.rewards, state.config.top_k),
+        sloo_weights(rewards_of(candidates), state.config.top_k),
         state.config.eps_num,
         state.config.eps_skip,
     )
@@ -438,12 +451,12 @@ def test_training_step_alpha_one_uses_topk_branch():
 def test_training_step_updates_params_once():
     state = init_run_state(small_config(), TokenSumTask())
     # Random parameters make the entropy depend on the group's context.
-    dims = PolicyDims(context_dim=6, hidden_dim=8, vocab_size=12, max_tokens=6)
+    dims = PolicyDims(context_dim=6, hidden_dim=8, vocab_size=12)
     state.params = ref.random_params(dims, np.random.default_rng(4), scale=0.5)
-    batch, candidates = rollout_group(state, state.task, state.config.samples_per_group)
-    expected = [ref.token_entropy(state.params, batch.table.ctx, c.tokens) for c in candidates]
+    table, candidates = rollout_group(state)
+    expected = [ref.token_entropy(state.params, table.ctx, c.tokens) for c in candidates]
     before = state.params.fingerprint()
-    diag = training_step(state, batch, candidates)
+    diag = training_step(state, table, candidates)
     assert diag.entropy == float(np.mean(expected))
     assert diag.optimizer_steps == 1
     assert not diag.skipped
@@ -455,7 +468,7 @@ def test_training_step_updates_params_once():
 def test_training_step_stacks_the_group_as_the_old_array_block(monkeypatch):
     # The tuples of a group give the (n, L) blocks np.stack gave of arrays.
     state = init_run_state(small_config(), TokenSumTask())
-    batch, candidates = rollout_group(state, state.task, state.config.samples_per_group)
+    table, candidates = rollout_group(state)
     seen = []
     loss_and_gradient = orchestrator.policy.loss_and_gradient
 
@@ -464,7 +477,7 @@ def test_training_step_stacks_the_group_as_the_old_array_block(monkeypatch):
         return loss_and_gradient(params, ctx, tokens, old_logprobs, advantages, clip)
 
     monkeypatch.setattr(orchestrator.policy, "loss_and_gradient", recorded)
-    training_step(state, batch, candidates)
+    training_step(state, table, candidates)
     [(tokens, old_logprobs)] = seen
     want_tokens = np.stack([np.asarray(c.tokens.tokens, dtype=np.int64) for c in candidates])
     want_logprobs = np.stack([np.asarray(c.tokens.old_logprobs) for c in candidates])
@@ -474,22 +487,22 @@ def test_training_step_stacks_the_group_as_the_old_array_block(monkeypatch):
 
 
 def test_training_step_grpo_mode_never_skips_on_constant():
-    state, batch, candidates = _state_with_batch(ConstantTask(), mode="grpo")
-    diag = training_step(state, batch, candidates)
+    state, table, candidates = _state_with_group(ConstantTask(), mode="grpo")
+    diag = training_step(state, table, candidates)
     assert not diag.skipped
     assert diag.advantages == pytest.approx([0.0] * 4)
 
 
 def test_training_step_entropic_constant_batch_skips():
-    state, batch, candidates = _state_with_batch(ConstantTask(), mode="entropic")
-    diag = training_step(state, batch, candidates)
+    state, table, candidates = _state_with_group(ConstantTask(), mode="entropic")
+    diag = training_step(state, table, candidates)
     assert diag.skipped
     assert diag.optimizer_steps == 0
 
 
 def test_training_step_entropic_mode_records_beta():
-    state, batch, candidates = _state_with_batch(TokenSumTask(), mode="entropic")
-    diag = training_step(state, batch, candidates)
+    state, table, candidates = _state_with_group(TokenSumTask(), mode="entropic")
+    diag = training_step(state, table, candidates)
     assert not diag.skipped
     assert diag.beta is not None and diag.beta >= 0.0
 
@@ -535,8 +548,8 @@ def test_a_step_whose_update_overflows_is_rejected(tmp_path):
 
 
 def test_training_step_maxk_mode():
-    state, batch, candidates = _state_with_batch(TokenSumTask(), mode="maxk")
-    diag = training_step(state, batch, candidates)
+    state, table, candidates = _state_with_group(TokenSumTask(), mode="maxk")
+    diag = training_step(state, table, candidates)
     assert not diag.skipped
     assert diag.k_skipped is False
     assert diag.optimizer_steps == 1
@@ -545,11 +558,11 @@ def test_training_step_maxk_mode():
 @pytest.mark.parametrize("task", [TokenSumTask, ConstantTask])
 @pytest.mark.parametrize("mode", MODES)
 def test_estimate_prints_training_step_advantages(mode, task, tmp_path, capsys):
-    state, batch, candidates = _state_with_batch(task(), mode=mode)
+    state, table, candidates = _state_with_group(task(), mode=mode)
     state.iteration = 2  # alpha 0.4: both phase branches count
-    diag = training_step(state, batch, candidates)
+    diag = training_step(state, table, candidates)
     path = tmp_path / "rewards.txt"
-    path.write_text("".join(f"{r!r}\n" for r in batch.rewards.tolist()))
+    path.write_text("".join(f"{r!r}\n" for r in rewards_of(candidates)))
     # Only k and alpha are passed: the other estimator flags default to RunConfig's.
     argv = ["estimate", "--file", str(path), "--mode", mode,
             "--k", str(state.config.top_k), "--alpha", repr(diag.alpha)]
@@ -617,8 +630,8 @@ def test_a_rollout_that_rebinds_the_parameters_shows_in_the_barrier_hashes(
     # rebinding state.params; the step's hash pair must still differ.
     rollout = orchestrator.rollout_group
 
-    def rebinding_rollout(state, task, n):
-        out = rollout(state, task, n)
+    def rebinding_rollout(state):
+        out = rollout(state)
         if state.iteration == 3:
             state.params = ref.with_entry(state.params, "w_emit", (0, 0), 0.5)
         return out
@@ -729,6 +742,32 @@ def test_each_rollout_group_draws_one_parent(tmp_path, monkeypatch):
     assert all(len(ids) == 1 for ids in parents.values())
     # The parents come from an archive of several scores, not one fixed entry.
     assert len(set().union(*parents.values())) > 1
+
+
+class DescribeCountingTask(TokenSumTask):
+    """Logs each describe call with the step records the trace holds then."""
+
+    def __init__(self, trace_path):
+        self.trace_path = trace_path
+        self.described = []
+
+    def describe(self, seq):
+        steps = sum(r["kind"] == "step" for r in read_trace(self.trace_path))
+        self.described.append((seq.tokens, steps))
+        return super().describe(seq)
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 9])
+def test_a_run_describes_each_final_archive_entry_once_after_its_last_step(
+    tmp_path, iterations
+):
+    trace_path = tmp_path / "trace.jsonl"
+    task = DescribeCountingTask(trace_path)
+    result = run_evolution(small_config(iterations=iterations), task, trace_path=trace_path)
+    entries = result.archive.entries
+    assert len(entries) >= 1
+    assert task.described == [(c.tokens.tokens, iterations) for c in entries]
+    assert result.descriptors == [{"sum": sum(c.tokens.tokens)} for c in entries]
 
 
 def test_random_search_deterministic_and_comparable():

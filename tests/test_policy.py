@@ -24,7 +24,7 @@ from phasevolve.policy import (
 from phasevolve.tasks import make_task
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-DIMS = PolicyDims(context_dim=3, hidden_dim=5, vocab_size=7, max_tokens=6)
+DIMS = PolicyDims(context_dim=3, hidden_dim=5, vocab_size=7)
 CLIP = ClipConfig()
 
 
@@ -147,11 +147,11 @@ def test_saturated_logit_always_sampled():
 
 
 def test_sample_length_guard():
-    params = PolicyParams.zeros(DIMS)
-    with pytest.raises(ValueError):
-        P.sample_sequence(
-            P.context_table(params, make_ctx()), np.random.default_rng(0), DIMS.max_tokens + 1
-        )
+    table = P.context_table(PolicyParams.zeros(DIMS), make_ctx())
+    for length in (0, -1):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            P.sample_sequence(table, np.random.default_rng(0), length)
+    assert len(P.sample_sequence(table, np.random.default_rng(0), 1)) == 1
 
 
 # ------------------------------------------------------------ log-probs
@@ -329,7 +329,7 @@ def test_entropy_saturated_is_zero():
 
 
 def test_entropy_two_tokens():
-    dims = PolicyDims(context_dim=2, hidden_dim=3, vocab_size=2, max_tokens=4)
+    dims = PolicyDims(context_dim=2, hidden_dim=3, vocab_size=2)
     params = PolicyParams.zeros(dims)
     seq = make_seq([0, 1])
     out = P.token_entropy(P.context_table(params, np.array([1.0, 0.0])), seq)
@@ -434,7 +434,6 @@ def test_params_save_load_roundtrip(tmp_path):
     loaded = ref.load_params(path)
     assert np.array_equal(loaded.w_ctx, params.w_ctx)
     assert np.array_equal(loaded.w_emit, params.w_emit)
-    assert loaded.max_tokens == params.max_tokens
 
 
 # ------------------------------------------------------------ immutability
@@ -485,7 +484,7 @@ def test_an_element_write_raises(name):
 def test_the_constructor_keeps_a_copy_of_what_it_is_given():
     w_ctx = np.zeros((DIMS.context_dim, DIMS.hidden_dim))
     w_emit = np.zeros((DIMS.hidden_dim + DIMS.vocab_size, DIMS.vocab_size))
-    params = PolicyParams(w_ctx, w_emit, DIMS.max_tokens)
+    params = PolicyParams(w_ctx, w_emit)
     state = AdamState(0, np.zeros(w_ctx.size + w_emit.size), np.zeros(w_ctx.size + w_emit.size))
     digest = params.fingerprint()
     w_ctx[0, 0] = w_emit[0, 0] = 1.0  # the caller's arrays stay writable
@@ -509,7 +508,6 @@ FROZEN = {
     [
         ("PolicyParams", "w_ctx"),
         ("PolicyParams", "w_emit"),
-        ("PolicyParams", "max_tokens"),
         ("AdamState", "step"),
         ("AdamState", "m"),
         ("AdamState", "v"),
@@ -562,7 +560,7 @@ def test_optimizer_step_leaves_its_inputs_unchanged():
 
 def test_the_table_memo_keys_on_the_hidden_vector():
     params = ref.random_params(DIMS, np.random.default_rng(3), scale=0.5)
-    fresh = PolicyParams(params.w_ctx, params.w_emit, params.max_tokens)
+    fresh = PolicyParams(params.w_ctx, params.w_emit)
     rng = np.random.default_rng(4)
     for _ in range(10):
         ctx = make_ctx(rng)

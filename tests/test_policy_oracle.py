@@ -43,9 +43,9 @@ GRAD_TOL = dict(rtol=1e-12, atol=1e-13)
 
 
 @st.composite
-def setups(draw, max_seqs=4):
+def bounded_setups(draw, max_seqs=4):
     """Random params and one context, then a group of (sequence, per-token
-    advantages) pairs sampled under it.
+    advantages) pairs sampled under it, and the length bound drawn for it.
 
     One length is drawn from 1..max_tokens per group, and every sequence in
     the group has it, as in the loop.
@@ -54,12 +54,12 @@ def setups(draw, max_seqs=4):
         context_dim=draw(st.integers(1, 4)),
         hidden_dim=draw(st.integers(1, 6)),
         vocab_size=draw(st.integers(1, 9)),
-        max_tokens=draw(st.integers(1, 8)),
     )
+    max_tokens = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     params = ref.random_params(dims, rng, scale=draw(st.sampled_from([0.01, 0.5, 3.0])))
     ctx = rng.normal(size=dims.context_dim)
-    length = draw(st.integers(1, dims.max_tokens))
+    length = draw(st.integers(1, max_tokens))
     batch = []
     for _ in range(draw(st.integers(1, max_seqs))):
         seq = TokenSequence(
@@ -67,7 +67,12 @@ def setups(draw, max_seqs=4):
             old_logprobs=-rng.uniform(0.0, 3.0, size=length),
         )
         batch.append((seq, rng.normal(size=length)))
-    return params, ctx, batch
+    return params, ctx, batch, max_tokens
+
+
+def setups(max_seqs=4):
+    """``bounded_setups`` without the bound: the same draws."""
+    return bounded_setups(max_seqs).map(lambda setup: setup[:3])
 
 
 def triples(ctx, batch):
@@ -173,7 +178,7 @@ def test_rows_after_unfollowed_tokens_get_exactly_zero_gradient(setup):
 
 
 def two_sequence_batch():
-    dims = PolicyDims(context_dim=3, hidden_dim=4, vocab_size=5, max_tokens=6)
+    dims = PolicyDims(context_dim=3, hidden_dim=4, vocab_size=5)
     rng = np.random.default_rng(3)
     params = ref.random_params(dims, rng, scale=0.5)
     ctx = rng.normal(size=3)
@@ -272,10 +277,10 @@ def test_flat_adamw_matches_the_two_tensor_reference(setup, weight_decay, lr, st
 
 
 @SETTINGS
-@given(setups(max_seqs=1), st.integers(0, 2**32 - 1), st.data())
+@given(bounded_setups(max_seqs=1), st.integers(0, 2**32 - 1), st.data())
 def test_sampler_matches_reference_and_uses_length_uniforms(setup, seed, data):
-    params, ctx, _ = setup
-    length = data.draw(st.integers(1, params.max_tokens))
+    params, ctx, _, max_tokens = setup
+    length = data.draw(st.integers(1, max_tokens))
     rng, ref_rng, twin = (np.random.default_rng(seed) for _ in range(3))
     seq = P.sample_sequence(P.context_table(params, ctx), rng, length)
     ref_seq = ref.sample_sequence(params, ctx, ref_rng, length)
@@ -303,7 +308,7 @@ class FixedUniforms:
 def test_sampler_clamps_a_draw_above_the_last_cdf_value():
     # With zero parameters and 9 tokens the uniform cdf ends below the
     # largest double under 1, so that draw finds no token and is clamped.
-    dims = PolicyDims(context_dim=2, hidden_dim=3, vocab_size=9, max_tokens=4)
+    dims = PolicyDims(context_dim=2, hidden_dim=3, vocab_size=9)
     params = PolicyParams.zeros(dims)
     top = np.nextafter(1.0, 0.0)
     assert np.cumsum(np.exp(ref.log_softmax(np.zeros(9))))[-1] < top
@@ -321,7 +326,7 @@ def test_sampler_clamps_a_draw_above_the_last_cdf_value():
 def test_sampler_draw_equal_to_a_cdf_value_takes_the_next_token(vocab, token):
     # Uniform rows whose cdf holds 0.5 exactly: searchsorted(side="right"),
     # and so the sampler, must pick the token after the one that ends at 0.5.
-    dims = PolicyDims(context_dim=2, hidden_dim=3, vocab_size=vocab, max_tokens=3)
+    dims = PolicyDims(context_dim=2, hidden_dim=3, vocab_size=vocab)
     params = PolicyParams.zeros(dims)
     ctx = np.array([1.0, 0.5])
     table = P.context_table(params, ctx)

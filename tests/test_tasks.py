@@ -442,13 +442,13 @@ def test_latent_quality_equals_the_reference_exactly(tokens, target, tie_weight)
     assert latent_quality(seq, land) == reference_synthetic.latent_quality(seq, land)
 
 
-# ------------------------------------------------------------ describe memos
+# ------------------------------------------------- describe, from the tokens
 
-memo_tokens = st.lists(st.integers(min_value=0, max_value=23), min_size=0, max_size=8)
-MEMO_PROFILE = WorkloadProfile.generate(num_profiles=2, num_experts=8, num_devices=3, seed=4)
-MEMO_TASKS = {
+any_tokens = st.lists(st.integers(min_value=0, max_value=23), min_size=0, max_size=8)
+SMALL_PROFILE = WorkloadProfile.generate(num_profiles=2, num_experts=8, num_devices=3, seed=4)
+SMALL_TASKS = {
     "synthetic": lambda: SyntheticTask(SyntheticLandscape(target_token=3, tie_weight=0.3)),
-    "eplb": lambda: EplbTask(MEMO_PROFILE),
+    "eplb": lambda: EplbTask(SMALL_PROFILE),
 }
 
 
@@ -460,17 +460,17 @@ def fresh_task_view(kind, tokens):
     anything, then evaluates them. Kept per token tuple, so an example that
     repeats a token list builds no second task for it.
     """
-    task = MEMO_TASKS[kind]()
+    task = SMALL_TASKS[kind]()
     descriptor = task.describe(seq_of(list(tokens)))
     outcome = task.evaluate(seq_of(list(tokens)), 3, np.random.default_rng(0))
     return descriptor, (outcome.value, outcome.metrics)
 
 
-@pytest.mark.parametrize("kind", sorted(MEMO_TASKS))
-@given(a=memo_tokens, b=memo_tokens)
+@pytest.mark.parametrize("kind", sorted(SMALL_TASKS))
+@given(a=any_tokens, b=any_tokens)
 @settings(deadline=None)
 def test_describe_after_evaluate_equals_a_fresh_task(kind, a, b):
-    task = MEMO_TASKS[kind]()
+    task = SMALL_TASKS[kind]()
     rng = np.random.default_rng(0)
     for evaluated in (a, b, a):
         outcome = task.evaluate(seq_of(evaluated), 3, rng)
@@ -480,10 +480,17 @@ def test_describe_after_evaluate_equals_a_fresh_task(kind, a, b):
 
 
 @pytest.mark.parametrize(
-    "kind, module, name",
-    [("synthetic", synthetic, "latent_quality"), ("eplb", eplb, "eplb_decode")],
+    "kind, module, name, evaluate_calls",
+    [("synthetic", synthetic, "latent_quality", 1), ("eplb", eplb, "eplb_decode", 0)],
+    ids=["synthetic", "eplb"],
 )
-def test_describe_reuses_the_evaluation_of_the_same_tokens(kind, module, name, monkeypatch):
+def test_describe_decodes_the_tokens_on_every_call(
+    kind, module, name, evaluate_calls, monkeypatch
+):
+    # Each describe runs the decoding once, also right after an evaluate of
+    # the same tokens. EPLB's evaluate reads its outcome table and decodes
+    # nothing.
+    expected = fresh_task_view(kind, (3, 3, 1, 2))[0]
     calls = []
     fn = getattr(module, name)
 
@@ -492,13 +499,12 @@ def test_describe_reuses_the_evaluation_of_the_same_tokens(kind, module, name, m
         return fn(*args)
 
     monkeypatch.setattr(module, name, counted)
-    task = MEMO_TASKS[kind]()
-    rng = np.random.default_rng(0)
-    task.evaluate(seq_of([3, 3, 1, 2]), 0, rng)
-    task.describe(seq_of([3, 3, 1, 2]))
-    assert calls == [[3, 3, 1, 2]]
-    task.describe(seq_of([3, 3, 1, 2, 0]))  # same decoding, other tokens: recomputed
-    assert calls == [[3, 3, 1, 2], [3, 3, 1, 2, 0]]
+    task = SMALL_TASKS[kind]()
+    task.evaluate(seq_of([3, 3, 1, 2]), 0, np.random.default_rng(0))
+    assert calls == [[3, 3, 1, 2]] * evaluate_calls
+    for _ in range(2):
+        assert task.describe(seq_of([3, 3, 1, 2])) == expected
+    assert calls == [[3, 3, 1, 2]] * (evaluate_calls + 2)
 
 
 @pytest.mark.parametrize("case", ["synthetic", "eplb"])
@@ -515,19 +521,20 @@ def test_run_archive_descriptors_equal_a_fresh_describe(case):
     config = parse_config_text(text)
     result = run_evolution(config, make_task(config))
     assert len(result.archive) > 1
-    for entry in result.archive.entries:
-        assert entry.descriptor == make_task(config).describe(entry.tokens)
+    assert len(result.descriptors) == len(result.archive)
+    for entry, descriptor in zip(result.archive.entries, result.descriptors):
+        assert descriptor == make_task(config).describe(entry.tokens)
 
 
 # ------------------------------------------------- one sequence, however built
 
 
-@pytest.mark.parametrize("kind", sorted(MEMO_TASKS))
+@pytest.mark.parametrize("kind", sorted(SMALL_TASKS))
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), length=st.integers(1, 8))
 @settings(deadline=None)
 def test_a_sampled_sequence_and_its_arrays_give_the_same_outcomes(kind, seed, length):
     rng = np.random.default_rng(seed)
-    params = PolicyParams(rng.normal(size=(2, 3)), rng.normal(size=(3 + 24, 24)), max_tokens=8)
+    params = PolicyParams(rng.normal(size=(2, 3)), rng.normal(size=(3 + 24, 24)))
     sampled = sample_sequence(context_table(params, rng.normal(size=2)), rng, length)
     rebuilt = TokenSequence(
         np.array(sampled.tokens, dtype=np.int64), np.array(sampled.old_logprobs)
@@ -535,7 +542,7 @@ def test_a_sampled_sequence_and_its_arrays_give_the_same_outcomes(kind, seed, le
     assert rebuilt == sampled
     views = []
     for seq in (sampled, rebuilt):
-        task = MEMO_TASKS[kind]()
+        task = SMALL_TASKS[kind]()
         first = task.describe(seq)
         outcome = task.evaluate(seq, 3, np.random.default_rng(0))
         views.append((first, task.describe(seq), outcome.value, outcome.metrics))

@@ -101,10 +101,10 @@ def test_a_step_that_raises_leaves_its_candidates_in_the_file(tmp_path, monkeypa
     config = RunConfig(task="synthetic", iterations=5, samples_per_group=4, seed=3)
     training_step = orchestrator.training_step
 
-    def fails_at_iteration_2(state, batch, candidates):
+    def fails_at_iteration_2(state, table, candidates):
         if state.iteration == 2:
             raise RuntimeError("step crashed")
-        return training_step(state, batch, candidates)
+        return training_step(state, table, candidates)
 
     monkeypatch.setattr(orchestrator, "training_step", fails_at_iteration_2)
     path = tmp_path / "trace.jsonl"
