@@ -21,14 +21,17 @@ evaluators and the entropy read as they are. Every sequence in a group has
 the same length L, so the training step stacks the group's tuples into
 (n, L) arrays with one ``np.array`` each; ``loss_and_gradient`` takes those,
 looks up the same table from (params, ctx) and runs both halves over that
-block at once. ``optimizer_step`` runs AdamW over one flat vector of
-all parameters.
+block at once. Parameters, gradient and AdamW moments are each one flat
+vector, ``w_ctx``'s entries then ``w_emit``'s, and ``w_ctx`` and ``w_emit``
+are views of it: the loss writes one buffer and AdamW concatenates nothing.
 
-``PolicyParams``, ``AdamState`` and ``TokenSequence`` are frozen, their arrays
-read-only copies, and ``optimizer_step`` returns new objects. So a
-``PolicyParams`` hashes itself once, and keeps one table with its row lists,
-keyed by the bytes of the hidden vector: with ``w_emit`` fixed, the table
-depends on nothing else. The loss reads the table the rollout just built.
+``PolicyParams``, ``AdamState`` and ``TokenSequence`` are frozen, with
+read-only arrays. Their public constructors copy and check their input;
+``optimizer_step`` and ``sample_sequence`` build theirs over what they just
+made, uncopied. So a ``PolicyParams`` hashes itself once, and keeps one
+table with its row lists and exp(table), keyed by the bytes of the hidden
+vector: with ``w_emit`` fixed, the table depends on nothing else.
+The loss reads the table the rollout just built.
 The table also repeats across iterations: ``w_ctx`` and ``w_emit[:H]`` start
 at zero and get exactly zero gradient, so the hidden vector is zero whatever
 the context, and a skipped step keeps the parameters, and so the table.
@@ -48,8 +51,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,11 +113,10 @@ class RolloutContext:
             self.frontier_mean,
             self.improvement_rate,
         )
-        vec = np.zeros(context_dim)
-        vec[: min(len(raw), context_dim)] = raw[:context_dim]
-        if not np.all(np.isfinite(vec)):
+        used = raw[:context_dim]
+        if not all(map(math.isfinite, used)):
             raise ValueError(f"non-finite context features: {raw}")
-        return vec
+        return np.array(used + (0.0,) * (context_dim - len(used)), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -165,24 +168,42 @@ def _read_only(array) -> np.ndarray:
     return out
 
 
+def _split(flat: np.ndarray, ctx_shape: tuple, emit_shape: tuple) -> tuple:
+    """The ``w_ctx`` and ``w_emit`` views of a flat parameter-ordered vector."""
+    split = math.prod(ctx_shape)
+    return flat[:split].reshape(ctx_shape), flat[split:].reshape(emit_shape)
+
+
 @dataclass(frozen=True, eq=False)
 class PolicyParams:
-    """Read-only float64 policy parameters: context projection + per-step emission."""
+    """Read-only float64 policy parameters: context projection + per-step emission,
+    views of ``flat``. The constructor copies its 2-d tensors into ``flat``."""
 
     w_ctx: np.ndarray
     w_emit: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "w_ctx", _read_only(self.w_ctx))
-        object.__setattr__(self, "w_emit", _read_only(self.w_emit))
-        h, v = self.hidden_dim, self.vocab_size
-        if self.w_emit.shape[0] != h + v:
-            raise ValueError(f"w_emit must have {h} + {v} rows, got {self.w_emit.shape[0]}")
-        if not (np.isfinite(self.w_ctx).all() and np.isfinite(self.w_emit).all()):
+        w_ctx = np.asarray(self.w_ctx, dtype=np.float64)
+        w_emit = np.asarray(self.w_emit, dtype=np.float64)
+        if w_ctx.ndim != 2 or w_emit.ndim != 2:
+            raise ValueError(f"w_ctx and w_emit must be 2-d, got {w_ctx.shape} and {w_emit.shape}")
+        h, v = w_ctx.shape[1], w_emit.shape[1]
+        if w_emit.shape[0] != h + v:
+            raise ValueError(f"w_emit must have {h} + {v} rows, got {w_emit.shape[0]}")
+        flat = np.concatenate((w_ctx.ravel(), w_emit.ravel()))
+        if not np.isfinite(flat).all():
             raise ValueError("policy parameters must be finite")
-        # The digest once hashed; one table entry: (hidden bytes, table, row lists).
-        object.__setattr__(self, "_digest", None)
-        object.__setattr__(self, "_tabled", (b"", None, None))
+        self._hold(flat, w_ctx.shape, w_emit.shape)
+
+    def _hold(self, flat: np.ndarray, ctx_shape: tuple, emit_shape: tuple) -> None:
+        """Keep ``flat``, a float64 vector no one else holds, uncopied and read-only."""
+        flat.flags.writeable = False
+        w_ctx, w_emit = _split(flat, ctx_shape, emit_shape)
+        # A frozen instance's fields, written once here. The digest once hashed;
+        # one table entry: (hidden bytes, table, row lists, exp(table)).
+        self.__dict__.update(flat=flat, w_ctx=w_ctx, w_emit=w_emit, _digest=None,
+                             _tabled=(b"", None, None, None))
 
     @property
     def context_dim(self) -> int:
@@ -212,18 +233,28 @@ class PolicyParams:
         if self._digest is None:
             digest = hashlib.sha256()
             for tensor in (self.w_ctx, self.w_emit):
-                digest.update(struct.pack("<2q", *tensor.shape) + tensor.astype("<f8").tobytes())
+                digest.update(struct.pack("<2q", *tensor.shape))
+                digest.update(tensor.astype("<f8", copy=False))  # contiguous views: no copy
             object.__setattr__(self, "_digest", digest.hexdigest())
         return self._digest
 
 
-@dataclass
+@dataclass(eq=False)
 class PolicyGradient:
+    """Writable views of one float64 buffer ``flat``, in ``PolicyParams.flat``'s
+    order. The constructor copies its tensors into ``flat``."""
+
     w_ctx: np.ndarray
     w_emit: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        shapes = np.shape(self.w_ctx), np.shape(self.w_emit)
+        self.flat = np.concatenate((np.ravel(self.w_ctx), np.ravel(self.w_emit)), dtype=np.float64)
+        self.w_ctx, self.w_emit = _split(self.flat, *shapes)
 
     def is_finite(self) -> bool:
-        return bool(np.isfinite(self.w_ctx).all() and np.isfinite(self.w_emit).all())
+        return bool(np.isfinite(self.flat).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,8 +272,7 @@ class AdamState:
 
     @classmethod
     def zeros(cls, params: PolicyParams) -> "AdamState":
-        size = params.w_ctx.size + params.w_emit.size
-        return cls(step=0, m=np.zeros(size), v=np.zeros(size))
+        return cls(step=0, m=np.zeros(params.flat.size), v=np.zeros(params.flat.size))
 
 
 def _hidden(params: PolicyParams, ctx: np.ndarray) -> np.ndarray:
@@ -258,25 +288,26 @@ def _log_prob_table(params: PolicyParams, hidden: np.ndarray) -> tuple[np.ndarra
     and each row's p . log p.
 
     Row 0 is position 0 (no previous token); row 1 + j follows token j.
-    Both are kept on ``params`` under the bytes of ``hidden`` and returned
-    again for a hidden vector with the same bytes: ``params.w_emit``, the
-    table's other input, is fixed.
+    Both are kept on ``params`` under the bytes of ``hidden``, with the
+    table's probabilities exp(table) for the loss, and returned again for a
+    hidden vector with the same bytes: ``params.w_emit``, the table's other
+    input, is fixed.
     """
     key = hidden.tobytes()
     if params._tabled[0] == key:
-        return params._tabled[1:]
+        return params._tabled[1:3]
     base = hidden @ params.w_emit[: params.hidden_dim]
     logits = np.empty((params.vocab_size + 1, params.vocab_size))
     logits[0] = base
     logits[1:] = base + params.w_emit[params.hidden_dim :]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    table = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    table = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     table.flags.writeable = False
     p = np.exp(table)
     # einsum, not a BLAS dot: its bits do not depend on the BLAS library.
     dots = np.einsum("ij,ij->i", p, table)
-    rows = (table.tolist(), np.cumsum(p, axis=1).tolist(), dots.tolist())
-    object.__setattr__(params, "_tabled", (key, table, rows))
+    rows = (table.tolist(), np.add.accumulate(p, axis=1).tolist(), dots.tolist())
+    object.__setattr__(params, "_tabled", (key, table, rows, p))
     return table, rows
 
 
@@ -294,8 +325,11 @@ class ContextTable:
 def context_table(params: PolicyParams, ctx: np.ndarray) -> ContextTable:
     """The table of context vector ``ctx`` under ``params``; a table that
     repeats shares its row lists too."""
-    _, rows = _log_prob_table(params, _hidden(params, ctx))
-    return ContextTable(np.asarray(ctx, dtype=np.float64), *rows)
+    ctx = np.asarray(ctx, dtype=np.float64)
+    log_p_rows, cdf_rows, row_dots = _log_prob_table(params, _hidden(params, ctx))[1]
+    table = object.__new__(ContextTable)  # the fields __init__ sets, without its setattr calls
+    table.__dict__.update(ctx=ctx, log_p_rows=log_p_rows, cdf_rows=cdf_rows, row_dots=row_dots)
+    return table
 
 
 def sample_sequence(table: ContextTable, rng: np.random.Generator, length: int) -> TokenSequence:
@@ -350,7 +384,8 @@ def _clip_terms(
     """
     ratio = np.exp(new_logp - old_logp)
     unclipped = ratio * adv_tok
-    clipped = np.clip(ratio, 1.0 - clip.eps_lo, 1.0 + clip.eps_hi) * adv_tok
+    # np.clip's bits, without its Python-level dispatch.
+    clipped = np.minimum(np.maximum(ratio, 1.0 - clip.eps_lo), 1.0 + clip.eps_hi) * adv_tok
     objective = np.minimum(unclipped, clipped)
     dobj = np.where(unclipped <= clipped, unclipped, 0.0)
     return objective, dobj
@@ -384,49 +419,50 @@ def loss_and_gradient(
     total = tokens.size
     if total == 0:
         raise EmptyBatchError("no tokens in the batch")
-    length = tokens.shape[1]
-    outside = (tokens < 0) | (tokens >= params.vocab_size)
-    if outside.any():
-        bad = int(np.argmax(outside))
+    length, vocab = tokens.shape[1], params.vocab_size
+    if tokens.min() < 0 or tokens.max() >= vocab:
+        bad = int(np.argmax((tokens < 0) | (tokens >= vocab)))
         raise InvalidTokenError(
-            f"token {tokens.flat[bad]} at position {bad % length} "
-            f"outside vocabulary of {params.vocab_size}"
+            f"token {tokens.flat[bad]} at position {bad % length} outside vocabulary of {vocab}"
         )
 
+    ctx = np.asarray(ctx, dtype=np.float64)
     hidden = _hidden(params, ctx)
     table, _ = _log_prob_table(params, hidden)
-    # Table row of each position: 1 + the previous token of its own
-    # sequence, or 0 at a sequence start.
-    rows = np.zeros_like(tokens)
-    rows[:, 1:] = tokens[:, :-1] + 1
+    p = params._tabled[3]  # exp(table), kept with it
+    # Flat table index of each position: its row is 1 + the previous token of
+    # its own sequence, or 0 at a sequence start.
+    index = tokens.copy()
+    index[:, 1:] += (tokens[:, :-1] + 1) * vocab
 
-    objective, dobj = _clip_terms(table[rows, tokens], old_logprobs, advantages, clip)
-    nonfinite = ~np.isfinite(objective)
-    if nonfinite.any():
-        bad = int(np.argmax(nonfinite))
+    objective, dobj = _clip_terms(table.take(index), old_logprobs, advantages, clip)
+    if not np.isfinite(objective).all():
+        bad = int(np.argmax(~np.isfinite(objective)))
         raise NumericFailureError(f"non-finite surrogate term at token index {bad % length}")
     # Row sums, subtracted in row order, have each sequence's own .sum() bits.
     loss_acc = 0.0
-    for seq_sum in objective.sum(axis=1).tolist():
+    for seq_sum in np.add.reduce(objective, axis=1).tolist():
         loss_acc -= seq_sum
     # dL/d new_logp_t, including the -1/M of the negated mean. A token adds
     # dlogp_t * (onehot(token) - p) to its row's dlogits, so each row's
     # dlogits are its weighted token counts C minus rowsum(C) * p.
     counts = np.bincount(
-        (rows * params.vocab_size + tokens).ravel(),
-        weights=(-dobj / total).ravel(),
-        minlength=table.size,
+        index.ravel(), weights=np.divide(dobj, -total).ravel(), minlength=table.size
     ).reshape(table.shape)
-    dlogits = counts - counts.sum(axis=1, keepdims=True) * np.exp(table)
-    # Every row of the table adds the base logits.
-    dbase = dlogits.sum(axis=0)
-    grad = PolicyGradient(
-        w_ctx=np.outer(ctx, params.w_emit[: params.hidden_dim] @ dbase),
-        w_emit=np.concatenate([np.outer(hidden, dbase), dlogits[1:]]),
-    )
+    dlogits = counts - np.add.reduce(counts, axis=1, keepdims=True) * p
+    # Every row of the table adds the base logits. The outer products go
+    # straight into the gradient's one buffer, with np.outer's bits.
+    dbase = np.add.reduce(dlogits, axis=0)
+    h = params.hidden_dim
+    grad = object.__new__(PolicyGradient)
+    grad.flat = np.empty(params.flat.size)
+    grad.w_ctx, grad.w_emit = _split(grad.flat, params.w_ctx.shape, params.w_emit.shape)
+    np.multiply(ctx[:, None], params.w_emit[:h] @ dbase, out=grad.w_ctx)
+    np.multiply(hidden[:, None], dbase, out=grad.w_emit[:h])
+    grad.w_emit[h:] = dlogits[1:]
 
     loss = loss_acc / total
-    if not (np.isfinite(loss) and grad.is_finite()):
+    if not (math.isfinite(loss) and grad.is_finite()):
         raise NumericFailureError("non-finite loss or gradient")
     return loss, grad
 
@@ -434,7 +470,9 @@ def loss_and_gradient(
 def grad_norm(grad: PolicyGradient) -> float:
     """Global L2 norm across all parameter gradients; inf where a square overflows."""
     with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(grad.w_ctx**2) + np.sum(grad.w_emit**2)))
+        # np.sum's bits, one sum per tensor, without its Python-level dispatch.
+        squares = np.add.reduce(grad.w_ctx**2, axis=None) + np.add.reduce(grad.w_emit**2, axis=None)
+        return float(np.sqrt(squares))
 
 
 def optimizer_step(
@@ -449,11 +487,15 @@ def optimizer_step(
 ) -> tuple[PolicyParams, AdamState, bool]:
     """One AdamW update with decoupled weight decay and bias correction.
 
-    Runs over one flat vector of all parameters, in ``AdamState``'s order,
-    and returns new params and state. A non-finite gradient, or an update
-    that overflows a parameter, rejects the step: the original params and
-    state are returned with ``applied`` False.
+    Runs over ``params.flat``, ``grad.flat`` and the moments, which must be
+    flat vectors of one size (else ``ValueError``), and returns new params
+    and state over the vectors it computed, uncopied. A non-finite gradient,
+    or an update that overflows a parameter, rejects the step: the original
+    params and state are returned with ``applied`` False.
     """
+    if not grad.flat.shape == state.m.shape == state.v.shape == params.flat.shape:
+        raise ValueError(f"gradient and moments must be flat vectors of {params.flat.size} entries,"
+                         f" got {grad.flat.shape}, {state.m.shape} and {state.v.shape}")
     if not grad.is_finite():
         return params, state, False
 
@@ -461,20 +503,18 @@ def optimizer_step(
     bc1 = 1.0 - beta1**step
     bc2 = 1.0 - beta2**step
 
-    w = np.concatenate([params.w_ctx.ravel(), params.w_emit.ravel()])
-    g = np.concatenate([grad.w_ctx.ravel(), grad.w_emit.ravel()])
+    w, g = params.flat, grad.flat
     m = beta1 * state.m + (1.0 - beta1) * g
     v = beta2 * state.v + (1.0 - beta2) * g * g
     update = (m / bc1) / (np.sqrt(v / bc2) + eps)
     with np.errstate(over="ignore", invalid="ignore"):
         new_w = w - lr * update - lr * weight_decay * w
-
-    split = params.w_ctx.size
-    try:
-        new_params = PolicyParams(
-            new_w[:split].reshape(params.w_ctx.shape),
-            new_w[split:].reshape(params.w_emit.shape),
-        )
-    except ValueError:  # the update overflowed a parameter
+    if not np.isfinite(new_w).all():  # the update overflowed a parameter
         return params, state, False
-    return new_params, AdamState(step=step, m=m, v=v), True
+    # New objects over the fresh vectors: the constructors' values, uncopied.
+    new_params = object.__new__(PolicyParams)
+    new_params._hold(new_w, params.w_ctx.shape, params.w_emit.shape)
+    new_state = object.__new__(AdamState)
+    m.flags.writeable = v.flags.writeable = False
+    new_state.__dict__.update(step=step, m=m, v=v)
+    return new_params, new_state, True

@@ -62,7 +62,10 @@ class EvaluationOutcome:
         # A parsed but non-finite score is a parse failure, not a number.
         if not math.isfinite(value):
             return cls(OutcomeStatus.PARSE_FAILURE, None, metrics or {})
-        return cls(OutcomeStatus.PARSED, float(value), metrics or {})
+        outcome = object.__new__(cls)  # the fields __init__ sets, without its setattr calls
+        outcome.__dict__.update(status=OutcomeStatus.PARSED, value=float(value),
+                                metrics=metrics or {}, error=None)
+        return outcome
 
     @classmethod
     def parse_failure(cls) -> "EvaluationOutcome":

@@ -13,6 +13,7 @@ token tuple; the tiebreaker hashes it packed as little-endian int64s.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import operator
@@ -51,6 +52,11 @@ class SyntheticLandscape:
         return self.delta0 * math.exp(-t / self.decay_horizon)
 
 
+@functools.cache
+def _int64s(count: int) -> struct.Struct:  # one packer of little-endian int64s per length
+    return struct.Struct(f"<{count}q")
+
+
 def latent_quality(seq: TokenSequence, land: SyntheticLandscape) -> float:
     """Deterministic q(tokens) in [0, 1] over the sequence's tokens.
 
@@ -65,7 +71,7 @@ def latent_quality(seq: TokenSequence, land: SyntheticLandscape) -> float:
     else:
         repeats = 0.0
     structural = 0.6 * hits + 0.4 * repeats
-    digest = hashlib.sha256(struct.pack(f"<{len(visible)}q", *visible)).digest()
+    digest = hashlib.sha256(_int64s(len(visible)).pack(*visible)).digest()
     tie = int.from_bytes(digest[:8], "little") / 2.0**64
     return (1.0 - land.tie_weight) * structural + land.tie_weight * tie
 

@@ -6,17 +6,22 @@ Records are whole lines, and the file is flushed once per iteration, after
 its step record (and after the header), so a killed run loses at most its
 unfinished iteration; ``read_trace`` skips a torn last line. The
 serialization is canonical (sorted keys) so identical runs produce identical
-bytes. Candidate lines, the most numerous, are filled into one fixed
+bytes. Candidate lines, the most numerous, are filled into a fixed
 template rather than encoded as a dict; each is byte-equal to what
-``json.dumps(record, sort_keys=True, separators=(",", ":"))`` writes.
+``json.dumps(record, sort_keys=True, separators=(",", ":"))`` writes. A
+record as the loop makes it for a parsed candidate (int ids and iteration,
+an ``OutcomeStatus`` value, finite float scores, no error) is one ``%``
+operation; any other record, such as a failed candidate's, has each value
+encoded on its own.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+from .rewards import OutcomeStatus
 
 TRACE_VERSION = 2
 
@@ -29,20 +34,13 @@ _CANDIDATE = (
     '{"candidate_id":%s,"error":%s,"iteration":%s,"kind":"candidate",'
     '"parent_id":%s,"raw_score":%s,"reward":%s,"status":%s}\n'
 )
-
-
-def _json_value(value) -> str:
-    """``_dumps(value)``, without the encoder for the types a candidate holds."""
-    kind = type(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if kind is str:
-        return encode_basestring_ascii(value)
-    return _dumps(value)  # NaN, infinities, bools, numpy scalars, ...
+# A loop-made record: json.dumps writes an int and a finite float as %d and %r do.
+_LOOP_CANDIDATE = (
+    '{"candidate_id":%d,"error":null,"iteration":%d,"kind":"candidate",'
+    '"parent_id":%d,"raw_score":%r,"reward":%r,"status":"%s"}\n'
+)
+# Plain ASCII letters and "_", which json.dumps writes as they are.
+_STATUSES = frozenset(status.value for status in OutcomeStatus)
 
 
 class TraceWriter:
@@ -58,11 +56,20 @@ class TraceWriter:
     def write_candidate(
         self, iteration, candidate_id, parent_id, status, raw_score, reward, error
     ) -> None:
-        j = _json_value
-        self._fh.write(_CANDIDATE % (
-            j(candidate_id), j(error), j(iteration), j(parent_id), j(raw_score), j(reward),
-            j(status),
-        ))
+        if (
+            type(iteration) is type(candidate_id) is type(parent_id) is int
+            and type(raw_score) is type(reward) is float
+            and math.isfinite(raw_score)
+            and math.isfinite(reward)
+            and error is None
+            and type(status) is str
+            and status in _STATUSES
+        ):
+            loop_made = (candidate_id, iteration, parent_id, raw_score, reward, status)
+            self._fh.write(_LOOP_CANDIDATE % loop_made)
+            return
+        values = (candidate_id, error, iteration, parent_id, raw_score, reward, status)
+        self._fh.write(_CANDIDATE % tuple(map(_dumps, values)))
 
     def write_step(self, record: dict) -> None:
         self._write({"kind": "step", **record})

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -424,6 +425,34 @@ def test_optimizer_rejects_nonfinite_gradient():
     assert new_state.step == 0
 
 
+@pytest.mark.parametrize(
+    "ctx_shape,emit_shape",
+    [((3, 5), (12, 7, 1)), ((3, 5, 1), (12, 7)), ((3,), (12, 7)), ((3, 5), (84,))],
+    ids=["3-d w_emit", "3-d w_ctx", "1-d w_ctx", "1-d w_emit"],
+)
+def test_params_need_2d_tensors(ctx_shape, emit_shape):
+    shapes = f"{ctx_shape} and {emit_shape}"
+    with pytest.raises(ValueError, match="2-d.*" + re.escape(shapes)):
+        PolicyParams(np.zeros(ctx_shape), np.zeros(emit_shape))
+
+
+def test_optimizer_rejects_moments_and_gradients_of_the_wrong_shape():
+    params = ref.random_params(DIMS, np.random.default_rng(4), scale=0.5)
+    size = params.w_ctx.size + params.w_emit.size
+    grad = ref.zero_gradient(params)
+    bad_states = [
+        AdamState(0, np.zeros(1), np.zeros(1)),  # once broadcast silently
+        AdamState(0, np.zeros(size), np.zeros(size - 1)),
+        AdamState(0, np.zeros((1, size)), np.zeros((1, size))),
+    ]
+    for state in bad_states:
+        with pytest.raises(ValueError, match="flat vectors of %d entries" % size):
+            P.optimizer_step(params, grad, state, lr=0.1)
+    small = P.PolicyGradient(np.zeros((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="flat vectors"):
+        P.optimizer_step(params, small, AdamState.zeros(params), lr=0.1)
+
+
 # ------------------------------------------------------------ params I/O
 
 
@@ -491,6 +520,54 @@ def test_the_constructor_keeps_a_copy_of_what_it_is_given():
     assert not params.w_ctx.any() and not params.w_emit.any()
     assert params.fingerprint() == digest == hashed_fresh(params)
     assert not state.m.flags.writeable and not state.v.flags.writeable
+
+
+def test_optimizer_step_builds_read_only_params_and_state_over_one_buffer_each():
+    params, state, new_params, new_state = applied_step(3)
+    assert new_params.w_ctx.base is new_params.flat
+    assert new_params.w_emit.base is new_params.flat
+    arrays = (new_params.flat, new_state.m, new_state.v)
+    for array in arrays + (new_params.w_ctx, new_params.w_emit):
+        assert not array.flags.writeable
+    # No buffer is shared with another, or with the inputs.
+    for i, array in enumerate(arrays):
+        for other in arrays[i + 1 :] + (params.flat, state.m, state.v):
+            assert not np.shares_memory(array, other)
+    # The public constructors, which copy and check, give the same values.
+    public = PolicyParams(new_params.w_ctx, new_params.w_emit)
+    assert vars(public).keys() == vars(new_params).keys()
+    for name in ("flat", "w_ctx", "w_emit"):
+        assert np.array_equal(getattr(public, name), getattr(new_params, name))
+    assert new_params.fingerprint() == public.fingerprint() == hashed_fresh(new_params)
+    public_state = AdamState(new_state.step, new_state.m, new_state.v)
+    assert vars(public_state).keys() == vars(new_state).keys()
+    assert public_state.step == new_state.step == 1
+    assert np.array_equal(public_state.m, new_state.m)
+    assert np.array_equal(public_state.v, new_state.v)
+
+
+def test_the_gradient_is_one_buffer_with_two_views():
+    params, ctx, batch = random_setup(5)
+    _, grad = P.loss_and_gradient(params, ctx, *ref.stack_group(batch), CLIP)
+    built = P.PolicyGradient(grad.w_ctx, grad.w_emit)
+    for g in (grad, built):
+        assert g.w_ctx.base is g.flat and g.w_emit.base is g.flat
+        assert np.array_equal(g.flat, np.concatenate([g.w_ctx.ravel(), g.w_emit.ravel()]))
+    assert not np.shares_memory(built.flat, grad.flat)  # the constructor copies
+    assert np.array_equal(built.flat, grad.flat)
+
+
+def test_context_table_equals_the_constructors_table_and_stays_frozen():
+    params, ctx, _ = random_setup(6)
+    table = P.context_table(params, ctx)
+    rows = P._log_prob_table(params, P._hidden(params, ctx))[1]
+    built = P.ContextTable(np.asarray(ctx, dtype=np.float64), *rows)
+    assert vars(table).keys() == vars(built).keys()
+    assert np.array_equal(table.ctx, built.ctx)
+    assert (table.log_p_rows, table.cdf_rows, table.row_dots) == rows
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.cdf_rows = []
+    assert table.cdf_rows is rows[1]
 
 
 FROZEN = {

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import assume, given
 
@@ -33,6 +35,20 @@ def test_nonfinite_parsed_becomes_parse_failure():
         outcome = EvaluationOutcome.parsed(bad)
         assert outcome.status is OutcomeStatus.PARSE_FAILURE
         assert shape_reward(outcome, ShapingConfig()) == FAILURE_REWARD
+
+
+@pytest.mark.parametrize(
+    "value,metrics", [(0.25, None), (-3, {"quality": 0.5}), (np.float64(0.75), {})]
+)
+def test_parsed_equals_the_constructors_outcome_and_stays_frozen(value, metrics):
+    outcome = EvaluationOutcome.parsed(value, metrics)
+    built = EvaluationOutcome(OutcomeStatus.PARSED, float(value), metrics or {})
+    assert outcome == built
+    assert vars(outcome) == vars(built)
+    assert type(outcome.value) is float
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outcome.value = 1.0
+    assert outcome.value == float(value)
 
 
 def test_nonfinite_value_guarded_even_when_status_forged():

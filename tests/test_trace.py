@@ -14,11 +14,12 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from phasevolve import orchestrator
 from phasevolve.config import RunConfig
 from phasevolve.orchestrator import run_evolution
+from phasevolve.rewards import OutcomeStatus
 from phasevolve.tasks import make_task
 from phasevolve.trace import TraceWriter, read_trace
 
@@ -71,6 +72,47 @@ VALUES = st.recursive(
 @given(st.tuples(*[VALUES] * len(CANDIDATE_FIELDS)))
 @settings(max_examples=300, deadline=None)
 def test_a_candidate_line_is_json_dumps_of_its_record(values):
+    buffer = io.StringIO()
+    writer = TraceWriter.__new__(TraceWriter)
+    writer._fh = buffer
+    writer.write_candidate(*values)
+    assert buffer.getvalue() == candidate_line(values) + "\n"
+
+
+# The loop's own records take write_candidate's one-template path: int ids and
+# iteration, an OutcomeStatus value, finite float scores and no error. Drawn
+# around that domain and over its edges, where a record must fall back.
+LOOP_INTS = st.integers(0, 2**64) | st.booleans()
+LOOP_SCORES = (
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e308, -1e308, math.nan, math.inf, -math.inf])
+    | st.floats()
+    | st.builds(np.float64, st.floats())
+)
+LOOP_STATUSES = st.sampled_from([status.value for status in OutcomeStatus] + ["timeout"])
+
+
+@given(
+    LOOP_INTS,
+    LOOP_INTS,
+    LOOP_INTS,
+    LOOP_STATUSES,
+    LOOP_SCORES,
+    LOOP_SCORES,
+    st.none() | st.just("ValueError: boom"),
+)
+@example(3, 17, 2, "parsed", 0.71, 3.55, None)
+@example(2**64, 2**63, 0, "parse_failure", -0.0, 5e-324, None)
+@example(True, 1, False, "parsed", 0.5, 0.5, None)
+@example(0, 1, 0, "parsed", np.float64(0.1), 1e16, None)
+@example(0, 1, 0, "timeout", 0.5, 0.5, None)
+@example(0, 1, 0, "parsed", math.inf, 1e308, None)
+@example(0, 1, 0, "evaluator_error", 0.5, -math.inf, None)
+@example(0, 1, 0, "parsed", math.nan, 0.5, None)
+@settings(max_examples=300, deadline=None)
+def test_a_loop_candidate_line_is_json_dumps_of_its_record(
+    iteration, candidate_id, parent_id, status, raw_score, reward, error
+):
+    values = (iteration, candidate_id, parent_id, status, raw_score, reward, error)
     buffer = io.StringIO()
     writer = TraceWriter.__new__(TraceWriter)
     writer._fh = buffer
